@@ -60,6 +60,7 @@ from .simulate import (
     generate_path,
     observe_from_moving_frame,
     run_ensemble,
+    simulate_drift,
     write_path_csv,
 )
 from .scales import (
@@ -123,6 +124,7 @@ __all__ = [
     "estimate_drift",
     "observe_from_moving_frame",
     "run_ensemble",
+    "simulate_drift",
     "write_path_csv",
     # scales
     "SPEED_OF_LIGHT",

@@ -2,18 +2,19 @@
 
 Results are JSON on stdout (full float precision, as Python's repr emits);
 bulk series go to CSV.  Every result embeds a run manifest with the resolved
-parameters, seed, constants and version, so a run can be reproduced from its
-own output.  Exit codes: 0 success, 1 verification/run failure, 2 invalid
-input, 3 indeterminate composition.
+parameters, seed, constants, version and RNG stream provenance, so a run can
+be reproduced from its own output.  Exit codes: 0 success, 1 verification/run failure or an output
+file (``--path``, ``--csv``) that cannot be written, 2 invalid input,
+3 indeterminate composition.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional, Sequence
 
@@ -30,12 +31,11 @@ from .errors import (
 )
 from .scales import HBAR, SPEED_OF_LIGHT, ParticleScale, particle_mass, scale_for_particle
 from .simulate import (
+    STREAM_LAYOUT,
     SimConfig,
-    estimate_drift,
-    generate_path,
     observe_from_moving_frame,
     run_ensemble,
-    write_path_csv,
+    simulate_drift,
 )
 from .verification import LEVELS, run_verification
 
@@ -45,40 +45,20 @@ EXIT_INVALID_INPUT = 2
 EXIT_INDETERMINATE = 3
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to audit and re-run a CLI invocation."""
-
-    command: str
-    parameters: dict
-    seed: Optional[int]
-    constants: dict
-    version: str
-    timestamp: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "constants": self.constants,
-            "version": self.version,
-            "timestamp": self.timestamp,
-        }
-
-
 def _manifest(command: str, parameters: dict, seed: Optional[int] = None) -> dict:
-    return RunManifest(
-        command=command,
-        parameters=parameters,
-        seed=seed,
-        constants={
+    """Everything needed to audit and re-run a CLI invocation."""
+    return {
+        "command": command,
+        "parameters": parameters,
+        "seed": seed,
+        "constants": {
             "speed_of_light_m_per_s": SPEED_OF_LIGHT,
             "hbar_J_s": HBAR,
         },
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    ).to_dict()
+        "version": __version__,
+        "rng": {"numpy": np.__version__, "bit_generator": "PCG64", "stream_layout": STREAM_LAYOUT},
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
 
 
 def _emit(payload: dict) -> None:
@@ -166,7 +146,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "particle": args.particle,
         "replicates": args.replicates,
     }
-    if args.replicates > 1:
+    if args.replicates != 1:
         if args.path:
             raise ValueError("--path dumps a single path; drop --replicates")
         result = run_ensemble(cfg, args.replicates)
@@ -177,11 +157,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         }
         _emit(payload)
         return EXIT_OK
-    path = generate_path(cfg)
-    estimate = estimate_drift(path)
-    if args.path:
-        with open(args.path, "w", newline="") as fh:
-            write_path_csv(path, fh)
+    csv_file = open(args.path, "w", newline="") if args.path else contextlib.nullcontext()
+    with csv_file as fh:
+        estimate = simulate_drift(cfg, fh)
     payload = estimate.to_dict()
     payload["manifest"] = _manifest("simulate", parameters, cfg.seed)
     _emit(payload)
@@ -388,7 +366,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except IndeterminateComposition as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
-    except NoAcceptedTicks as exc:
+    except (NoAcceptedTicks, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except (ZitterError, ValueError, KeyError) as exc:

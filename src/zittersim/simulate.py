@@ -6,12 +6,21 @@ tick directions.  Two dynamics share the same stationary law
 Pr(R) = (1 + beta)/2:
 
 * ``iid``       - each tick is an independent Bernoulli draw,
-* ``telegraph`` - a two-state Markov chain started from its stationary
-                  distribution, with per-tick flip probabilities whose
-                  stationary right-probability matches (1 + beta)/2.
+* ``telegraph`` - a two-state Markov chain (discrete Kac telegraph process)
+                  started from its stationary distribution, with per-tick
+                  flip probabilities (a, b), b/(a + b) = (1 + beta)/2.  Runs
+                  between reversals are Geom(a) ticks right and Geom(b) left,
+                  so paths are drawn as run lengths, not tick by tick.
 
 Only the stationary statistics are physically constrained; what causes a
 reversal is deliberately left unmodeled, so the dynamics choice is a knob.
+Telegraph ticks are correlated (lag-1 correlation 1 - a - b); their standard
+errors are the exact ones for a correlated mean.
+
+One private generator yields the directions as int8 blocks of ``_CHUNK``
+ticks; drift estimates, ensembles, frame observation and the CSV dump reduce
+the blocks as they arrive, so memory is O(chunk), not O(ticks).  Only
+``generate_path`` holds a whole path, one byte per tick.
 
 ``observe_from_moving_frame`` realizes frame composition stochastically:
 particle and observer directions are drawn per tick and a tick is retained
@@ -21,15 +30,17 @@ to (u + v)/(1 + u v) and the acceptance rate to (1 + u v)/2.
 
 All randomness flows from a single 64-bit seed through numpy's PCG64;
 replicate streams are derived with the published SplitMix64 mixer, so runs
-are reproducible within one implementation/platform.
+are reproducible within one implementation/platform.  ``STREAM_LAYOUT``
+(recorded in run manifests) numbers the order of draws: layout 2 keeps
+layout 1's iid stream, draws telegraph run lengths, and interleaves observe's
+particle and observer draws per block.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Literal, Optional
+from typing import IO, Iterable, Iterator, Literal, Optional
 
 import numpy as np
 
@@ -51,6 +62,7 @@ __all__ = [
     "derive_seed",
     "generate_path",
     "estimate_drift",
+    "simulate_drift",
     "observe_from_moving_frame",
     "run_ensemble",
     "write_path_csv",
@@ -67,19 +79,30 @@ _MAX_SEED = 2**64
 # stationary law at p for any s in (0, 1]; s = 1 would degenerate to iid.
 _DEFAULT_FLIP_SCALE = 0.5
 
+# Ticks per sampled block: the samplers hold ~10 bytes per block tick at once.
+# 64k-tick blocks also measured faster than 4k or 1M ones.
+_CHUNK = 1 << 16
 
-def _validate_seed(seed: int) -> int:
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InvalidConfig(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < _MAX_SEED:
-        raise InvalidConfig(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return seed
+# CSV rows formatted per write; a row holds ~100 bytes until it is written.
+_CSV_ROWS = 1 << 12
+
+# Version of the order in which the samplers draw from the PCG64 stream.
+STREAM_LAYOUT = 2
+
+
+def _validate_int(name: str, value: object, low: int = 1, high: float = math.inf) -> int:
+    """``value`` as a Python int in [low, high), as ``operator.index`` reads
+    it: numpy integers pass, bools and floats raise InvalidConfig."""
+    index = getattr(type(value), "__index__", None)
+    if isinstance(value, bool) or index is None or not low <= index(value) < high:
+        raise InvalidConfig(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+    return index(value)
 
 
 def derive_seed(seed: int, index: int) -> int:
     """Deterministic per-replicate seed: output ``index`` of the SplitMix64
     stream seeded at ``seed`` (Steele, Lea & Flood's published mixer)."""
-    _validate_seed(seed)
+    seed = _validate_int("seed", seed, 0, _MAX_SEED)
     if index < 0:
         raise InvalidConfig(f"replicate index must be nonnegative, got {index}")
     mask = _MAX_SEED - 1
@@ -109,11 +132,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", as_beta(self.beta).value)
-        if not isinstance(self.ticks, int) or isinstance(self.ticks, bool):
-            raise InvalidConfig(f"ticks must be an integer, got {self.ticks!r}")
-        if self.ticks < 1:
-            raise InvalidConfig(f"ticks must be >= 1, got {self.ticks}")
-        _validate_seed(self.seed)
+        object.__setattr__(self, "ticks", _validate_int("ticks", self.ticks))
+        object.__setattr__(self, "seed", _validate_int("seed", self.seed, 0, _MAX_SEED))
         if self.dynamics not in ("iid", "telegraph"):
             raise InvalidConfig(
                 f"dynamics must be 'iid' or 'telegraph', got {self.dynamics!r}"
@@ -179,12 +199,15 @@ class ZitterPath:
 
     Positions are the running sums scaled by the per-tick step length, so
     they are in meters when the generating config carried a physical scale.
+    ``flip_probabilities`` are the telegraph flips the path was drawn with
+    (None for iid ticks), which ``estimate_drift``'s standard error needs.
     """
 
     directions: np.ndarray
     tick_duration: float = 1.0
     step_length: float = 1.0
     seed: Optional[int] = None
+    flip_probabilities: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.directions, dtype=np.int8)
@@ -243,23 +266,72 @@ class EnsembleResult:
     pooled: DriftEstimate
 
 
-def _iid_steps(rng: np.random.Generator, ticks: int, p_right: float) -> np.ndarray:
-    return np.where(rng.random(ticks) < p_right, 1, -1).astype(np.int8)
+def _telegraph_flips(cfg: SimConfig) -> Optional[tuple[float, float]]:
+    return cfg.flip_probabilities if cfg.dynamics == "telegraph" else None
 
 
-def _telegraph_steps(
-    rng: np.random.Generator, ticks: int, p_right: float, flips: tuple[float, float]
-) -> np.ndarray:
-    flip_from_right, flip_from_left = flips
-    steps = np.empty(ticks, dtype=np.int8)
-    u = rng.random(ticks + 1)
-    state = 1 if u[0] < p_right else -1  # stationary initial state
-    for i in range(ticks):
-        steps[i] = state
-        threshold = flip_from_right if state == 1 else flip_from_left
-        if u[i + 1] < threshold:
-            state = -state
-    return steps
+def _direction_blocks(
+    rng: np.random.Generator, ticks: int, p_right: float, flips: Optional[tuple] = None
+) -> Iterator[np.ndarray]:
+    """Yield ``ticks`` +/-1 directions as int8 blocks of at most ``_CHUNK``.
+
+    iid tick i is right iff the i-th uniform is below ``p_right``, whatever
+    the block size.  Telegraph ``flips`` = (a, b) start the chain from its
+    stationary law and alternate runs of Geom(a) ticks right and Geom(b)
+    left; a run cut at a block edge goes on with a fresh draw, which the
+    geometric law's memorylessness makes exact.
+    """
+    sizes = (min(_CHUNK, ticks - start) for start in range(0, ticks, _CHUNK))
+    if flips is None:
+        for k in sizes:
+            # 0/1 as int8, mapped to -1/+1: many times faster than np.where
+            yield (rng.random(k) < p_right).view(np.int8) * np.int8(2) - np.int8(1)
+        return
+    state = 1 if rng.random() < p_right else -1
+    for k in sizes:
+        here, there = flips if state == 1 else flips[::-1]
+        # Draw about 5 % more runs than k ticks need on average.
+        pairs = int(1.05 * k * here * there / (here + there)) + 16
+        lengths = np.empty(0, np.int64)
+        while lengths.sum() < k:
+            # A cap of k + 1 ticks keeps the run sums from overflowing and
+            # stands for the endless run of a state that never flips (q = 0).
+            runs = [np.minimum(rng.geometric(q, pairs), k + 1) if q else np.full(pairs, k + 1)
+                    for q in (here, there)]
+            lengths = np.concatenate([lengths, np.column_stack(runs).ravel()])
+        ends = np.cumsum(lengths)
+        used = int(np.searchsorted(ends, k)) + 1
+        lengths[used - 1] -= ends[used - 1] - k
+        signs = np.full(used, state, dtype=np.int8)
+        signs[1::2] = -state
+        yield np.repeat(signs, lengths[:used])
+        # The chain flips after a run that ends exactly at the block edge.
+        state = int(signs[-1]) * (-1 if ends[used - 1] == k else 1)
+
+
+def _path_sum(cfg: SimConfig, seed: int, stream: Optional[IO[str]] = None) -> int:
+    """Direction sum of ``cfg``'s path from ``seed``; with ``stream`` also its CSV."""
+    rng = np.random.default_rng(seed)
+    blocks = _direction_blocks(rng, cfg.ticks, cfg.p_right, _telegraph_flips(cfg))
+    return _sum_blocks(blocks, stream, cfg.step_length)
+
+
+def _sum_blocks(blocks: Iterable[np.ndarray], stream: Optional[IO], step_length: float) -> int:
+    """Direction sum of ``blocks``, written as path CSV when ``stream`` is given."""
+    total = 0
+    tick = 0
+    if stream is not None:
+        stream.write("tick,direction,position\n")
+        blocks = (b[i : i + _CSV_ROWS] for b in blocks for i in range(0, b.size, _CSV_ROWS))
+    for block in blocks:
+        if stream is not None:
+            positions = (total + np.cumsum(block, dtype=np.int64)) * step_length
+            signs = np.where(block > 0, "+1", "-1").tolist()
+            rows = zip(range(tick, tick + block.size), signs, positions.tolist())
+            stream.write("".join([f"{t},{d},{x!r}\n" for t, d, x in rows]))
+        total += 2 * int(np.count_nonzero(block > 0)) - block.size
+        tick += block.size
+    return total
 
 
 def generate_path(cfg: SimConfig) -> ZitterPath:
@@ -268,32 +340,51 @@ def generate_path(cfg: SimConfig) -> ZitterPath:
     Identical configs (including seed) produce identical paths within one
     implementation/platform.
     """
+    flips = _telegraph_flips(cfg)
     rng = np.random.default_rng(cfg.seed)
-    if cfg.dynamics == "iid":
-        steps = _iid_steps(rng, cfg.ticks, cfg.p_right)
-    else:
-        steps = _telegraph_steps(rng, cfg.ticks, cfg.p_right, cfg.flip_probabilities)
     return ZitterPath(
-        directions=steps,
+        directions=np.concatenate(list(_direction_blocks(rng, cfg.ticks, cfg.p_right, flips))),
         tick_duration=cfg.resolved_tick_duration,
         step_length=cfg.step_length,
         seed=cfg.seed,
+        flip_probabilities=flips,
     )
 
 
-def _estimate_from_sum(total: int, n: int, seed: Optional[int]) -> DriftEstimate:
+def _variance_inflation(flips: Optional[tuple[float, float]], n: int) -> float:
+    """Var(mean of n stationary ticks) over its iid value: 1 for iid ticks; the
+    telegraph lag-k correlations rho^k, rho = 1 - a - b, sum exactly to this."""
+    if flips is None:
+        return 1.0
+    rho = 1.0 - flips[0] - flips[1]
+    return (1.0 + rho) / (1.0 - rho) - 2.0 * rho * (1.0 - rho**n) / (n * (1.0 - rho) ** 2)
+
+
+def _estimate_from_sum(
+    total: int, n: int, seed: Optional[int], inflation: float = 1.0
+) -> DriftEstimate:
     mean = total / n
-    std_error = math.sqrt(max(0.0, 1.0 - mean * mean) / n)
+    std_error = math.sqrt(max(0.0, (1.0 - mean * mean) * inflation) / n)
     return DriftEstimate(mean=mean, std_error=std_error, n=n, seed=seed)
 
 
 def estimate_drift(path: ZitterPath) -> DriftEstimate:
-    """Sample mean of the tick directions with std error sqrt((1-m^2)/n)."""
+    """Sample mean of the tick directions with std error sqrt((1-m^2)/n),
+    times the exact telegraph inflation when the path carries its flips."""
     n = len(path)
     if n == 0:
         raise EmptyPath("cannot estimate drift from an empty path")
     total = int(np.sum(path.directions, dtype=np.int64))
-    return _estimate_from_sum(total, n, path.seed)
+    inflation = _variance_inflation(path.flip_probabilities, n)
+    return _estimate_from_sum(total, n, path.seed, inflation)
+
+
+def simulate_drift(cfg: SimConfig, stream: Optional[IO[str]] = None) -> DriftEstimate:
+    """``estimate_drift(generate_path(cfg))`` in bounded memory: the path is
+    reduced block by block and, with ``stream``, written as ``write_path_csv``
+    writes it in the same pass."""
+    inflation = _variance_inflation(_telegraph_flips(cfg), cfg.ticks)
+    return _estimate_from_sum(_path_sum(cfg, cfg.seed, stream), cfg.ticks, cfg.seed, inflation)
 
 
 def observe_from_moving_frame(
@@ -317,22 +408,24 @@ def observe_from_moving_frame(
             f"observer u = {uf:+g} and particle v = {vf:+g} move at the speed "
             "of light in opposite directions: no tick can ever be retained"
         )
-    if not isinstance(ticks, int) or ticks < 1:
-        raise InvalidConfig(f"ticks must be a positive integer, got {ticks!r}")
-    _validate_seed(seed)
+    ticks = _validate_int("ticks", ticks)
+    seed = _validate_int("seed", seed, 0, _MAX_SEED)
 
     rng = np.random.default_rng(seed)
-    particle_right = rng.random(ticks) < 0.5 * (1.0 + vf)
-    observer_right = rng.random(ticks) < 0.5 * (1.0 + uf)
-    retained = particle_right == observer_right
-    n_retained = int(np.count_nonzero(retained))
+    particle = _direction_blocks(rng, ticks, 0.5 * (1.0 + vf))
+    observer = _direction_blocks(rng, ticks, 0.5 * (1.0 + uf))
+    n_retained = total = 0
+    for d, e in zip(particle, observer):
+        # d + e is 2d on retained ticks (D = E) and 0 on the others.
+        both = d + e
+        retained = int(np.count_nonzero(both))
+        n_retained += retained
+        total += 2 * int(np.count_nonzero(both == 2)) - retained
     if n_retained == 0:
         raise NoAcceptedTicks(
             f"0 of {ticks} ticks retained for u = {uf:+g}, v = {vf:+g}; "
             "increase ticks to estimate this composition"
         )
-    n_right = int(np.count_nonzero(particle_right & retained))
-    total = 2 * n_right - n_retained  # sum of +/-1 directions over retained
     return FrameObservation(
         estimate=_estimate_from_sum(total, n_retained, seed),
         acceptance_rate=n_retained / ticks,
@@ -346,35 +439,20 @@ def run_ensemble(cfg: SimConfig, replicates: int) -> EnsembleResult:
     Replicate r reuses ``cfg`` with seed ``derive_seed(cfg.seed, r)``.  The
     pooled mean is the tick-weighted average; for +/-1 ticks it reduces to
     integer (step sum, tick count) accumulation, whose merge is associative
-    and commutative exactly, so the pooling order cannot matter.
+    and commutative exactly, so the pooling order cannot matter.  Replicates
+    are independent chains, so the pooled error keeps their inflation.
     """
-    if not isinstance(replicates, int) or replicates < 1:
-        raise InvalidConfig(f"replicates must be a positive integer, got {replicates!r}")
-    estimates = []
-    total_steps = 0
-    total_ticks = 0
-    for r in range(replicates):
-        rep_cfg = SimConfig(
-            beta=cfg.beta,
-            ticks=cfg.ticks,
-            seed=derive_seed(cfg.seed, r),
-            dynamics=cfg.dynamics,
-            flip_asymmetry=cfg.flip_asymmetry,
-            tick_duration=cfg.tick_duration,
-            scale=cfg.scale,
-        )
-        path = generate_path(rep_cfg)
-        estimates.append(estimate_drift(path))
-        total_steps += int(np.sum(path.directions, dtype=np.int64))
-        total_ticks += len(path)
-    pooled_estimate = _estimate_from_sum(total_steps, total_ticks, cfg.seed)
-    return EnsembleResult(replicates=tuple(estimates), pooled=pooled_estimate)
+    replicates = _validate_int("replicates", replicates)
+    inflation = _variance_inflation(_telegraph_flips(cfg), cfg.ticks)
+    seeds = [derive_seed(cfg.seed, r) for r in range(replicates)]
+    sums = [_path_sum(cfg, seed) for seed in seeds]
+    estimates = tuple(
+        _estimate_from_sum(total, cfg.ticks, seed, inflation) for total, seed in zip(sums, seeds)
+    )
+    pooled = _estimate_from_sum(sum(sums), cfg.ticks * replicates, cfg.seed, inflation)
+    return EnsembleResult(replicates=estimates, pooled=pooled)
 
 
 def write_path_csv(path: ZitterPath, stream: IO[str]) -> None:
     """Dump a path as CSV rows ``tick,direction,position`` (direction +1/-1)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["tick", "direction", "position"])
-    positions = path.positions
-    for tick, (direction, position) in enumerate(zip(path.directions, positions)):
-        writer.writerow([tick, f"{int(direction):+d}", repr(float(position))])
+    _sum_blocks([path.directions], stream, path.step_length)

@@ -6,8 +6,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+from zittersim import simulate
 from zittersim.cli import main
 
 LN2 = math.log(2.0)
@@ -131,6 +133,46 @@ class TestSimulate:
         assert second["mean"] == first["mean"]
         assert second["n"] == first["n"]
 
+    @pytest.mark.parametrize("replicates", ["0", "-3"])
+    def test_nonpositive_replicates_exit_2(self, capsys, replicates):
+        code, out, err = run_cli(
+            capsys, "simulate", "--beta", "0", "--ticks", "10", "--seed", "1",
+            "--replicates", replicates,
+        )
+        assert code == 2 and out == ""
+        assert "replicates" in err
+
+    @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
+    def test_json_identical_with_and_without_path(self, capsys, tmp_path, monkeypatch, dynamics):
+        monkeypatch.setattr(simulate, "_CHUNK", 1000)
+        argv = ("simulate", "--beta", "0.3", "--ticks", "5000", "--seed", "12",
+                "--dynamics", dynamics)
+        plain = run_json(capsys, *argv)
+        dumped = run_json(capsys, *argv, "--path", str(tmp_path / "p.csv"))
+        plain["manifest"].pop("timestamp")
+        dumped["manifest"].pop("timestamp")
+        assert plain == dumped
+        with open(tmp_path / "p.csv") as fh:
+            last = fh.read().splitlines()[-1].split(",")
+        assert int(last[0]) == 4999
+        assert float(last[2]) == pytest.approx(plain["mean"] * 5000, abs=1e-9)
+
+    def test_manifest_records_rng_provenance(self, capsys):
+        payload = run_json(capsys, "simulate", "--beta", "0", "--ticks", "10", "--seed", "1")
+        assert payload["manifest"]["rng"] == {
+            "numpy": np.__version__,
+            "bit_generator": "PCG64",
+            "stream_layout": simulate.STREAM_LAYOUT,
+        }
+
+    def test_unwritable_path_exits_1(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "simulate", "--beta", "0", "--ticks", "10", "--seed", "1",
+            "--path", str(tmp_path / "missing" / "p.csv"),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_replicates_with_path_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "--beta", "0", "--ticks", "10", "--seed", "1",
@@ -207,6 +249,13 @@ class TestEntropy:
         s_nats = [float(r[1]) for r in rows[1:]]
         for i in range(199):
             assert s_nats[i] == pytest.approx(s_nats[198 - i], abs=1e-12)
+
+    def test_unwritable_csv_exits_1(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "entropy", "--grid", "0:0.5:3", "--csv", str(tmp_path / "missing" / "g.csv")
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_grid_to_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "entropy", "--grid", "0:0.5:3")

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import math
+import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ from zittersim import (
     observe_from_moving_frame,
     run_ensemble,
     scale_for_particle,
+    simulate,
+    simulate_drift,
     velocity_addition,
     write_path_csv,
 )
@@ -90,6 +95,16 @@ class TestSimConfig:
         )
         # distance per tick is then the characteristic length, in meters
         assert cfg.step_length == pytest.approx(scale.length_m, rel=1e-12)
+
+    def test_accepts_numpy_integers(self):
+        cfg = SimConfig(beta=0.0, ticks=np.int64(10), seed=np.uint64(2**64 - 1))
+        assert type(cfg.ticks) is int and cfg.ticks == 10
+        assert type(cfg.seed) is int and cfg.seed == 2**64 - 1
+
+    @pytest.mark.parametrize("field", ["ticks", "seed"])
+    def test_rejects_bool(self, field):
+        with pytest.raises(InvalidConfig):
+            SimConfig(**{"beta": 0.0, "ticks": 10, "seed": 1, field: True})
 
     def test_explicit_tick_duration_wins(self):
         cfg = SimConfig(
@@ -232,6 +247,11 @@ class TestObserveFromMovingFrame:
         with pytest.raises(IndeterminateComposition):
             observe_from_moving_frame(u, v, ticks=100, seed=1)
 
+    @pytest.mark.parametrize("ticks", [True, 0, 2.0])
+    def test_rejects_bad_ticks(self, ticks):
+        with pytest.raises(InvalidConfig):
+            observe_from_moving_frame(0.1, 0.2, ticks=ticks, seed=1)
+
     def test_no_accepted_ticks(self):
         # acceptance probability 5e-8 per tick; 10 ticks retain nothing
         with pytest.raises(NoAcceptedTicks):
@@ -326,3 +346,140 @@ class TestPathCsv:
         rows = buf.getvalue().strip().splitlines()[1:]
         assert rows[0].split(",")[1] == "-1"
         assert rows[1].split(",")[1] == "+1"
+
+
+def _reference_csv(path: ZitterPath) -> str:
+    """The per-row csv.writer dump the block writer replaced, kept as the
+    byte-for-byte reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["tick", "direction", "position"])
+    for tick, (direction, position) in enumerate(zip(path.directions, path.positions)):
+        writer.writerow([tick, f"{int(direction):+d}", repr(float(position))])
+    return buf.getvalue()
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """Byte equality that reports the first differing line; pytest's full
+    diff of two large dumps would take minutes."""
+    for i, (g, w) in enumerate(zip(got.splitlines(), want.splitlines())):
+        assert g == w, f"line {i}"
+    identical = got == want
+    assert identical, f"{len(got)} chars written, {len(want)} expected"
+
+
+class TestChunkedSampler:
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, simulate._CHUNK])
+    def test_iid_stream_independent_of_chunk_size(self, monkeypatch, chunk):
+        cfg = SimConfig(beta=0.3, ticks=10_000, seed=17)
+        # stream layout 1: tick i is right iff the i-th uniform is below p
+        expected = np.where(np.random.default_rng(17).random(10_000) < 0.65, 1, -1)
+        reference = (estimate_drift(generate_path(cfg)), run_ensemble(cfg, 3))
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        assert np.array_equal(generate_path(cfg).directions, expected)
+        assert simulate_drift(cfg) == reference[0]
+        assert run_ensemble(cfg, 3) == reference[1]
+
+    @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
+    @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
+    def test_simulate_drift_is_estimate_of_generated_path(self, monkeypatch, dynamics, chunk):
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        cfg = SimConfig(beta=-0.4, ticks=5_000, seed=8, dynamics=dynamics)
+        assert simulate_drift(cfg) == estimate_drift(generate_path(cfg))
+
+    @pytest.mark.parametrize(
+        "beta,flips,seed", [(0.3, None, 31), (-0.6, (0.4, 0.1), 32), (0.0, (0.9, 0.9), 33)]
+    )
+    @pytest.mark.parametrize("chunk", [64, simulate._CHUNK])
+    def test_telegraph_mean_and_lag1_correlation(self, monkeypatch, beta, flips, seed, chunk):
+        # small chunks put thousands of block edges inside the path
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        n = 200_000
+        cfg = SimConfig(beta=beta, ticks=n, seed=seed, dynamics="telegraph", flip_asymmetry=flips)
+        x = generate_path(cfg).directions
+        a, b = cfg.flip_probabilities
+        sigma_mean = math.sqrt(
+            (1.0 - beta * beta) / n * simulate._variance_inflation((a, b), n)
+        )
+        assert abs(x.mean() - beta) <= 5.0 * sigma_mean
+        # lag-1 correlation 1 - a - b from the chain's transition counts,
+        # each flip rate binomial in the visits to its state
+        prev, nxt = x[:-1], x[1:]
+        n_right, n_left = int(np.sum(prev == 1)), int(np.sum(prev == -1))
+        a_hat = np.sum((prev == 1) & (nxt == -1)) / n_right
+        b_hat = np.sum((prev == -1) & (nxt == 1)) / n_left
+        sigma_rho = math.sqrt(a * (1 - a) / n_right + b * (1 - b) / n_left)
+        assert abs((1.0 - a_hat - b_hat) - (1.0 - a - b)) <= 5.0 * sigma_rho
+
+    @pytest.mark.parametrize("beta,flips", [(1.0, None), (1.0, (0.0, 0.3)), (-1.0, (0.3, 0.0))])
+    def test_light_speed_telegraph_across_blocks(self, monkeypatch, beta, flips):
+        monkeypatch.setattr(simulate, "_CHUNK", 7)
+        cfg = SimConfig(beta=beta, ticks=100, seed=2, dynamics="telegraph", flip_asymmetry=flips)
+        assert np.all(generate_path(cfg).directions == int(beta))
+        assert simulate_drift(cfg).mean == beta
+
+    @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
+    def test_reported_std_error_matches_ensemble_spread(self, dynamics):
+        replicates = 400
+        cfg = SimConfig(beta=0.3, ticks=5_000, seed=2718, dynamics=dynamics)
+        result = run_ensemble(cfg, replicates)
+        spread = statistics.stdev(e.mean for e in result.replicates)
+        reported = statistics.mean(e.std_error for e in result.replicates)
+        assert 0.85 <= spread / reported <= 1.15
+        # independent replicates: the pooled error shrinks by sqrt(replicates)
+        assert result.pooled.std_error * math.sqrt(replicates) == pytest.approx(reported, rel=0.01)
+
+    def test_telegraph_std_error_is_exact_formula(self):
+        cfg = SimConfig(beta=0.2, ticks=1_000, seed=3, dynamics="telegraph")
+        est = estimate_drift(generate_path(cfg))
+        rho = 1.0 - sum(cfg.flip_probabilities)
+        factor = (1 + rho) / (1 - rho) - 2 * rho * (1 - rho**1_000) / (1_000 * (1 - rho) ** 2)
+        assert est.std_error == pytest.approx(
+            math.sqrt((1 - est.mean**2) / 1_000 * factor), rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "reduce",
+        [
+            lambda: simulate_drift(SimConfig(beta=0.3, ticks=4_000_000, seed=1)),
+            lambda: simulate_drift(
+                SimConfig(beta=0.3, ticks=4_000_000, seed=1, dynamics="telegraph")
+            ),
+            lambda: observe_from_moving_frame(0.4, 0.5, ticks=4_000_000, seed=1),
+        ],
+        ids=["iid", "telegraph", "observe"],
+    )
+    def test_reducers_hold_one_block_at_a_time(self, reduce):
+        tracemalloc.start()
+        try:
+            reduce()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole path would need 4 MB even at one byte per tick
+        assert peak < 40 * simulate._CHUNK
+
+
+class TestBlockCsvWriter:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SimConfig(beta=0.2, ticks=10_000, seed=4),
+            SimConfig(beta=-0.3, ticks=9_001, seed=5, dynamics="telegraph"),
+            SimConfig(beta=0.3, ticks=10_000, seed=6, scale=scale_for_particle("electron")),
+        ],
+        ids=["unit-steps", "telegraph", "electron"],
+    )
+    def test_byte_identical_to_csv_writer(self, cfg):
+        path = generate_path(cfg)
+        buf = io.StringIO()
+        write_path_csv(path, buf)
+        _assert_same_text(buf.getvalue(), _reference_csv(path))
+
+    @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
+    def test_streamed_dump_matches_path_dump(self, monkeypatch, chunk):
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        cfg = SimConfig(beta=0.1, ticks=10_000, seed=9, scale=scale_for_particle("muon"))
+        buf = io.StringIO()
+        assert simulate_drift(cfg, buf) == simulate_drift(cfg)
+        _assert_same_text(buf.getvalue(), _reference_csv(generate_path(cfg)))
