@@ -48,7 +48,6 @@ from .entropy import (
     redshift_factor,
     relativistic_factors,
 )
-from .moments import RunningMoments, streaming_moments
 from .simulate import (
     DriftEstimate,
     EnsembleResult,
@@ -110,9 +109,6 @@ __all__ = [
     "redshift_factor",
     "relativistic_factors",
     "entropy_relativistic_form",
-    # moments
-    "RunningMoments",
-    "streaming_moments",
     # simulation
     "SimConfig",
     "ZitterPath",

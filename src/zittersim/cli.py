@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -29,8 +29,11 @@ from .errors import (
     NoAcceptedTicks,
     ZitterError,
 )
-from .scales import HBAR, SPEED_OF_LIGHT, ParticleScale, particle_mass, scale_for_particle
+from .scales import (
+    HBAR, SPEED_OF_LIGHT, ParticleScale, named_particles, particle_mass, scale_for_particle,
+)
 from .simulate import (
+    _CSV_ROWS,
     STREAM_LAYOUT,
     SimConfig,
     observe_from_moving_frame,
@@ -62,8 +65,8 @@ def _manifest(command: str, parameters: dict, seed: Optional[int] = None) -> dic
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # A result that overflowed to inf or nan raises ValueError, not "Infinity".
+    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _unit(args: argparse.Namespace) -> ent.EntropyUnit:
@@ -74,8 +77,8 @@ def _distribution_dict(d: kin.DirectionDistribution) -> dict:
     return {"p_right": d.p_right, "p_left": d.p_left}
 
 
-def _parse_grid(raw: str) -> np.ndarray:
-    """Parse ``start:stop:count`` into an endpoint-inclusive grid."""
+def _parse_grid(raw: str) -> tuple[float, float, int]:
+    """Parse and validate ``start:stop:count`` of an endpoint-inclusive grid."""
     parts = raw.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:count, got {raw!r}")
@@ -83,9 +86,24 @@ def _parse_grid(raw: str) -> np.ndarray:
     count = int(parts[2])
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
-    kin.as_beta(start)
-    kin.as_beta(stop)
-    return np.linspace(start, stop, count)
+    return kin.as_beta(start).value, kin.as_beta(stop).value, count
+
+
+def _grid_slices(start: float, stop: float, count: int) -> Iterator[np.ndarray]:
+    """``np.linspace(start, stop, count)`` bit for bit, in slices of
+    ``_CSV_ROWS`` points: index * step + start, the last point set to stop."""
+    div = count - 1
+    delta = stop - start
+    step = delta / div if div else 0.0
+    for lo in range(0, count, _CSV_ROWS):
+        y = np.arange(lo, min(lo + _CSV_ROWS, count), dtype=np.float64)
+        # linspace scales by delta / div, or, for one point or a step that
+        # underflows to 0, divides by div before multiplying by delta.
+        y = y * step if step else y / max(div, 1) * delta
+        y += start
+        if div and lo + y.size == count:
+            y[-1] = stop
+        yield y
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
@@ -176,30 +194,23 @@ def cmd_observe(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _entropy_row(b: float) -> tuple[float, float, float, float, float]:
-    s_nats = ent.entropy_from_beta(b, ent.EntropyUnit.NATS).value
-    s_bits = ent.entropy_from_beta(b, ent.EntropyUnit.BITS).value
-    try:
-        gamma = ent.lorentz_gamma(b)
-        one_plus_z = ent.redshift_factor(b)
-    except LightSpeedSingularity:
-        gamma = one_plus_z = float("nan")
-    return b, s_nats, s_bits, gamma, one_plus_z
-
-
 def cmd_entropy(args: argparse.Namespace) -> int:
     unit = _unit(args)
-    if args.grid:
+    if args.grid is not None:
         grid = _parse_grid(args.grid)
-        target = open(args.csv, "w", newline="") if args.csv else sys.stdout
-        try:
-            target.write("beta,S_nats,S_bits,gamma,one_plus_z\n")
-            for b in grid:
-                row = _entropy_row(float(b))
-                target.write(",".join(repr(x) for x in row) + "\n")
-        finally:
-            if args.csv:
-                target.close()
+        target = open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext(sys.stdout)
+        with target as fh:
+            fh.write("beta,S_nats,S_bits,gamma,one_plus_z\n")
+            for b in _grid_slices(*grid):
+                inside = np.abs(b) < 1.0  # gamma and 1+z are nan at light speed
+                gamma, one_plus_z = np.full((2, b.size), np.nan)
+                gamma[inside] = ent.lorentz_gamma_array(b[inside])
+                one_plus_z[inside] = ent.redshift_factor_array(b[inside])
+                s_nats = ent.entropy_from_beta_array(b, ent.EntropyUnit.NATS)
+                s_bits = ent.entropy_from_beta_array(b, ent.EntropyUnit.BITS)
+                columns = (b, s_nats, s_bits, gamma, one_plus_z)
+                rows = map("{!r},{!r},{!r},{!r},{!r}\n".format, *(c.tolist() for c in columns))
+                fh.write("".join(rows))
         return EXIT_OK
     b = kin.as_beta(args.beta)
     s = ent.entropy_from_beta(b, unit)
@@ -228,7 +239,7 @@ def cmd_entropy(args: argparse.Namespace) -> int:
 def cmd_scales(args: argparse.Namespace) -> int:
     if (args.particle is None) == (args.mass_kg is None):
         raise ValueError("provide exactly one of --particle or --mass-kg")
-    if args.particle:
+    if args.particle is not None:
         mass = particle_mass(args.particle)
     else:
         mass = args.mass_kg
@@ -265,21 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output_flags(p: argparse.ArgumentParser, unit: bool = True) -> None:
-        p.add_argument(
-            "--json", action="store_true", default=True,
-            help="emit JSON to stdout (default)",
-        )
-        if unit:
-            p.add_argument(
-                "--unit", choices=["nats", "bits"], default="nats",
-                help="entropy unit (default: nats)",
-            )
+    unit_flag = {"choices": [u.value for u in ent.EntropyUnit], "default": "nats",
+                 "help": "entropy unit (default: nats)"}
 
     p = sub.add_parser("compose", help="relativistic velocity addition, both routes")
     p.add_argument("--u", type=float, required=True, help="observer velocity in [-1, 1]")
     p.add_argument("--v", type=float, required=True, help="particle velocity in [-1, 1]")
-    add_output_flags(p)
+    p.add_argument("--unit", **unit_flag)
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("simulate", help="seeded +/-c tick process and drift estimate")
@@ -296,12 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tick-duration", type=float, help="seconds per tick")
     p.add_argument(
-        "--particle", choices=["electron", "muon", "proton"],
+        "--particle", choices=named_particles(),
         help="attach a physical scale (tick duration defaults to 1/omega)",
     )
     p.add_argument("--path", metavar="CSV", help="also dump the path as tick CSV")
     p.add_argument("--replicates", type=int, default=1, help="independent replicates")
-    add_output_flags(p, unit=False)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("observe", help="rejection-sampled drift from a moving frame")
@@ -309,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=float, required=True, help="particle velocity in [-1, 1]")
     p.add_argument("--ticks", type=int, required=True, help="total ticks to sample")
     p.add_argument("--seed", type=int, required=True, help="64-bit unsigned seed")
-    add_output_flags(p, unit=False)
     p.set_defaults(func=cmd_observe)
 
     p = sub.add_parser("entropy", help="observer-dependent entropy of the motion")
@@ -319,18 +320,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep an inclusive grid and emit CSV instead of JSON",
     )
     p.add_argument("--csv", metavar="PATH", help="write grid CSV to PATH (default stdout)")
-    add_output_flags(p)
+    p.add_argument("--unit", **unit_flag)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("scales", help="tick frequency and length for a mass")
-    p.add_argument("--particle", help="named particle: electron, muon, proton")
+    p.add_argument("--particle", help=f"named particle: {', '.join(named_particles())}")
     p.add_argument("--mass-kg", type=float, help="mass in kilograms")
-    add_output_flags(p, unit=False)
     p.set_defaults(func=cmd_scales)
 
     p = sub.add_parser("verify", help="run the invariant suite and report")
     p.add_argument("--level", choices=list(LEVELS), default="fast")
-    add_output_flags(p, unit=False)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -369,7 +368,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NoAcceptedTicks, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except (ZitterError, ValueError, KeyError) as exc:
+    except KeyError as exc:
+        # str(KeyError) quotes its message; print the message itself.
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except (ZitterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

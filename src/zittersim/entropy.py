@@ -14,7 +14,9 @@ special-relativistic factors,
 with gamma = (1 - beta^2)^(-1/2) and 1 + z = sqrt((1+beta)/(1-beta)).
 
 Logarithm base only changes the unit; nats are the default, bits optional.
-All functions are pure and thread-safe.
+As in ``kinematics``, each formula is one numpy expression behind an
+``*_array`` function, and the scalar functions wrap it.  All functions are
+pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import LightSpeedSingularity
-from .kinematics import BetaLike, DirectionDistribution, as_beta
+from .kinematics import BetaLike, DirectionDistribution, _betas, _reject_light_speed, as_beta
 
 __all__ = [
     "EntropyUnit",
@@ -32,10 +36,14 @@ __all__ = [
     "RelativisticFactors",
     "entropy_from_distribution",
     "entropy_from_beta",
+    "entropy_from_beta_array",
     "lorentz_gamma",
+    "lorentz_gamma_array",
     "redshift_factor",
+    "redshift_factor_array",
     "relativistic_factors",
     "entropy_relativistic_form",
+    "entropy_relativistic_form_array",
 ]
 
 # Upper-bound slack: rounding may land a hair above log 2 near beta = 0.
@@ -47,8 +55,8 @@ class EntropyUnit(enum.Enum):
     BITS = "bits"
 
     @property
-    def log(self):
-        return math.log if self is EntropyUnit.NATS else math.log2
+    def log(self) -> np.ufunc:
+        return np.log if self is EntropyUnit.NATS else np.log2
 
     @property
     def max_value(self) -> float:
@@ -84,11 +92,12 @@ class EntropyValue:
         return EntropyValue(self.value / math.log(2.0), unit)
 
 
-def _binary_entropy(p: float, q: float, unit: EntropyUnit) -> float:
-    # 0 log 0 = 0 by convention; each term is >= 0, so S >= 0 exactly.
+def _binary_entropy(p, q, unit: EntropyUnit) -> np.ndarray:
+    # 0 log 0 = 0 by convention: log is only taken where the probability is
+    # positive and is 0 elsewhere.  Each term is >= 0, so S >= 0 exactly.
     log = unit.log
-    t_right = p * log(p) if p > 0.0 else 0.0
-    t_left = q * log(q) if q > 0.0 else 0.0
+    t_right = p * log(p, out=np.zeros_like(p), where=p > 0.0)
+    t_left = q * log(q, out=np.zeros_like(q), where=q > 0.0)
     # "+ 0.0" normalizes -0.0 at the certainty boundary.
     return -(t_right + t_left) + 0.0
 
@@ -97,49 +106,57 @@ def entropy_from_distribution(
     d: DirectionDistribution, unit: EntropyUnit = EntropyUnit.NATS
 ) -> EntropyValue:
     """Shannon entropy -p log p - q log q of a direction distribution."""
-    return EntropyValue(_binary_entropy(d.p_right, d.p_left, unit), unit)
+    return EntropyValue(float(_binary_entropy(d.p_right, d.p_left, unit)), unit)
 
 
-def entropy_from_beta(
-    v: BetaLike, unit: EntropyUnit = EntropyUnit.NATS
-) -> EntropyValue:
-    """Entropy written directly in terms of the average velocity.
+def entropy_from_beta_array(
+    v: np.typing.ArrayLike, unit: EntropyUnit = EntropyUnit.NATS
+) -> np.ndarray:
+    """Elementwise entropy of the direction law of each velocity in ``v``.
 
     Evaluates S = -(1+v)/2 log((1+v)/2) - (1-v)/2 log((1-v)/2) with both
     probabilities formed symmetrically from v, so S(v) == S(-v) holds exactly
     in floating point.
     """
-    b = as_beta(v).value
-    p = 0.5 * (1.0 + b)
-    q = 0.5 * (1.0 - b)
-    return EntropyValue(_binary_entropy(p, q, unit), unit)
+    b = _betas(v)
+    return _binary_entropy(0.5 * (1.0 + b), 0.5 * (1.0 - b), unit)
 
 
-def lorentz_gamma(v: BetaLike) -> float:
-    """Lorentz factor (1 - beta^2)^(-1/2); diverges at |beta| = 1.
+def entropy_from_beta(
+    v: BetaLike, unit: EntropyUnit = EntropyUnit.NATS
+) -> EntropyValue:
+    """Entropy written directly in terms of the average velocity."""
+    return EntropyValue(float(entropy_from_beta_array(v, unit)), unit)
+
+
+def lorentz_gamma_array(v: np.typing.ArrayLike) -> np.ndarray:
+    """Elementwise Lorentz factor (1 - beta^2)^(-1/2); raises
+    LightSpeedSingularity at |beta| = 1, where it diverges.
 
     Evaluated as 1/sqrt((1-beta)(1+beta)) to avoid the cancellation that
     squaring beta causes near light speed.
     """
-    b = as_beta(v).value
-    if abs(b) == 1.0:
-        raise LightSpeedSingularity(
-            f"Lorentz factor diverges at beta = {b:+g}"
-        )
-    return 1.0 / math.sqrt((1.0 - b) * (1.0 + b))
+    b = _betas(v)
+    _reject_light_speed(b, LightSpeedSingularity, "Lorentz factor diverges")
+    return 1.0 / np.sqrt((1.0 - b) * (1.0 + b))
+
+
+def lorentz_gamma(v: BetaLike) -> float:
+    """Lorentz factor (1 - beta^2)^(-1/2); diverges at |beta| = 1."""
+    return float(lorentz_gamma_array(v))
+
+
+def redshift_factor_array(v: np.typing.ArrayLike) -> np.ndarray:
+    """Elementwise collinear Doppler factor 1 + z = sqrt((1+beta)/(1-beta)),
+    which equals exp(rapidity); raises LightSpeedSingularity at |beta| = 1."""
+    b = _betas(v)
+    _reject_light_speed(b, LightSpeedSingularity, "redshift factor is singular")
+    return np.sqrt((1.0 + b) / (1.0 - b))
 
 
 def redshift_factor(v: BetaLike) -> float:
-    """Collinear Doppler factor 1 + z = sqrt((1+beta)/(1-beta)).
-
-    Equals exp(rapidity); raises LightSpeedSingularity at |beta| = 1.
-    """
-    b = as_beta(v).value
-    if abs(b) == 1.0:
-        raise LightSpeedSingularity(
-            f"redshift factor is singular at beta = {b:+g}"
-        )
-    return math.sqrt((1.0 + b) / (1.0 - b))
+    """Collinear Doppler factor 1 + z; singular at |beta| = 1."""
+    return float(redshift_factor_array(v))
 
 
 @dataclass(frozen=True)
@@ -158,19 +175,20 @@ def relativistic_factors(v: BetaLike) -> RelativisticFactors:
     )
 
 
-def entropy_relativistic_form(v: BetaLike) -> EntropyValue:
-    """Entropy via the decomposition S = log(2 gamma) - beta log(1+z), nats.
+def entropy_relativistic_form_array(v: np.typing.ArrayLike) -> np.ndarray:
+    """Elementwise entropy via S = log(2 gamma) - beta log(1+z), in nats.
 
     Term-by-term this diverges at |beta| = 1 even though S itself tends to 0
     there, so light speed raises LightSpeedSingularity; use
-    ``entropy_from_beta`` at the boundary instead.
+    ``entropy_from_beta_array`` at the boundary instead.
     """
-    b = as_beta(v).value
-    gamma = lorentz_gamma(b)
-    one_plus_z = redshift_factor(b)
-    s = math.log(2.0 * gamma) - b * math.log(one_plus_z)
+    b = _betas(v)
+    s = np.log(2.0 * lorentz_gamma_array(b)) - b * np.log(redshift_factor_array(b))
     # Rounding of the difference may dip microscopically below zero near the
     # (excluded) boundary; the value is an entropy, keep it in range.
-    if s < 0.0:
-        s = 0.0
-    return EntropyValue(s, EntropyUnit.NATS)
+    return np.maximum(s, 0.0)
+
+
+def entropy_relativistic_form(v: BetaLike) -> EntropyValue:
+    """Entropy via the decomposition S = log(2 gamma) - beta log(1+z), nats."""
+    return EntropyValue(float(entropy_relativistic_form_array(v)), EntropyUnit.NATS)

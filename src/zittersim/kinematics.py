@@ -15,7 +15,11 @@ addition rule
 
 This module implements that calculus two independent ways (closed form and
 the probability route) plus the rapidity parametrization under which the
-composition is plain addition.  All functions are pure and thread-safe.
+composition is plain addition.  Each formula is one numpy expression: the
+``*_array`` functions take scalars or (broadcasting) arrays, validate each
+input in one pass and raise on the first offending value; the scalar
+functions wrap them and return Python floats inside the dataclasses below.
+All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .errors import (
     IndeterminateComposition,
@@ -41,8 +47,11 @@ __all__ = [
     "beta_from_direction_distribution",
     "compose_frames",
     "velocity_addition",
+    "velocity_addition_array",
     "compose_velocity_via_probabilities",
+    "compose_velocity_via_probabilities_array",
     "rapidity_from_beta",
+    "rapidity_from_beta_array",
     "beta_from_rapidity",
 ]
 
@@ -61,13 +70,10 @@ class Beta:
     value: float
 
     def __post_init__(self) -> None:
-        v = self.value
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise InvalidBeta(f"beta must be a real number, got {v!r}")
-        v = float(v)
-        if not math.isfinite(v) or v < -1.0 or v > 1.0:
-            raise InvalidBeta(f"beta must lie in [-1, +1], got {v!r}")
-        object.__setattr__(self, "value", v)
+        b = _betas(self.value)
+        if b.ndim:
+            raise InvalidBeta(f"beta must be a real number, got {self.value!r}")
+        object.__setattr__(self, "value", float(b))
 
     def __float__(self) -> float:
         return self.value
@@ -141,6 +147,59 @@ def beta_from_direction_distribution(d: DirectionDistribution) -> Beta:
     return Beta(d.p_right - d.p_left)
 
 
+def _first(values: np.ndarray, bad: np.ndarray) -> float:
+    """The first entry of ``values`` (broadcast to ``bad``) where ``bad`` holds."""
+    return float(np.broadcast_to(values, bad.shape).flat[np.argmax(bad)])
+
+
+def _betas(v: np.typing.ArrayLike) -> np.ndarray:
+    """``v`` as a float64 array of velocities, validated in one pass.
+
+    Raises InvalidBeta, naming the first offender, unless every entry is a
+    real number in [-1, +1] (bools and strings are not numbers here).
+    """
+    arr = np.asarray(v.value if isinstance(v, Beta) else v)
+    if arr.dtype.kind not in "iuf":
+        raise InvalidBeta(f"beta must be a real number, got {v!r}")
+    arr = arr.astype(np.float64, copy=False)
+    bad = ~(np.abs(arr) <= 1.0)  # NaN included
+    if bad.any():
+        raise InvalidBeta(f"beta must lie in [-1, +1], got {_first(arr, bad)!r}")
+    return arr
+
+
+def _reject_antipodal(u: np.ndarray, v: np.ndarray) -> None:
+    """Raise IndeterminateComposition at the first opposite light-speed pair."""
+    bad = (np.abs(u) == 1.0) & (u == -v)
+    if bad.any():
+        raise IndeterminateComposition(
+            f"velocity composition of u = {_first(u, bad):+g} and "
+            f"v = {_first(v, bad):+g} is indeterminate: opposite light-speed "
+            "motions give 0/0"
+        )
+
+
+def _reject_light_speed(b: np.ndarray, error: type, message: str) -> None:
+    """Raise ``error`` at the first |beta| = 1 entry of validated ``b``."""
+    at_c = np.abs(b) == 1.0
+    if at_c.any():
+        raise error(f"{message} at beta = {_first(b, at_c):+g}")
+
+
+def _normalized_product(p_right, p_left, q_right, q_left):
+    """Pointwise product of two direction laws, renormalized (arrays or floats)."""
+    num_right = p_right * q_right
+    num_left = p_left * q_left
+    z = num_right + num_left
+    if np.any(z == 0.0):
+        raise IndeterminateComposition(
+            "composition is 0/0: particle and observer move at the speed of "
+            "light in opposite directions (the antipodal pair u = +/-1, "
+            "v = -/+1)"
+        )
+    return num_right / z, num_left / z
+
+
 def compose_frames(
     particle_in_o: DirectionDistribution,
     observer_prime_in_o: DirectionDistribution,
@@ -157,65 +216,63 @@ def compose_frames(
     Raises IndeterminateComposition when Z = 0, which happens exactly when
     particle and observer move at the speed of light in opposite directions.
     """
-    num_right = particle_in_o.p_right * observer_prime_in_o.p_right
-    num_left = particle_in_o.p_left * observer_prime_in_o.p_left
-    z = num_right + num_left
-    if z == 0.0:
-        raise IndeterminateComposition(
-            "composition is 0/0: particle and observer move at the speed of "
-            "light in opposite directions (the antipodal pair u = +/-1, "
-            "v = -/+1)"
-        )
-    return DirectionDistribution(p_right=num_right / z, p_left=num_left / z)
+    p, q = particle_in_o, observer_prime_in_o
+    p_right, p_left = _normalized_product(p.p_right, p.p_left, q.p_right, q.p_left)
+    return DirectionDistribution(p_right=float(p_right), p_left=float(p_left))
 
 
-def _reject_antipodal(u: float, v: float) -> None:
-    if (u == 1.0 and v == -1.0) or (u == -1.0 and v == 1.0):
-        raise IndeterminateComposition(
-            f"velocity composition of u = {u:+g} and v = {v:+g} is "
-            "indeterminate: opposite light-speed motions give 0/0"
-        )
-
-
-def velocity_addition(u: BetaLike, v: BetaLike) -> Beta:
-    """Relativistic velocity addition w = (u + v) / (1 + u v), closed form.
+def velocity_addition_array(u: np.typing.ArrayLike, v: np.typing.ArrayLike) -> np.ndarray:
+    """Relativistic velocity addition w = (u + v) / (1 + u v), closed form,
+    elementwise over broadcast ``u`` and ``v``.
 
     Defined for every pair in [-1, +1]^2 except the antipodal light-speed
     pair (+1, -1) / (-1, +1), which raises IndeterminateComposition.
     """
-    uf = as_beta(u).value
-    vf = as_beta(v).value
-    _reject_antipodal(uf, vf)
-    w = (uf + vf) / (1.0 + uf * vf)
+    u, v = _betas(u), _betas(v)
+    _reject_antipodal(u, v)
     # |w| <= 1 holds in exact arithmetic; absorb a final-ulp rounding excursion
     # so the bound survives floating point.
-    if w > 1.0:
-        w = 1.0
-    elif w < -1.0:
-        w = -1.0
-    return Beta(w)
+    return np.minimum(np.maximum((u + v) / (1.0 + u * v), -1.0), 1.0)
+
+
+def velocity_addition(u: BetaLike, v: BetaLike) -> Beta:
+    """``velocity_addition_array`` of two scalars, as a ``Beta``."""
+    return Beta(float(velocity_addition_array(u, v)))
+
+
+def compose_velocity_via_probabilities_array(
+    u: np.typing.ArrayLike, v: np.typing.ArrayLike
+) -> np.ndarray:
+    """Velocity composition computed strictly through direction probabilities,
+    elementwise over broadcast ``u`` and ``v``.
+
+    Forms the particle's law from v and the observer's from u, composes the
+    frames by the normalized product and reads the resulting average velocity
+    Pr'(R) - Pr'(L) back.  Serves as the independent route that must agree
+    with ``velocity_addition_array``.
+    """
+    u, v = _betas(u), _betas(v)
+    _reject_antipodal(u, v)
+    p, q = 0.5 * (1.0 + v), 0.5 * (1.0 + u)
+    p_right, p_left = _normalized_product(p, 1.0 - p, q, 1.0 - q)
+    return p_right - p_left
 
 
 def compose_velocity_via_probabilities(u: BetaLike, v: BetaLike) -> Beta:
-    """Velocity composition computed strictly through direction probabilities.
+    """``compose_velocity_via_probabilities_array`` of two scalars, as a ``Beta``."""
+    return Beta(float(compose_velocity_via_probabilities_array(u, v)))
 
-    Converts u and v to direction distributions, composes the frames by the
-    normalized product and reads the resulting average velocity back.  Serves
-    as the independent route that must agree with ``velocity_addition``.
-    """
-    uf = as_beta(u)
-    vf = as_beta(v)
-    particle = direction_distribution_from_beta(vf)
-    observer = direction_distribution_from_beta(uf)
-    return beta_from_direction_distribution(compose_frames(particle, observer))
+
+def rapidity_from_beta_array(v: np.typing.ArrayLike) -> np.ndarray:
+    """Elementwise rapidity atanh(v); raises LightSpeedRapidity at |v| = 1."""
+    b = _betas(v)
+    _reject_light_speed(b, LightSpeedRapidity, "rapidity diverges")
+    return np.arctanh(b)
 
 
 def rapidity_from_beta(v: BetaLike) -> Rapidity:
     """Rapidity atanh(v); raises LightSpeedRapidity at |v| = 1."""
-    b = as_beta(v).value
-    if abs(b) == 1.0:
-        raise LightSpeedRapidity(f"rapidity diverges at beta = {b:+g}")
-    return Rapidity(math.atanh(b))
+    return Rapidity(float(rapidity_from_beta_array(v)))
 
 
 def beta_from_rapidity(r: Rapidity) -> Beta:

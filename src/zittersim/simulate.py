@@ -44,13 +44,8 @@ from typing import IO, Iterable, Iterator, Literal, Optional
 
 import numpy as np
 
-from .errors import (
-    EmptyPath,
-    IndeterminateComposition,
-    InvalidConfig,
-    NoAcceptedTicks,
-)
-from .kinematics import BetaLike, as_beta
+from .errors import EmptyPath, InvalidConfig, NoAcceptedTicks
+from .kinematics import BetaLike, _reject_antipodal, as_beta
 from .scales import SPEED_OF_LIGHT, ParticleScale
 
 __all__ = [
@@ -210,12 +205,20 @@ class ZitterPath:
     flip_probabilities: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.directions, dtype=np.int8)
+        arr = np.asarray(self.directions)
         if arr.ndim != 1:
             raise InvalidConfig("directions must be a one-dimensional sequence")
-        if arr.size and not np.all(np.abs(arr) == 1):
+        # Values are checked before the int8 cast, which would wrap 255 to -1
+        # and truncate 1.7 to 1.  int8 is checked as in [-1, 1] without zeros,
+        # with no temporary as long as the path.
+        if arr.dtype == np.int8:
+            in_range = not arr.size or (arr.min() >= -1 and arr.max() <= 1)
+            ok = in_range and np.count_nonzero(arr) == arr.size
+        else:
+            ok = arr.dtype.kind in "iuf" and bool(np.all(np.abs(arr) == 1))
+        if not ok:
             raise InvalidConfig("every step must be exactly +1 or -1")
-        object.__setattr__(self, "directions", arr)
+        object.__setattr__(self, "directions", arr.astype(np.int8, copy=False))
 
     def __len__(self) -> int:
         return int(self.directions.size)
@@ -342,8 +345,13 @@ def generate_path(cfg: SimConfig) -> ZitterPath:
     """
     flips = _telegraph_flips(cfg)
     rng = np.random.default_rng(cfg.seed)
+    directions = np.empty(cfg.ticks, np.int8)
+    start = 0
+    for block in _direction_blocks(rng, cfg.ticks, cfg.p_right, flips):
+        directions[start : start + block.size] = block
+        start += block.size
     return ZitterPath(
-        directions=np.concatenate(list(_direction_blocks(rng, cfg.ticks, cfg.p_right, flips))),
+        directions=directions,
         tick_duration=cfg.resolved_tick_duration,
         step_length=cfg.step_length,
         seed=cfg.seed,
@@ -403,11 +411,8 @@ def observe_from_moving_frame(
     """
     uf = as_beta(u).value
     vf = as_beta(v).value
-    if (uf == 1.0 and vf == -1.0) or (uf == -1.0 and vf == 1.0):
-        raise IndeterminateComposition(
-            f"observer u = {uf:+g} and particle v = {vf:+g} move at the speed "
-            "of light in opposite directions: no tick can ever be retained"
-        )
+    # No tick of an antipodal light-speed pair is ever retained.
+    _reject_antipodal(uf, vf)
     ticks = _validate_int("ticks", ticks)
     seed = _validate_int("seed", seed, 0, _MAX_SEED)
 

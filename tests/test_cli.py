@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from zittersim import simulate
+from zittersim import cli, named_particles, simulate
 from zittersim.cli import main
 
 LN2 = math.log(2.0)
@@ -268,6 +274,32 @@ class TestEntropy:
         code, _, _ = run_cli(capsys, "entropy", "--grid", "0:0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("count", [1, 2, 4095, 4097, 10_000])
+    @pytest.mark.parametrize("start,stop", [(-0.99, 0.99), (0.7, -0.2), (0.3, 0.3), (0.0, 1e-320)])
+    def test_grid_slices_are_linspace(self, count, start, stop):
+        slices = list(cli._grid_slices(start, stop, count))
+        assert max(len(s) for s in slices) <= cli._CSV_ROWS
+        got = np.concatenate(slices)
+        want = np.linspace(start, stop, count)
+        assert got.tobytes() == want.tobytes()
+
+    def test_grid_memory_does_not_grow_with_count(self, monkeypatch):
+        # 256-row slices keep the traced formatting short; both grids span
+        # many slices, as 2e4 and 2e5 rows do at the default slice size
+        monkeypatch.setattr(cli, "_CSV_ROWS", 256)
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                assert main(["entropy", f"--grid=-0.9:0.9:{count}", "--csv", os.devnull]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2_000), peak(20_000)
+        # a whole 2e4-point grid alone would take 144 kB more than 2e3 points
+        assert large < small + 50_000
+
     def test_grid_handles_light_speed_rows(self, capsys):
         code, out, _ = run_cli(capsys, "entropy", "--grid", "-1:1:3")
         assert code == 0
@@ -300,6 +332,17 @@ class TestScales:
         code, _, _ = run_cli(capsys, "scales", "--particle", "graviton")
         assert code == 2
 
+    def test_unknown_particle_message_is_unquoted(self, capsys):
+        code, out, err = run_cli(capsys, "scales", "--particle", "tau")
+        assert code == 2 and out == ""
+        assert err == "error: unknown particle 'tau'; known: electron, muon, proton\n"
+
+    def test_overflowing_mass_exits_2(self, capsys):
+        # omega = 2 m c^2 / hbar overflows to inf, which is not JSON
+        code, out, err = run_cli(capsys, "scales", "--mass-kg", "1e300")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_requires_exactly_one_selector(self, capsys):
         code, _, _ = run_cli(capsys, "scales")
         assert code == 2
@@ -307,6 +350,20 @@ class TestScales:
             capsys, "scales", "--particle", "electron", "--mass-kg", "1e-30"
         )
         assert code == 2
+
+
+class TestParser:
+    def test_particle_choices_are_the_named_particles(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        particle = next(a for a in sub.choices["simulate"]._actions if a.dest == "particle")
+        assert tuple(particle.choices) == named_particles()
+
+    @pytest.mark.parametrize(
+        "command", ["compose", "simulate", "observe", "entropy", "scales", "verify"]
+    )
+    def test_no_json_flag(self, command):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        assert "--json" not in sub.choices[command]._option_string_actions
 
 
 class TestVerify:
@@ -328,3 +385,111 @@ class TestVerify:
             if c["name"] == "velocity_addition_equals_probability_route"
         )
         assert grid_check["tolerance"] == 1e-12
+
+
+# -- every argv ends in JSON or one error line, never a traceback -------------
+
+
+def _mostly(valid, invalid):
+    """Draws from ``valid``, with one draw in five from ``invalid``."""
+    return st.integers(min_value=0, max_value=4).flatmap(lambda i: invalid if i == 4 else valid)
+
+
+_BETAS = _mostly(
+    st.sampled_from(["1", "-1", "0"]) | st.floats(min_value=-1.0, max_value=1.0).map(repr),
+    st.sampled_from(["1.5", "-2", "nan", "inf", "1e300", "x", ""]),
+)
+_POSITIVE = _mostly(
+    st.floats(min_value=1e-320, max_value=1e300).map(repr),
+    st.sampled_from(["0", "-1", "nan", "inf", "x"]),
+)
+_TICKS = _mostly(
+    st.integers(min_value=1, max_value=10_000).map(str),
+    st.sampled_from(["0", "-2", "1.5", "1e3", "0x10", "x"]),
+)
+_SEEDS = _mostly(
+    st.integers(min_value=0, max_value=2**64 - 1).map(str),
+    st.sampled_from(["-1", str(2**64), "x"]),
+)
+_GRIDS = _mostly(
+    st.tuples(_BETAS, _BETAS, st.integers(min_value=1, max_value=1_000).map(str)).map(":".join),
+    st.sampled_from(["0:0.5", "::", "0:1:1e3", "0:1:0", "0:1:-1"]),
+)
+_OUTPUTS = _mostly(st.just("out.csv"), st.just("missing/out.csv"))
+_PARTICLES = _mostly(st.sampled_from(["electron", "muon", "proton"]), st.sampled_from(["tau", ""]))
+
+# (required, optional) options of each subcommand and their values.
+_OPTIONS = {
+    "compose": ({"--u": _BETAS, "--v": _BETAS}, {"--unit": st.sampled_from(["nats", "bits", "x"])}),
+    "simulate": (
+        {"--beta": _BETAS, "--ticks": _TICKS, "--seed": _SEEDS},
+        {
+            "--dynamics": st.sampled_from(["iid", "telegraph", "x"]),
+            "--flip-asymmetry": st.lists(_BETAS, min_size=1, max_size=3),
+            "--tick-duration": _POSITIVE,
+            "--particle": _PARTICLES,
+            "--path": _OUTPUTS,
+            "--replicates": st.sampled_from(["-1", "0", "1", "3", "x"]),
+        },
+    ),
+    "observe": ({"--u": _BETAS, "--v": _BETAS, "--ticks": _TICKS, "--seed": _SEEDS}, {}),
+    "entropy": (
+        {},
+        {
+            "--beta": _BETAS,
+            "--grid": _GRIDS,
+            "--csv": _OUTPUTS,
+            "--unit": st.sampled_from(["nats", "bits", "x"]),
+        },
+    ),
+    "scales": ({}, {"--particle": _PARTICLES, "--mass-kg": _POSITIVE}),
+    "verify": ({}, {"--level": st.sampled_from(["fast", "x"])}),
+}
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    required, optional = _OPTIONS[command]
+    flags = list(required)
+    if optional:
+        flags += draw(st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=3))
+    if flags and draw(st.integers(min_value=0, max_value=9)) == 0:
+        flags.remove(draw(st.sampled_from(flags)))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        value = draw({**required, **optional}[flag])
+        argv += [flag, *value] if isinstance(value, list) else [flag, value]
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        argv.append(draw(st.sampled_from(["--json", "--bogus", "extra"])))
+    return argv
+
+
+class TestNoTraceback:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=_argv())
+    def test_json_or_one_error_line(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [os.path.join(tmp, a) if a.endswith(".csv") else a for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the argv
+                    code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert err == ""
+            if "--grid" in argv:
+                assert out == "" if "--csv" in argv else out.startswith("beta,S_nats,")
+            else:
+                json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert code in (1, 2, 3)
+            error_lines = [line for line in err.splitlines() if "error:" in line]
+            assert error_lines == err.splitlines()[-1:], err
+            assert "Traceback" not in err
+
+
+def _reject_constant(name: str) -> None:
+    raise AssertionError(f"{name} is not valid JSON")

@@ -13,6 +13,7 @@ from zittersim import (
     EntropyUnit,
     EntropyValue,
     LightSpeedSingularity,
+    InvalidBeta,
     entropy_from_beta,
     entropy_from_distribution,
     entropy_relativistic_form,
@@ -20,6 +21,12 @@ from zittersim import (
     rapidity_from_beta,
     redshift_factor,
     relativistic_factors,
+)
+from zittersim.entropy import (
+    entropy_from_beta_array,
+    entropy_relativistic_form_array,
+    lorentz_gamma_array,
+    redshift_factor_array,
 )
 
 LN2 = math.log(2.0)
@@ -179,3 +186,44 @@ class TestUnits:
         with pytest.raises(ValueError):
             EntropyValue(1.1, EntropyUnit.BITS)
         EntropyValue(1.0, EntropyUnit.BITS)
+
+
+class TestArrayForms:
+    GRID = np.linspace(-1.0, 1.0, 201)
+
+    @pytest.mark.parametrize("unit", list(EntropyUnit))
+    def test_entropy_matches_scalar_bitwise(self, unit):
+        s = entropy_from_beta_array(self.GRID, unit)
+        assert s.tolist() == [entropy_from_beta(b, unit).value for b in self.GRID]
+        assert s[0] == s[-1] == 0.0 and not np.signbit(s[0])
+
+    @pytest.mark.parametrize(
+        "array_fn,scalar_fn",
+        [
+            (lorentz_gamma_array, lorentz_gamma),
+            (redshift_factor_array, redshift_factor),
+            (entropy_relativistic_form_array, lambda b: entropy_relativistic_form(b).value),
+        ],
+    )
+    def test_factors_match_scalar_bitwise(self, array_fn, scalar_fn):
+        inside = self.GRID[1:-1]
+        assert array_fn(inside).tolist() == [scalar_fn(b) for b in inside]
+
+    def test_scalar_api_returns_python_floats(self):
+        b = np.float64(0.6)
+        assert type(lorentz_gamma(b)) is float and type(redshift_factor(b)) is float
+        assert type(entropy_from_beta(b).value) is float
+        assert type(entropy_relativistic_form(b).value) is float
+        d = DirectionDistribution(0.8, 0.2)
+        assert type(entropy_from_distribution(d).value) is float
+
+    @pytest.mark.parametrize(
+        "fn", [lorentz_gamma_array, redshift_factor_array, entropy_relativistic_form_array]
+    )
+    def test_light_speed_entry_named(self, fn):
+        with pytest.raises(LightSpeedSingularity, match=r"beta = \+1$"):
+            fn([0.5, 1.0, -1.0])
+
+    def test_invalid_entry_named(self):
+        with pytest.raises(InvalidBeta, match=r"got -1\.25$"):
+            entropy_from_beta_array([0.5, -1.25, 3.0])

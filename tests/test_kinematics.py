@@ -23,6 +23,11 @@ from zittersim import (
     rapidity_from_beta,
     velocity_addition,
 )
+from zittersim.kinematics import (
+    compose_velocity_via_probabilities_array,
+    rapidity_from_beta_array,
+    velocity_addition_array,
+)
 
 BETAS = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 SUBLUMINAL = st.floats(min_value=-0.98, max_value=0.98, allow_nan=False)
@@ -274,3 +279,66 @@ class TestRapidity:
             left = velocity_addition(velocity_addition(u, v), x).value
             right = velocity_addition(u, velocity_addition(v, x)).value
             assert left == pytest.approx(right, abs=1e-10)
+
+
+class TestArrayCalculus:
+    GRID = np.linspace(-1.0, 1.0, 41)
+
+    def test_velocity_addition_matches_scalar_bitwise(self):
+        u, v = self.GRID[1:-1, None], self.GRID[None, :]
+        w = velocity_addition_array(u, v)
+        via = compose_velocity_via_probabilities_array(u, v)
+        assert w.shape == via.shape == (39, 41)
+        for i, ui in enumerate(u[:, 0]):
+            for j, vj in enumerate(v[0]):
+                assert w[i, j] == velocity_addition(ui, vj).value
+                assert via[i, j] == compose_velocity_via_probabilities(ui, vj).value
+
+    def test_rapidity_matches_scalar_bitwise(self):
+        inside = self.GRID[1:-1]
+        phi = rapidity_from_beta_array(inside)
+        assert phi.tolist() == [rapidity_from_beta(b).value for b in inside]
+
+    @pytest.mark.parametrize(
+        "fn", [velocity_addition, compose_velocity_via_probabilities]
+    )
+    def test_scalar_api_returns_python_floats(self, fn):
+        w = fn(np.float64(0.25), 0.5)
+        assert type(w) is Beta and type(w.value) is float
+        assert type(rapidity_from_beta(np.float64(0.25)).value) is float
+
+    def test_accepts_beta_instances_and_zero_dim_arrays(self):
+        w = velocity_addition(Beta(0.5), np.array(0.5))
+        assert w.value == velocity_addition(0.5, 0.5).value
+
+    @pytest.mark.parametrize(
+        "fn", [velocity_addition_array, compose_velocity_via_probabilities_array]
+    )
+    def test_invalid_entry_named(self, fn):
+        with pytest.raises(InvalidBeta, match=r"got 1\.5$"):
+            fn(np.array([0.1, 1.5, -2.0]), 0.0)
+        with pytest.raises(InvalidBeta, match=r"got nan$"):
+            fn(0.0, [0.0, math.nan])
+
+    @pytest.mark.parametrize("bad", [["0.5"], [True, False], "0.5", [0.5j]])
+    def test_non_numbers_rejected(self, bad):
+        with pytest.raises(InvalidBeta):
+            velocity_addition_array(bad, 0.0)
+
+    @pytest.mark.parametrize(
+        "fn", [velocity_addition_array, compose_velocity_via_probabilities_array]
+    )
+    def test_antipodal_entry_named(self, fn):
+        u = np.array([0.2, -1.0, 1.0])
+        with pytest.raises(IndeterminateComposition, match=r"u = -1 and v = \+1"):
+            fn(u, -u)
+        # light speed composes with anything but its opposite
+        assert fn(u, u).tolist() == [fn(0.2, 0.2), -1.0, 1.0]
+
+    def test_light_speed_rapidity_entry_named(self):
+        with pytest.raises(LightSpeedRapidity, match=r"beta = -1$"):
+            rapidity_from_beta_array([0.0, -1.0, 1.0])
+
+    def test_empty_arrays(self):
+        assert velocity_addition_array([], []).shape == (0,)
+        assert rapidity_from_beta_array([]).shape == (0,)

@@ -30,7 +30,6 @@ from zittersim import (
     velocity_addition,
     write_path_csv,
 )
-from zittersim.moments import streaming_moments
 
 
 class TestSimConfig:
@@ -194,6 +193,45 @@ class TestZitterPath:
     def test_length(self):
         assert len(ZitterPath(directions=np.array([1, -1, 1]))) == 3
 
+    @pytest.mark.parametrize(
+        "directions",
+        [
+            np.array([255, 1, 511]),  # wraps to [-1, 1, -1] as int8
+            [1.7, -1.2],  # truncates to [1, -1] as int8
+            np.array([1, -128], dtype=np.int8),
+            np.array([1, 0, -1], dtype=np.int8),
+            [1.0, math.nan],
+            [True, True],
+            ["1", "-1"],
+        ],
+        ids=["int-wraps", "float-truncates", "int8-min", "int8-zero", "nan", "bool", "str"],
+    )
+    def test_values_checked_before_int8_cast(self, directions):
+        with pytest.raises(InvalidConfig):
+            ZitterPath(directions=directions)
+
+    @pytest.mark.parametrize(
+        "directions", [[1, -1], [1.0, -1.0], np.array([-1, 1], np.int16), []]
+    )
+    def test_accepts_unit_steps_of_any_real_dtype(self, directions):
+        path = ZitterPath(directions=directions)
+        assert path.directions.dtype == np.int8
+        assert path.directions.tolist() == [int(d) for d in directions]
+
+    @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
+    def test_generate_path_holds_one_byte_per_tick(self, dynamics):
+        ticks = 4_000_000
+        cfg = SimConfig(beta=0.3, ticks=ticks, seed=12, dynamics=dynamics)
+        tracemalloc.start()
+        try:
+            generate_path(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the int8 path plus one block's sampling temporaries; validating the
+        # path with full-length temporaries would add 2 bytes per tick
+        assert peak < ticks + 40 * simulate._CHUNK
+
 
 class TestEstimateDrift:
     def test_all_right(self):
@@ -215,12 +253,6 @@ class TestEstimateDrift:
     def test_empty_path_raises(self):
         with pytest.raises(EmptyPath):
             estimate_drift(ZitterPath(directions=np.array([], dtype=np.int8)))
-
-    def test_matches_streaming_moments(self):
-        path = generate_path(SimConfig(beta=0.4, ticks=50_000, seed=8))
-        est = estimate_drift(path)
-        acc = streaming_moments(float(x) for x in path.directions)
-        assert est.mean == pytest.approx(acc.mean, abs=1e-12)
 
 
 class TestObserveFromMovingFrame:
