@@ -3,8 +3,10 @@
 Results are JSON on stdout (full float precision, as Python's repr emits);
 bulk series go to CSV.  Every result embeds a run manifest with the resolved
 parameters, seed, constants, version and RNG stream provenance, so a run can
-be reproduced from its own output.  Exit codes: 0 success, 1 verification/run failure or an output
-file (``--path``, ``--csv``) that cannot be written, 2 invalid input,
+be reproduced from its own output.  Each ``cmd_*`` returns its payload, its
+manifest parameters and its seed; ``main`` adds the manifest and writes the
+JSON.  Exit codes: 0 success, 1 verification/run failure or an output file
+(``--path``, ``--csv``) that cannot be written, 2 invalid input,
 3 indeterminate composition.
 """
 
@@ -15,6 +17,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import Iterator, Optional, Sequence
 
@@ -34,6 +37,7 @@ from .scales import (
 )
 from .simulate import (
     _CSV_ROWS,
+    DYNAMICS,
     STREAM_LAYOUT,
     SimConfig,
     observe_from_moving_frame,
@@ -47,8 +51,12 @@ EXIT_FAILURE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_INDETERMINATE = 3
 
+# What a ``cmd_*`` hands to ``main``: JSON payload, manifest parameters, seed;
+# None when the command wrote its result itself (``entropy --grid``).
+Result = Optional[tuple[dict, dict, Optional[int]]]
 
-def _manifest(command: str, parameters: dict, seed: Optional[int] = None) -> dict:
+
+def _manifest(command: str, parameters: dict, seed: Optional[int]) -> dict:
     """Everything needed to audit and re-run a CLI invocation."""
     return {
         "command": command,
@@ -64,17 +72,8 @@ def _manifest(command: str, parameters: dict, seed: Optional[int] = None) -> dic
     }
 
 
-def _emit(payload: dict) -> None:
-    # A result that overflowed to inf or nan raises ValueError, not "Infinity".
-    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-
-
 def _unit(args: argparse.Namespace) -> ent.EntropyUnit:
     return ent.EntropyUnit(args.unit)
-
-
-def _distribution_dict(d: kin.DirectionDistribution) -> dict:
-    return {"p_right": d.p_right, "p_left": d.p_left}
 
 
 def _parse_grid(raw: str) -> tuple[float, float, int]:
@@ -86,7 +85,7 @@ def _parse_grid(raw: str) -> tuple[float, float, int]:
     count = int(parts[2])
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
-    return kin.as_beta(start).value, kin.as_beta(stop).value, count
+    return kin.Beta(start).value, kin.Beta(stop).value, count
 
 
 def _grid_slices(start: float, stop: float, count: int) -> Iterator[np.ndarray]:
@@ -106,37 +105,23 @@ def _grid_slices(start: float, stop: float, count: int) -> Iterator[np.ndarray]:
         yield y
 
 
-def cmd_compose(args: argparse.Namespace) -> int:
+def cmd_compose(args: argparse.Namespace) -> Result:
     unit = _unit(args)
-    u = kin.as_beta(args.u)
-    v = kin.as_beta(args.v)
+    u = kin.Beta(args.u)
+    v = kin.Beta(args.v)
     w = kin.velocity_addition(u, v)
     u_dist = kin.direction_distribution_from_beta(u)
     v_dist = kin.direction_distribution_from_beta(v)
     composed = kin.compose_frames(v_dist, u_dist)
-    _emit(
-        {
-            "w": w.value,
-            "unit": unit.value,
-            "observer": {
-                "beta": u.value,
-                "distribution": _distribution_dict(u_dist),
-                "entropy": ent.entropy_from_distribution(u_dist, unit).value,
-            },
-            "particle": {
-                "beta": v.value,
-                "distribution": _distribution_dict(v_dist),
-                "entropy": ent.entropy_from_distribution(v_dist, unit).value,
-            },
-            "composed": {
-                "beta": w.value,
-                "distribution": _distribution_dict(composed),
-                "entropy": ent.entropy_from_distribution(composed, unit).value,
-            },
-            "manifest": _manifest("compose", {"u": u.value, "v": v.value, "unit": unit.value}),
+    payload = {"w": w.value, "unit": unit.value}
+    roles = (("observer", u, u_dist), ("particle", v, v_dist), ("composed", w, composed))
+    for role, beta, dist in roles:
+        payload[role] = {
+            "beta": beta.value,
+            "distribution": asdict(dist),
+            "entropy": ent.entropy_from_distribution(dist, unit).value,
         }
-    )
-    return EXIT_OK
+    return payload, {"u": u.value, "v": v.value, "unit": unit.value}, None
 
 
 def _build_config(args: argparse.Namespace) -> SimConfig:
@@ -153,7 +138,7 @@ def _build_config(args: argparse.Namespace) -> SimConfig:
     )
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> Result:
     cfg = _build_config(args)
     parameters = {
         "beta": cfg.beta,
@@ -167,34 +152,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.replicates != 1:
         if args.path:
             raise ValueError("--path dumps a single path; drop --replicates")
-        result = run_ensemble(cfg, args.replicates)
-        payload = {
-            "replicates": [e.to_dict() for e in result.replicates],
-            "pooled": result.pooled.to_dict(),
-            "manifest": _manifest("simulate", parameters, cfg.seed),
-        }
-        _emit(payload)
-        return EXIT_OK
+        return asdict(run_ensemble(cfg, args.replicates)), parameters, cfg.seed
     csv_file = open(args.path, "w", newline="") if args.path else contextlib.nullcontext()
     with csv_file as fh:
         estimate = simulate_drift(cfg, fh)
-    payload = estimate.to_dict()
-    payload["manifest"] = _manifest("simulate", parameters, cfg.seed)
-    _emit(payload)
-    return EXIT_OK
+    return asdict(estimate), parameters, cfg.seed
 
 
-def cmd_observe(args: argparse.Namespace) -> int:
-    obs = observe_from_moving_frame(args.u, args.v, ticks=args.ticks, seed=args.seed)
-    payload = obs.to_dict()
-    payload["manifest"] = _manifest(
-        "observe", {"u": args.u, "v": args.v, "ticks": args.ticks}, args.seed
-    )
-    _emit(payload)
-    return EXIT_OK
+def cmd_observe(args: argparse.Namespace) -> Result:
+    obs = asdict(observe_from_moving_frame(args.u, args.v, ticks=args.ticks, seed=args.seed))
+    # The estimate's fields come first, then the frame's own.
+    payload = {**obs.pop("estimate"), **obs}
+    return payload, {"u": args.u, "v": args.v, "ticks": args.ticks}, args.seed
 
 
-def cmd_entropy(args: argparse.Namespace) -> int:
+def cmd_entropy(args: argparse.Namespace) -> Result:
+    if (args.beta is None) == (args.grid is None):
+        raise ValueError("provide exactly one of --beta or --grid")
+    if args.csv is not None and args.grid is None:
+        raise ValueError("--csv writes the --grid sweep; use it with --grid")
     unit = _unit(args)
     if args.grid is not None:
         grid = _parse_grid(args.grid)
@@ -211,8 +187,8 @@ def cmd_entropy(args: argparse.Namespace) -> int:
                 columns = (b, s_nats, s_bits, gamma, one_plus_z)
                 rows = map("{!r},{!r},{!r},{!r},{!r}\n".format, *(c.tolist() for c in columns))
                 fh.write("".join(rows))
-        return EXIT_OK
-    b = kin.as_beta(args.beta)
+        return None
+    b = kin.Beta(args.beta)
     s = ent.entropy_from_beta(b, unit)
     try:
         gamma = ent.lorentz_gamma(b)
@@ -220,23 +196,20 @@ def cmd_entropy(args: argparse.Namespace) -> int:
         s_relativistic = ent.entropy_relativistic_form(b).value
     except LightSpeedSingularity:
         gamma = one_plus_z = s_relativistic = None
-    _emit(
-        {
-            "beta": b.value,
-            "unit": unit.value,
-            "S": s.value,
-            "S_nats": s.to(ent.EntropyUnit.NATS).value,
-            "S_bits": s.to(ent.EntropyUnit.BITS).value,
-            "S_relativistic_nats": s_relativistic,
-            "gamma": gamma,
-            "one_plus_z": one_plus_z,
-            "manifest": _manifest("entropy", {"beta": b.value, "unit": unit.value}),
-        }
-    )
-    return EXIT_OK
+    payload = {
+        "beta": b.value,
+        "unit": unit.value,
+        "S": s.value,
+        "S_nats": s.to(ent.EntropyUnit.NATS).value,
+        "S_bits": s.to(ent.EntropyUnit.BITS).value,
+        "S_relativistic_nats": s_relativistic,
+        "gamma": gamma,
+        "one_plus_z": one_plus_z,
+    }
+    return payload, {"beta": b.value, "unit": unit.value}, None
 
 
-def cmd_scales(args: argparse.Namespace) -> int:
+def cmd_scales(args: argparse.Namespace) -> Result:
     if (args.particle is None) == (args.mass_kg is None):
         raise ValueError("provide exactly one of --particle or --mass-kg")
     if args.particle is not None:
@@ -244,28 +217,19 @@ def cmd_scales(args: argparse.Namespace) -> int:
     else:
         mass = args.mass_kg
     scale = ParticleScale.from_mass(mass)
-    _emit(
-        {
-            "particle": args.particle,
-            "mass_kg": scale.mass_kg,
-            "omega_rad_per_s": scale.omega_rad_per_s,
-            "frequency_hz": scale.frequency_hz,
-            "lambda_m": scale.length_m,
-            "tick_duration_s": scale.tick_duration_s,
-            "manifest": _manifest(
-                "scales", {"particle": args.particle, "mass_kg": scale.mass_kg}
-            ),
-        }
-    )
-    return EXIT_OK
+    payload = {
+        "particle": args.particle,
+        "mass_kg": scale.mass_kg,
+        "omega_rad_per_s": scale.omega_rad_per_s,
+        "frequency_hz": scale.frequency_hz,
+        "lambda_m": scale.length_m,
+        "tick_duration_s": scale.tick_duration_s,
+    }
+    return payload, {"particle": args.particle, "mass_kg": scale.mass_kg}, None
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    report = run_verification(args.level)
-    payload = report.to_dict()
-    payload["manifest"] = _manifest("verify", {"level": args.level})
-    _emit(payload)
-    return EXIT_OK if report.passed else EXIT_FAILURE
+def cmd_verify(args: argparse.Namespace) -> Result:
+    return run_verification(args.level).to_dict(), {"level": args.level}, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     unit_flag = {"choices": [u.value for u in ent.EntropyUnit], "default": "nats",
-                 "help": "entropy unit (default: nats)"}
+                 "help": "entropy unit of the JSON result (default: nats)"}
 
     p = sub.add_parser("compose", help="relativistic velocity addition, both routes")
     p.add_argument("--u", type=float, required=True, help="observer velocity in [-1, 1]")
@@ -290,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ticks", type=int, required=True, help="number of ticks >= 1")
     p.add_argument("--seed", type=int, required=True, help="64-bit unsigned seed")
     p.add_argument(
-        "--dynamics", choices=["iid", "telegraph"], default="iid",
+        "--dynamics", choices=DYNAMICS, default="iid",
         help="per-tick law (default: iid)",
     )
     p.add_argument(
@@ -317,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="average velocity in [-1, 1]")
     p.add_argument(
         "--grid", metavar="START:STOP:COUNT",
-        help="sweep an inclusive grid and emit CSV instead of JSON",
+        help="sweep an inclusive grid and emit CSV, with S in both nats and bits, instead of JSON",
     )
     p.add_argument("--csv", metavar="PATH", help="write grid CSV to PATH (default stdout)")
     p.add_argument("--unit", **unit_flag)
@@ -353,11 +317,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_grid_value(argv))
-    if args.command == "entropy" and (args.beta is None) == (args.grid is None):
-        print("error: provide exactly one of --beta or --grid", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     try:
-        return args.func(args)
+        result = args.func(args)
+        if result is None:
+            return EXIT_OK
+        payload, parameters, seed = result
+        payload["manifest"] = _manifest(args.command, parameters, seed)
+        # A result that overflowed to inf or nan raises ValueError, not "Infinity".
+        sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        return EXIT_FAILURE if args.command == "verify" and not payload["passed"] else EXIT_OK
     except BrokenPipeError:
         # downstream consumer (head, etc.) closed the pipe; not an error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -368,10 +336,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NoAcceptedTicks, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except KeyError as exc:
-        # str(KeyError) quotes its message; print the message itself.
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except (ZitterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

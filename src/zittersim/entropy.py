@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LightSpeedSingularity
-from .kinematics import BetaLike, DirectionDistribution, _betas, _reject_light_speed, as_beta
+from .kinematics import Beta, BetaLike, DirectionDistribution, _betas, _reject_light_speed, _scalar
 
 __all__ = [
     "EntropyUnit",
@@ -126,7 +126,7 @@ def entropy_from_beta(
     v: BetaLike, unit: EntropyUnit = EntropyUnit.NATS
 ) -> EntropyValue:
     """Entropy written directly in terms of the average velocity."""
-    return EntropyValue(float(entropy_from_beta_array(v, unit)), unit)
+    return EntropyValue(_scalar(entropy_from_beta_array(v, unit), v), unit)
 
 
 def lorentz_gamma_array(v: np.typing.ArrayLike) -> np.ndarray:
@@ -143,7 +143,7 @@ def lorentz_gamma_array(v: np.typing.ArrayLike) -> np.ndarray:
 
 def lorentz_gamma(v: BetaLike) -> float:
     """Lorentz factor (1 - beta^2)^(-1/2); diverges at |beta| = 1."""
-    return float(lorentz_gamma_array(v))
+    return _scalar(lorentz_gamma_array(v), v)
 
 
 def redshift_factor_array(v: np.typing.ArrayLike) -> np.ndarray:
@@ -156,7 +156,7 @@ def redshift_factor_array(v: np.typing.ArrayLike) -> np.ndarray:
 
 def redshift_factor(v: BetaLike) -> float:
     """Collinear Doppler factor 1 + z; singular at |beta| = 1."""
-    return float(redshift_factor_array(v))
+    return _scalar(redshift_factor_array(v), v)
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class RelativisticFactors:
 
 
 def relativistic_factors(v: BetaLike) -> RelativisticFactors:
-    b = as_beta(v)
+    b = Beta(v)
     return RelativisticFactors(
         beta=b.value, gamma=lorentz_gamma(b), one_plus_z=redshift_factor(b)
     )
@@ -191,4 +191,4 @@ def entropy_relativistic_form_array(v: np.typing.ArrayLike) -> np.ndarray:
 
 def entropy_relativistic_form(v: BetaLike) -> EntropyValue:
     """Entropy via the decomposition S = log(2 gamma) - beta log(1+z), nats."""
-    return EntropyValue(float(entropy_relativistic_form_array(v)), EntropyUnit.NATS)
+    return EntropyValue(_scalar(entropy_relativistic_form_array(v), v), EntropyUnit.NATS)

@@ -7,6 +7,20 @@ Errors that signal invalid user input additionally derive from ``ValueError``.
 
 from __future__ import annotations
 
+__all__ = [
+    "ZitterError",
+    "InvalidBeta",
+    "InvalidDistribution",
+    "IndeterminateComposition",
+    "LightSpeedRapidity",
+    "LightSpeedSingularity",
+    "NonPositiveMass",
+    "UnknownParticle",
+    "InvalidConfig",
+    "EmptyPath",
+    "NoAcceptedTicks",
+]
+
 
 class ZitterError(Exception):
     """Base class for all zittersim errors."""
@@ -35,6 +49,13 @@ class LightSpeedSingularity(ZitterError, ValueError):
 
 class NonPositiveMass(ZitterError, ValueError):
     """Particle mass must be strictly positive."""
+
+
+class UnknownParticle(ZitterError, KeyError):
+    """Particle name missing from the particle table."""
+
+    # KeyError's str() quotes its message; print the message itself.
+    __str__ = Exception.__str__
 
 
 class InvalidConfig(ZitterError, ValueError):

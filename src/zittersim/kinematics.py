@@ -42,7 +42,6 @@ __all__ = [
     "BetaLike",
     "DirectionDistribution",
     "Rapidity",
-    "as_beta",
     "direction_distribution_from_beta",
     "beta_from_direction_distribution",
     "compose_frames",
@@ -70,10 +69,7 @@ class Beta:
     value: float
 
     def __post_init__(self) -> None:
-        b = _betas(self.value)
-        if b.ndim:
-            raise InvalidBeta(f"beta must be a real number, got {self.value!r}")
-        object.__setattr__(self, "value", float(b))
+        object.__setattr__(self, "value", _scalar(_betas(self.value), self.value))
 
     def __float__(self) -> float:
         return self.value
@@ -84,11 +80,6 @@ class Beta:
 
 
 BetaLike = Union[Beta, float, int]
-
-
-def as_beta(v: BetaLike) -> Beta:
-    """Coerce a raw number to a validated ``Beta`` (pass-through for Beta)."""
-    return v if isinstance(v, Beta) else Beta(float(v))
 
 
 @dataclass(frozen=True)
@@ -137,7 +128,7 @@ def direction_distribution_from_beta(v: BetaLike) -> DirectionDistribution:
     The left probability is evaluated as the complement of the right one,
     which makes p_right + p_left == 1.0 hold exactly in floating point.
     """
-    b = as_beta(v).value
+    b = Beta(v).value
     p_right = 0.5 * (1.0 + b)
     return DirectionDistribution(p_right=p_right, p_left=1.0 - p_right)
 
@@ -166,6 +157,15 @@ def _betas(v: np.typing.ArrayLike) -> np.ndarray:
     if bad.any():
         raise InvalidBeta(f"beta must lie in [-1, +1], got {_first(arr, bad)!r}")
     return arr
+
+
+def _scalar(result: np.ndarray, *betas: BetaLike) -> float:
+    """The 0-d ``result`` of a scalar call as a Python float; raises
+    InvalidBeta, naming the first input that was not a single number."""
+    if result.ndim:
+        bad = next(b for b in betas if np.ndim(b))
+        raise InvalidBeta(f"beta must be a real number, got {bad!r}")
+    return float(result)
 
 
 def _reject_antipodal(u: np.ndarray, v: np.ndarray) -> None:
@@ -237,7 +237,7 @@ def velocity_addition_array(u: np.typing.ArrayLike, v: np.typing.ArrayLike) -> n
 
 def velocity_addition(u: BetaLike, v: BetaLike) -> Beta:
     """``velocity_addition_array`` of two scalars, as a ``Beta``."""
-    return Beta(float(velocity_addition_array(u, v)))
+    return Beta(_scalar(velocity_addition_array(u, v), u, v))
 
 
 def compose_velocity_via_probabilities_array(
@@ -260,7 +260,7 @@ def compose_velocity_via_probabilities_array(
 
 def compose_velocity_via_probabilities(u: BetaLike, v: BetaLike) -> Beta:
     """``compose_velocity_via_probabilities_array`` of two scalars, as a ``Beta``."""
-    return Beta(float(compose_velocity_via_probabilities_array(u, v)))
+    return Beta(_scalar(compose_velocity_via_probabilities_array(u, v), u, v))
 
 
 def rapidity_from_beta_array(v: np.typing.ArrayLike) -> np.ndarray:
@@ -272,7 +272,7 @@ def rapidity_from_beta_array(v: np.typing.ArrayLike) -> np.ndarray:
 
 def rapidity_from_beta(v: BetaLike) -> Rapidity:
     """Rapidity atanh(v); raises LightSpeedRapidity at |v| = 1."""
-    return Rapidity(float(rapidity_from_beta_array(v)))
+    return Rapidity(_scalar(rapidity_from_beta_array(v), v))
 
 
 def beta_from_rapidity(r: Rapidity) -> Beta:

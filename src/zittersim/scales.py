@@ -15,12 +15,10 @@ pinned below and echoed in CLI output so results are auditable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 
-from .errors import NonPositiveMass
+from .errors import NonPositiveMass, UnknownParticle
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -36,6 +34,14 @@ __all__ = [
 # Exact SI value of c and the 2018 CODATA reduced Planck constant.
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 HBAR = 1.054571817e-34  # J s
+
+# Rest masses in kg, CODATA 2018 recommended values
+# (physics.nist.gov/cuu/Constants).
+_PARTICLES = {
+    "electron": 9.1093837015e-31,
+    "muon": 1.883531627e-28,
+    "proton": 1.67262192369e-27,
+}
 
 
 def _require_mass(mass_kg: float) -> float:
@@ -85,28 +91,19 @@ class ParticleScale:
         return 1.0 / self.omega_rad_per_s
 
 
-def _load_particle_table() -> dict[str, float]:
-    payload = json.loads(
-        resources.files("zittersim.data").joinpath("particles.json").read_text()
-    )
-    return {name: float(m) for name, m in payload["masses_kg"].items()}
-
-
-_PARTICLES = _load_particle_table()
-
-
 def named_particles() -> tuple[str, ...]:
     """Names available to :func:`particle_mass`."""
     return tuple(_PARTICLES)
 
 
 def particle_mass(name: str) -> float:
-    """Rest mass in kg for a named particle (electron, muon, proton)."""
-    try:
-        return _PARTICLES[name.lower()]
-    except KeyError:
+    """Rest mass in kg for a named particle (electron, muon, proton);
+    raises UnknownParticle, a KeyError, for any other name."""
+    mass = _PARTICLES.get(name.lower()) if isinstance(name, str) else None
+    if mass is None:
         known = ", ".join(named_particles())
-        raise KeyError(f"unknown particle {name!r}; known: {known}") from None
+        raise UnknownParticle(f"unknown particle {name!r}; known: {known}")
+    return mass
 
 
 def scale_for_particle(name: str) -> ParticleScale:

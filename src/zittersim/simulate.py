@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Literal, Optional
+from typing import IO, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import EmptyPath, InvalidConfig, NoAcceptedTicks
-from .kinematics import BetaLike, _reject_antipodal, as_beta
+from .kinematics import Beta, BetaLike, _reject_antipodal
 from .scales import SPEED_OF_LIGHT, ParticleScale
 
 __all__ = [
@@ -63,7 +63,7 @@ __all__ = [
     "write_path_csv",
 ]
 
-Dynamics = Literal["iid", "telegraph"]
+DYNAMICS = ("iid", "telegraph")
 
 # Telegraph flip probabilities must reproduce Pr(R) = (1+beta)/2 this closely.
 STATIONARY_TOL = 1e-12
@@ -120,24 +120,27 @@ class SimConfig:
     beta: float
     ticks: int
     seed: int
-    dynamics: Dynamics = "iid"
+    dynamics: str = "iid"
     flip_asymmetry: Optional[tuple[float, float]] = None
     tick_duration: Optional[float] = None
     scale: Optional[ParticleScale] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", as_beta(self.beta).value)
+        object.__setattr__(self, "beta", Beta(self.beta).value)
         object.__setattr__(self, "ticks", _validate_int("ticks", self.ticks))
         object.__setattr__(self, "seed", _validate_int("seed", self.seed, 0, _MAX_SEED))
-        if self.dynamics not in ("iid", "telegraph"):
-            raise InvalidConfig(
-                f"dynamics must be 'iid' or 'telegraph', got {self.dynamics!r}"
-            )
+        if self.dynamics not in DYNAMICS:
+            raise InvalidConfig(f"dynamics must be one of {DYNAMICS}, got {self.dynamics!r}")
         if self.tick_duration is not None and not (
             math.isfinite(self.tick_duration) and self.tick_duration > 0.0
         ):
             raise InvalidConfig(
                 f"tick_duration must be positive, got {self.tick_duration!r}"
+            )
+        # Positions reach ticks * step_length, which must be a finite number.
+        if not math.isfinite(self.ticks * self.step_length):
+            raise InvalidConfig(
+                f"{self.ticks} ticks of step length {self.step_length!r} overflow the positions"
             )
         if self.flip_asymmetry is not None:
             if self.dynamics != "telegraph":
@@ -237,14 +240,6 @@ class DriftEstimate:
     n: int
     seed: Optional[int] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "n": self.n,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class FrameObservation:
@@ -253,12 +248,6 @@ class FrameObservation:
     estimate: DriftEstimate
     acceptance_rate: float
     ticks_total: int
-
-    def to_dict(self) -> dict:
-        out = self.estimate.to_dict()
-        out["acceptance_rate"] = self.acceptance_rate
-        out["ticks_total"] = self.ticks_total
-        return out
 
 
 @dataclass(frozen=True)
@@ -409,8 +398,8 @@ def observe_from_moving_frame(
     Raises IndeterminateComposition for the antipodal light-speed pair and
     NoAcceptedTicks when no tick is retained.
     """
-    uf = as_beta(u).value
-    vf = as_beta(v).value
+    uf = Beta(u).value
+    vf = Beta(v).value
     # No tick of an antipodal light-speed pair is ever retained.
     _reject_antipodal(uf, vf)
     ticks = _validate_int("ticks", ticks)

@@ -179,6 +179,17 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_overflowing_step_exits_2(self, capsys, tmp_path):
+        # c * 1e300 s per tick: no position of the path is a finite number
+        out = tmp_path / "f.csv"
+        code, stdout, err = run_cli(
+            capsys, "simulate", "--beta", "0.5", "--ticks", "3", "--seed", "1",
+            "--particle", "electron", "--tick-duration", "1e300", "--path", str(out),
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_replicates_with_path_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "--beta", "0", "--ticks", "10", "--seed", "1",
@@ -239,6 +250,13 @@ class TestEntropy:
         assert code == 2
         code, _, _ = run_cli(capsys, "entropy", "--beta", "0", "--grid", "0:1:5")
         assert code == 2
+
+    def test_csv_without_grid_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "e.csv"
+        code, stdout, err = run_cli(capsys, "entropy", "--beta", "0.5", "--csv", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_grid_csv(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -358,6 +376,11 @@ class TestParser:
         particle = next(a for a in sub.choices["simulate"]._actions if a.dest == "particle")
         assert tuple(particle.choices) == named_particles()
 
+    def test_dynamics_choices_are_the_simulator_dynamics(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        dynamics = next(a for a in sub.choices["simulate"]._actions if a.dest == "dynamics")
+        assert tuple(dynamics.choices) == simulate.DYNAMICS
+
     @pytest.mark.parametrize(
         "command", ["compose", "simulate", "observe", "entropy", "scales", "verify"]
     )
@@ -385,6 +408,47 @@ class TestVerify:
             if c["name"] == "velocity_addition_equals_probability_route"
         )
         assert grid_check["tolerance"] == 1e-12
+
+
+class TestKeyOrder:
+    """Golden JSON key order of each result: the dataclass field order that
+    ``asdict`` follows and the manifest that ``main`` appends last."""
+
+    ESTIMATE = ["mean", "std_error", "n", "seed"]
+    MANIFEST = ["command", "parameters", "seed", "constants", "version", "rng", "timestamp"]
+    SIMULATE = ["beta", "ticks", "dynamics", "flip_asymmetry", "tick_duration", "particle",
+                "replicates"]
+
+    def test_simulate(self, capsys):
+        payload = run_json(capsys, "simulate", "--beta", "0.2", "--ticks", "100", "--seed", "3")
+        assert list(payload) == self.ESTIMATE + ["manifest"]
+        assert list(payload["manifest"]) == self.MANIFEST
+        assert list(payload["manifest"]["parameters"]) == self.SIMULATE
+
+    def test_simulate_replicates(self, capsys):
+        payload = run_json(
+            capsys, "simulate", "--beta", "0.2", "--ticks", "100", "--seed", "3",
+            "--replicates", "2",
+        )
+        assert list(payload) == ["replicates", "pooled", "manifest"]
+        assert [list(r) for r in payload["replicates"]] == [self.ESTIMATE] * 2
+        assert list(payload["pooled"]) == self.ESTIMATE
+        assert list(payload["manifest"]["parameters"]) == self.SIMULATE
+
+    def test_observe(self, capsys):
+        payload = run_json(
+            capsys, "observe", "--u", "0.5", "--v", "0.4", "--ticks", "100", "--seed", "3"
+        )
+        assert list(payload) == self.ESTIMATE + ["acceptance_rate", "ticks_total", "manifest"]
+        assert list(payload["manifest"]) == self.MANIFEST
+        assert list(payload["manifest"]["parameters"]) == ["u", "v", "ticks"]
+
+    def test_verify(self, capsys):
+        payload = run_json(capsys, "verify", "--level", "fast")
+        assert list(payload) == ["level", "passed", "checks", "manifest"]
+        for check in payload["checks"]:
+            assert list(check) == ["name", "tolerance", "observed", "passed", "detail"]
+        assert list(payload["manifest"]) == self.MANIFEST
 
 
 # -- every argv ends in JSON or one error line, never a traceback -------------

@@ -209,6 +209,16 @@ class TestArrayForms:
         inside = self.GRID[1:-1]
         assert array_fn(inside).tolist() == [scalar_fn(b) for b in inside]
 
+    @pytest.mark.parametrize(
+        "fn,bad",
+        [(fn, [0.5]) for fn in (entropy_from_beta, lorentz_gamma, redshift_factor,
+                                entropy_relativistic_form, relativistic_factors)]
+        + [(relativistic_factors, bad) for bad in ("0.5", True, None)],
+    )
+    def test_scalar_api_rejects_non_scalars(self, fn, bad):
+        with pytest.raises(InvalidBeta):
+            fn(bad)
+
     def test_scalar_api_returns_python_floats(self):
         b = np.float64(0.6)
         assert type(lorentz_gamma(b)) is float and type(redshift_factor(b)) is float

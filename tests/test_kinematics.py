@@ -50,6 +50,14 @@ class TestBeta:
     def test_float_conversion(self):
         assert float(Beta(0.25)) == 0.25
 
+    @pytest.mark.parametrize("v", ["0.5", True, None])
+    def test_velocity_arguments_reject_non_numbers(self, v):
+        # every entry point validates through Beta, never through float()
+        with pytest.raises(InvalidBeta):
+            direction_distribution_from_beta(v)
+        with pytest.raises(InvalidBeta):
+            velocity_addition(v, 0.1)
+
 
 class TestDirectionDistribution:
     def test_rest_is_fifty_fifty(self):
@@ -306,6 +314,19 @@ class TestArrayCalculus:
         w = fn(np.float64(0.25), 0.5)
         assert type(w) is Beta and type(w.value) is float
         assert type(rapidity_from_beta(np.float64(0.25)).value) is float
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: velocity_addition([0.5], 0.1),
+            lambda: velocity_addition(0.1, np.array([0.5, 0.2])),
+            lambda: compose_velocity_via_probabilities([0.5], 0.1),
+            lambda: rapidity_from_beta([0.5]),
+        ],
+    )
+    def test_scalar_api_rejects_sequences(self, call):
+        with pytest.raises(InvalidBeta, match=r"real number, got (\[0\.5\]|array)"):
+            call()
 
     def test_accepts_beta_instances_and_zero_dim_arrays(self):
         w = velocity_addition(Beta(0.5), np.array(0.5))

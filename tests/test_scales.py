@@ -11,6 +11,8 @@ from zittersim import (
     HBAR,
     SPEED_OF_LIGHT,
     NonPositiveMass,
+    UnknownParticle,
+    ZitterError,
     ParticleScale,
     named_particles,
     particle_mass,
@@ -90,6 +92,13 @@ class TestNamedParticles:
     def test_unknown_particle(self):
         with pytest.raises(KeyError):
             particle_mass("tachyon")
+
+    @pytest.mark.parametrize("name", ["tau", "", None, 5])
+    def test_unknown_particle_is_typed(self, name):
+        with pytest.raises(UnknownParticle) as info:
+            particle_mass(name)
+        assert isinstance(info.value, ZitterError) and isinstance(info.value, KeyError)
+        assert str(info.value) == f"unknown particle {name!r}; known: electron, muon, proton"
 
     def test_scale_for_particle(self):
         scale = scale_for_particle("electron")

@@ -54,6 +54,23 @@ class TestSimConfig:
         with pytest.raises(InvalidBeta):
             SimConfig(beta=1.5, ticks=10, seed=1)
 
+    @pytest.mark.parametrize("beta", ["0.5", True, None])
+    def test_rejects_non_number_beta(self, beta):
+        with pytest.raises(InvalidBeta):
+            SimConfig(beta=beta, ticks=10, seed=1)
+        with pytest.raises(InvalidBeta):
+            observe_from_moving_frame(beta, 0.1, ticks=10, seed=1)
+
+    def test_rejects_overflowing_positions(self):
+        electron = scale_for_particle("electron")
+        # c * 1e300 s is not a finite step length
+        with pytest.raises(InvalidConfig, match="step length inf"):
+            SimConfig(beta=0.5, ticks=3, seed=1, scale=electron, tick_duration=1e300)
+        # a finite step whose multiple overflows by the last tick
+        with pytest.raises(InvalidConfig, match="overflow"):
+            SimConfig(beta=0.5, ticks=3, seed=1, tick_duration=1e308)
+        assert SimConfig(beta=0.5, ticks=1, seed=1, tick_duration=1e308).step_length == 1e308
+
     def test_rejects_unknown_dynamics(self):
         with pytest.raises(InvalidConfig):
             SimConfig(beta=0.0, ticks=10, seed=1, dynamics="levy")
