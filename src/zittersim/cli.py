@@ -33,7 +33,7 @@ from .errors import (
     ZitterError,
 )
 from .scales import (
-    HBAR, SPEED_OF_LIGHT, ParticleScale, named_particles, particle_mass, scale_for_particle,
+    HBAR, SPEED_OF_LIGHT, ParticleScale, named_particles, scale_for_particle,
 )
 from .simulate import (
     _CSV_ROWS,
@@ -72,10 +72,6 @@ def _manifest(command: str, parameters: dict, seed: Optional[int]) -> dict:
     }
 
 
-def _unit(args: argparse.Namespace) -> ent.EntropyUnit:
-    return ent.EntropyUnit(args.unit)
-
-
 def _parse_grid(raw: str) -> tuple[float, float, int]:
     """Parse and validate ``start:stop:count`` of an endpoint-inclusive grid."""
     parts = raw.split(":")
@@ -106,7 +102,7 @@ def _grid_slices(start: float, stop: float, count: int) -> Iterator[np.ndarray]:
 
 
 def cmd_compose(args: argparse.Namespace) -> Result:
-    unit = _unit(args)
+    unit = ent.EntropyUnit(args.unit)
     u = kin.Beta(args.u)
     v = kin.Beta(args.v)
     w = kin.velocity_addition(u, v)
@@ -171,7 +167,7 @@ def cmd_entropy(args: argparse.Namespace) -> Result:
         raise ValueError("provide exactly one of --beta or --grid")
     if args.csv is not None and args.grid is None:
         raise ValueError("--csv writes the --grid sweep; use it with --grid")
-    unit = _unit(args)
+    unit = ent.EntropyUnit(args.unit)
     if args.grid is not None:
         grid = _parse_grid(args.grid)
         target = open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext(sys.stdout)
@@ -189,7 +185,8 @@ def cmd_entropy(args: argparse.Namespace) -> Result:
                 fh.write("".join(rows))
         return None
     b = kin.Beta(args.beta)
-    s = ent.entropy_from_beta(b, unit)
+    # Each unit is evaluated directly, as the grid CSV does, not converted.
+    s = {u: ent.entropy_from_beta(b, u).value for u in ent.EntropyUnit}
     try:
         gamma = ent.lorentz_gamma(b)
         one_plus_z = ent.redshift_factor(b)
@@ -199,9 +196,9 @@ def cmd_entropy(args: argparse.Namespace) -> Result:
     payload = {
         "beta": b.value,
         "unit": unit.value,
-        "S": s.value,
-        "S_nats": s.to(ent.EntropyUnit.NATS).value,
-        "S_bits": s.to(ent.EntropyUnit.BITS).value,
+        "S": s[unit],
+        "S_nats": s[ent.EntropyUnit.NATS],
+        "S_bits": s[ent.EntropyUnit.BITS],
         "S_relativistic_nats": s_relativistic,
         "gamma": gamma,
         "one_plus_z": one_plus_z,
@@ -213,10 +210,9 @@ def cmd_scales(args: argparse.Namespace) -> Result:
     if (args.particle is None) == (args.mass_kg is None):
         raise ValueError("provide exactly one of --particle or --mass-kg")
     if args.particle is not None:
-        mass = particle_mass(args.particle)
+        scale = scale_for_particle(args.particle)
     else:
-        mass = args.mass_kg
-    scale = ParticleScale.from_mass(mass)
+        scale = ParticleScale.from_mass(args.mass_kg)
     payload = {
         "particle": args.particle,
         "mass_kg": scale.mass_kg,

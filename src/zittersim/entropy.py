@@ -28,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LightSpeedSingularity
-from .kinematics import Beta, BetaLike, DirectionDistribution, _betas, _reject_light_speed, _scalar
+from .kinematics import BetaLike, DirectionDistribution, _betas, _reject_light_speed, _scalar
 
 __all__ = [
     "EntropyUnit",
     "EntropyValue",
-    "RelativisticFactors",
     "entropy_from_distribution",
     "entropy_from_beta",
     "entropy_from_beta_array",
@@ -41,7 +40,6 @@ __all__ = [
     "lorentz_gamma_array",
     "redshift_factor",
     "redshift_factor_array",
-    "relativistic_factors",
     "entropy_relativistic_form",
     "entropy_relativistic_form_array",
 ]
@@ -157,22 +155,6 @@ def redshift_factor_array(v: np.typing.ArrayLike) -> np.ndarray:
 def redshift_factor(v: BetaLike) -> float:
     """Collinear Doppler factor 1 + z; singular at |beta| = 1."""
     return _scalar(redshift_factor_array(v), v)
-
-
-@dataclass(frozen=True)
-class RelativisticFactors:
-    """Lorentz factor and Doppler factor bundled with the velocity used."""
-
-    beta: float
-    gamma: float
-    one_plus_z: float
-
-
-def relativistic_factors(v: BetaLike) -> RelativisticFactors:
-    b = Beta(v)
-    return RelativisticFactors(
-        beta=b.value, gamma=lorentz_gamma(b), one_plus_z=redshift_factor(b)
-    )
 
 
 def entropy_relativistic_form_array(v: np.typing.ArrayLike) -> np.ndarray:

@@ -74,10 +74,6 @@ class Beta:
     def __float__(self) -> float:
         return self.value
 
-    @property
-    def at_light_speed(self) -> bool:
-        return abs(self.value) == 1.0
-
 
 BetaLike = Union[Beta, float, int]
 
@@ -91,9 +87,9 @@ class DirectionDistribution:
 
     def __post_init__(self) -> None:
         pr, pl = self.p_right, self.p_left
-        if not (math.isfinite(pr) and math.isfinite(pl)):
+        if not (_is_real(pr) and _is_real(pl) and math.isfinite(pr) and math.isfinite(pl)):
             raise InvalidDistribution(
-                f"probabilities must be finite, got ({pr!r}, {pl!r})"
+                f"probabilities must be finite real numbers, got ({pr!r}, {pl!r})"
             )
         if pr < 0.0 or pl < 0.0:
             raise InvalidDistribution(
@@ -141,6 +137,13 @@ def beta_from_direction_distribution(d: DirectionDistribution) -> Beta:
 def _first(values: np.ndarray, bad: np.ndarray) -> float:
     """The first entry of ``values`` (broadcast to ``bad``) where ``bad`` holds."""
     return float(np.broadcast_to(values, bad.shape).flat[np.argmax(bad)])
+
+
+def _is_real(value: object) -> bool:
+    """Whether ``value`` is one real number: a Python or numpy int or float,
+    not a bool, a string or an array."""
+    arr = np.asarray(value)
+    return arr.ndim == 0 and arr.dtype.kind in "iuf"
 
 
 def _betas(v: np.typing.ArrayLike) -> np.ndarray:

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonPositiveMass, UnknownParticle
+from .kinematics import _is_real
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -44,11 +45,16 @@ _PARTICLES = {
 }
 
 
+def _positive_real(value: object, error: type, message: str) -> float:
+    """``value`` as a float if it is a positive finite real number; raises
+    ``error`` with ``message`` otherwise, for bools and strings too."""
+    if not (_is_real(value) and 0.0 < value < math.inf):
+        raise error(f"{message}, got {value!r}")
+    return float(value)
+
+
 def _require_mass(mass_kg: float) -> float:
-    m = float(mass_kg)
-    if not math.isfinite(m) or m <= 0.0:
-        raise NonPositiveMass(f"mass must be a positive number of kg, got {mass_kg!r}")
-    return m
+    return _positive_real(mass_kg, NonPositiveMass, "mass must be a positive number of kg")
 
 
 def zitter_frequency(mass_kg: float) -> float:

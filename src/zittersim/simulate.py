@@ -45,8 +45,8 @@ from typing import IO, Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import EmptyPath, InvalidConfig, NoAcceptedTicks
-from .kinematics import Beta, BetaLike, _reject_antipodal
-from .scales import SPEED_OF_LIGHT, ParticleScale
+from .kinematics import Beta, BetaLike, _is_real, _reject_antipodal
+from .scales import SPEED_OF_LIGHT, ParticleScale, _positive_real
 
 __all__ = [
     "SimConfig",
@@ -98,8 +98,7 @@ def derive_seed(seed: int, index: int) -> int:
     """Deterministic per-replicate seed: output ``index`` of the SplitMix64
     stream seeded at ``seed`` (Steele, Lea & Flood's published mixer)."""
     seed = _validate_int("seed", seed, 0, _MAX_SEED)
-    if index < 0:
-        raise InvalidConfig(f"replicate index must be nonnegative, got {index}")
+    index = _validate_int("replicate index", index, 0)
     mask = _MAX_SEED - 1
     z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
@@ -131,12 +130,10 @@ class SimConfig:
         object.__setattr__(self, "seed", _validate_int("seed", self.seed, 0, _MAX_SEED))
         if self.dynamics not in DYNAMICS:
             raise InvalidConfig(f"dynamics must be one of {DYNAMICS}, got {self.dynamics!r}")
-        if self.tick_duration is not None and not (
-            math.isfinite(self.tick_duration) and self.tick_duration > 0.0
-        ):
-            raise InvalidConfig(
-                f"tick_duration must be positive, got {self.tick_duration!r}"
-            )
+        if self.tick_duration is not None:
+            _positive_real(self.tick_duration, InvalidConfig, "tick_duration must be positive")
+        if self.scale is not None and not isinstance(self.scale, ParticleScale):
+            raise InvalidConfig(f"scale must be a ParticleScale, got {self.scale!r}")
         # Positions reach ticks * step_length, which must be a finite number.
         if not math.isfinite(self.ticks * self.step_length):
             raise InvalidConfig(
@@ -145,9 +142,14 @@ class SimConfig:
         if self.flip_asymmetry is not None:
             if self.dynamics != "telegraph":
                 raise InvalidConfig("flip_asymmetry applies to telegraph dynamics only")
-            a, b = self.flip_asymmetry
-            object.__setattr__(self, "flip_asymmetry", (float(a), float(b)))
-            self._check_stationary(float(a), float(b))
+            pair = np.asarray(self.flip_asymmetry, dtype=object)
+            if pair.shape != (2,) or not all(map(_is_real, pair)):
+                raise InvalidConfig(
+                    f"flip_asymmetry must be a pair of real numbers, got {self.flip_asymmetry!r}"
+                )
+            a, b = map(float, pair)
+            object.__setattr__(self, "flip_asymmetry", (a, b))
+            self._check_stationary(a, b)
 
     def _check_stationary(self, a: float, b: float) -> None:
         if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
@@ -168,8 +170,10 @@ class SimConfig:
         return 0.5 * (1.0 + self.beta)
 
     @property
-    def flip_probabilities(self) -> tuple[float, float]:
-        """Telegraph (from-right, from-left) flip probabilities in use."""
+    def flip_probabilities(self) -> Optional[tuple[float, float]]:
+        """Telegraph (from-right, from-left) flip probabilities in use; None for iid."""
+        if self.dynamics == "iid":
+            return None
         if self.flip_asymmetry is not None:
             return self.flip_asymmetry
         p = self.p_right
@@ -258,10 +262,6 @@ class EnsembleResult:
     pooled: DriftEstimate
 
 
-def _telegraph_flips(cfg: SimConfig) -> Optional[tuple[float, float]]:
-    return cfg.flip_probabilities if cfg.dynamics == "telegraph" else None
-
-
 def _direction_blocks(
     rng: np.random.Generator, ticks: int, p_right: float, flips: Optional[tuple] = None
 ) -> Iterator[np.ndarray]:
@@ -304,7 +304,7 @@ def _direction_blocks(
 def _path_sum(cfg: SimConfig, seed: int, stream: Optional[IO[str]] = None) -> int:
     """Direction sum of ``cfg``'s path from ``seed``; with ``stream`` also its CSV."""
     rng = np.random.default_rng(seed)
-    blocks = _direction_blocks(rng, cfg.ticks, cfg.p_right, _telegraph_flips(cfg))
+    blocks = _direction_blocks(rng, cfg.ticks, cfg.p_right, cfg.flip_probabilities)
     return _sum_blocks(blocks, stream, cfg.step_length)
 
 
@@ -332,11 +332,10 @@ def generate_path(cfg: SimConfig) -> ZitterPath:
     Identical configs (including seed) produce identical paths within one
     implementation/platform.
     """
-    flips = _telegraph_flips(cfg)
     rng = np.random.default_rng(cfg.seed)
     directions = np.empty(cfg.ticks, np.int8)
     start = 0
-    for block in _direction_blocks(rng, cfg.ticks, cfg.p_right, flips):
+    for block in _direction_blocks(rng, cfg.ticks, cfg.p_right, cfg.flip_probabilities):
         directions[start : start + block.size] = block
         start += block.size
     return ZitterPath(
@@ -344,7 +343,7 @@ def generate_path(cfg: SimConfig) -> ZitterPath:
         tick_duration=cfg.resolved_tick_duration,
         step_length=cfg.step_length,
         seed=cfg.seed,
-        flip_probabilities=flips,
+        flip_probabilities=cfg.flip_probabilities,
     )
 
 
@@ -380,7 +379,7 @@ def simulate_drift(cfg: SimConfig, stream: Optional[IO[str]] = None) -> DriftEst
     """``estimate_drift(generate_path(cfg))`` in bounded memory: the path is
     reduced block by block and, with ``stream``, written as ``write_path_csv``
     writes it in the same pass."""
-    inflation = _variance_inflation(_telegraph_flips(cfg), cfg.ticks)
+    inflation = _variance_inflation(cfg.flip_probabilities, cfg.ticks)
     return _estimate_from_sum(_path_sum(cfg, cfg.seed, stream), cfg.ticks, cfg.seed, inflation)
 
 
@@ -437,7 +436,7 @@ def run_ensemble(cfg: SimConfig, replicates: int) -> EnsembleResult:
     are independent chains, so the pooled error keeps their inflation.
     """
     replicates = _validate_int("replicates", replicates)
-    inflation = _variance_inflation(_telegraph_flips(cfg), cfg.ticks)
+    inflation = _variance_inflation(cfg.flip_probabilities, cfg.ticks)
     seeds = [derive_seed(cfg.seed, r) for r in range(replicates)]
     sums = [_path_sum(cfg, seed) for seed in seeds]
     estimates = tuple(

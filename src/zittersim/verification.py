@@ -16,7 +16,8 @@ import numpy as np
 
 from . import entropy as ent
 from . import kinematics as kin
-from .scales import SPEED_OF_LIGHT, ParticleScale, particle_mass
+from .errors import InvalidConfig
+from .scales import SPEED_OF_LIGHT, ParticleScale, scale_for_particle
 from .simulate import SimConfig, estimate_drift, generate_path, observe_from_moving_frame
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "LEVELS"]
@@ -83,19 +84,13 @@ def _max_abs(x: np.ndarray) -> float:
 
 def _check_velocity_grid(report: VerificationReport) -> None:
     u, v = _GRID[:, None], _GRID[None, :]
-    closed = kin.velocity_addition_array(u, v)
-    via_probs = kin.compose_velocity_via_probabilities_array(u, v)
+    w = kin.velocity_addition_array(u, v)
     report.add(
         "velocity_addition_equals_probability_route",
-        _max_abs(closed - via_probs),
+        _max_abs(w - kin.compose_velocity_via_probabilities_array(u, v)),
         VELOCITY_GRID_TOL,
         "max |closed form - probability route| on the 99x99 grid of [-0.98, 0.98]^2",
     )
-
-
-def _check_group_laws(report: VerificationReport) -> None:
-    u, v = _GRID[:, None], _GRID[None, :]
-    w = kin.velocity_addition_array(u, v)
     phi = kin.rapidity_from_beta_array(_GRID)
     assoc = kin.rapidity_from_beta_array(w) - (phi[:, None] + phi[None, :])
     comm = w - kin.velocity_addition_array(v, u)
@@ -201,7 +196,7 @@ def _check_determinism(report: VerificationReport) -> None:
 
 
 def _check_scales(report: VerificationReport) -> None:
-    electron = ParticleScale.from_mass(particle_mass("electron"))
+    electron = scale_for_particle("electron")
     in_range = (
         1.0e21 <= electron.omega_rad_per_s <= 2.0e21
         and 1.5e-13 <= electron.length_m <= 2.5e-13
@@ -231,11 +226,10 @@ def _check_scales(report: VerificationReport) -> None:
 def run_verification(level: str = "fast") -> VerificationReport:
     """Run the invariant suite; ``fast`` keeps Monte Carlo runs small."""
     if level not in LEVELS:
-        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
+        raise InvalidConfig(f"level must be one of {LEVELS}, got {level!r}")
     mc_ticks = 100_000 if level == "fast" else 1_000_000
     report = VerificationReport(level=level)
     _check_velocity_grid(report)
-    _check_group_laws(report)
     _check_entropy_identity(report)
     _check_monte_carlo_drift(report, mc_ticks)
     _check_frame_transform(report, mc_ticks)

@@ -241,6 +241,17 @@ class TestEntropy:
         assert payload["gamma"] is None
         assert payload["S_relativistic_nats"] is None
 
+    @pytest.mark.parametrize("beta", ["-0.37", "0.0", "0.6", "1.0", "-1.0"])
+    def test_beta_reports_the_grid_row_in_every_unit(self, capsys, beta):
+        code, out, _ = run_cli(capsys, "entropy", "--grid", f"{beta}:{beta}:1")
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        grid = {"nats": float(row[1]), "bits": float(row[2])}
+        for unit in ("nats", "bits"):
+            payload = run_json(capsys, "entropy", "--beta", beta, "--unit", unit)
+            assert (payload["S_nats"], payload["S_bits"]) == (grid["nats"], grid["bits"])
+            assert payload["S"] == grid[unit]
+
     def test_superluminal_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "entropy", "--beta", "1.01")
         assert code == 2

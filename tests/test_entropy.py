@@ -20,7 +20,6 @@ from zittersim import (
     lorentz_gamma,
     rapidity_from_beta,
     redshift_factor,
-    relativistic_factors,
 )
 from zittersim.entropy import (
     entropy_from_beta_array,
@@ -122,12 +121,6 @@ class TestRelativisticFactors:
             rapidity_from_beta(v).value, abs=1e-12
         )
 
-    def test_bundle_carries_its_velocity(self):
-        f = relativistic_factors(0.6)
-        assert f.beta == 0.6
-        assert f.gamma == pytest.approx((1 - 0.36) ** -0.5, rel=1e-15)
-        assert f.one_plus_z == pytest.approx(2.0, rel=1e-15)
-
 
 class TestRelativisticEntropyForm:
     def test_rest_reduces_to_log2(self):
@@ -212,8 +205,8 @@ class TestArrayForms:
     @pytest.mark.parametrize(
         "fn,bad",
         [(fn, [0.5]) for fn in (entropy_from_beta, lorentz_gamma, redshift_factor,
-                                entropy_relativistic_form, relativistic_factors)]
-        + [(relativistic_factors, bad) for bad in ("0.5", True, None)],
+                                entropy_relativistic_form)]
+        + [(lorentz_gamma, bad) for bad in ("0.5", True, None)],
     )
     def test_scalar_api_rejects_non_scalars(self, fn, bad):
         with pytest.raises(InvalidBeta):

@@ -96,6 +96,11 @@ class TestDirectionDistribution:
     def test_accepts_within_sum_tolerance(self):
         DirectionDistribution(0.6, 0.4 + 5e-13)
 
+    @pytest.mark.parametrize("pair", [("a", 0.5), (0.5, "b"), (True, False), (None, 1.0)])
+    def test_rejects_non_numbers(self, pair):
+        with pytest.raises(InvalidDistribution):
+            DirectionDistribution(*pair)
+
 
 class TestBetaFromDistribution:
     def test_symmetric_distribution_is_rest(self):
@@ -199,10 +204,10 @@ class TestVelocityAddition:
         gap=st.floats(min_value=1e-6, max_value=0.5, allow_nan=False),
     )
     def test_strictly_increasing_in_v(self, u, v1, gap):
-        # strict ordering holds while w stays clear of float saturation at 1
-        v2 = min(0.999, v1 + gap)
-        if v2 == v1:
-            return
+        # strict ordering holds while w stays clear of float saturation at 1;
+        # clamping v1 first keeps the two velocities a full gap apart
+        v1 = min(v1, 0.999 - gap)
+        v2 = v1 + gap
         assert velocity_addition(u, v1).value < velocity_addition(u, v2).value
 
     @given(

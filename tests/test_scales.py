@@ -64,6 +64,21 @@ class TestLength:
         assert abs(product - SPEED_OF_LIGHT) / SPEED_OF_LIGHT <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "fn,mass",
+    [
+        (ParticleScale.from_mass, "x"),
+        (ParticleScale.from_mass, "1e-30"),
+        (ParticleScale.from_mass, True),
+        (zitter_frequency, None),
+        (zitter_length, [1e-30]),
+    ],
+)
+def test_non_number_mass_raises_non_positive_mass(fn, mass):
+    with pytest.raises(NonPositiveMass):
+        fn(mass)
+
+
 class TestParticleScale:
     def test_from_mass_consistency(self):
         scale = ParticleScale.from_mass(ELECTRON_MASS)

@@ -103,6 +103,16 @@ class TestSimConfig:
             a, b = cfg.flip_probabilities
             assert abs(b / (a + b) - cfg.p_right) <= 1e-12
 
+    def test_flip_probabilities_none_for_iid(self):
+        assert SimConfig(beta=0.2, ticks=10, seed=1).flip_probabilities is None
+        tg = SimConfig(beta=0.2, ticks=10, seed=1, dynamics="telegraph")
+        p = tg.p_right
+        assert tg.flip_probabilities == (0.5 * (1.0 - p), 0.5 * p)
+        explicit = SimConfig(
+            beta=0.6, ticks=10, seed=1, dynamics="telegraph", flip_asymmetry=(0.05, 0.2)
+        )
+        assert explicit.flip_probabilities == (0.05, 0.2)
+
     def test_scale_sets_tick_duration(self):
         scale = scale_for_particle("electron")
         cfg = SimConfig(beta=0.0, ticks=10, seed=1, scale=scale)
@@ -340,6 +350,29 @@ class TestDeriveSeed:
     def test_rejects_negative_index(self):
         with pytest.raises(InvalidConfig):
             derive_seed(1, -1)
+
+
+TELEGRAPH = {"beta": 0.0, "ticks": 10, "seed": 1, "dynamics": "telegraph"}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: SimConfig(**TELEGRAPH, flip_asymmetry=(0.1, 0.1, 0.1)), id="flips-3"),
+        pytest.param(lambda: SimConfig(**TELEGRAPH, flip_asymmetry=("x", 0.1)), id="flips-str"),
+        pytest.param(lambda: SimConfig(**TELEGRAPH, flip_asymmetry=0.5), id="flips-scalar"),
+        pytest.param(lambda: SimConfig(**TELEGRAPH, flip_asymmetry=(True, True)), id="flips-bool"),
+        pytest.param(lambda: SimConfig(**TELEGRAPH, tick_duration="1"), id="duration-str"),
+        pytest.param(lambda: SimConfig(**TELEGRAPH, tick_duration=True), id="duration-bool"),
+        pytest.param(lambda: SimConfig(**TELEGRAPH, scale="electron"), id="scale-name"),
+        pytest.param(lambda: derive_seed(1, 1.5), id="index-float"),
+        pytest.param(lambda: derive_seed(1, "2"), id="index-str"),
+        pytest.param(lambda: derive_seed(1, True), id="index-bool"),
+    ],
+)
+def test_non_number_input_raises_invalid_config(make):
+    with pytest.raises(InvalidConfig):
+        make()
 
 
 class TestRunEnsemble:

@@ -5,7 +5,26 @@ from __future__ import annotations
 import pytest
 
 import zittersim.verification as verification
+from zittersim import InvalidConfig
 from zittersim.cli import main
+
+CHECK_NAMES = [
+    "velocity_addition_equals_probability_route",
+    "group_law_commutativity",
+    "group_law_identity",
+    "group_law_inverse",
+    "group_law_associativity_via_rapidity",
+    "entropy_identity_relativistic_form",
+    "entropy_at_rest_is_log2",
+    "entropy_at_light_speed_is_zero",
+    "monte_carlo_drift_within_5_sigma",
+    "frame_transform_drift_within_5_sigma",
+    "frame_transform_acceptance_rate_within_5_sigma",
+    "telegraph_iid_drift_consistency",
+    "determinism_same_config_same_estimate",
+    "electron_scales_in_expected_orders",
+    "length_times_frequency_is_c",
+]
 
 
 def test_fast_suite_passes():
@@ -26,9 +45,20 @@ def test_report_shape():
         assert set(check) == {"name", "tolerance", "observed", "passed", "detail"}
 
 
+def test_check_names_in_order():
+    report = verification.run_verification("fast")
+    assert [c.name for c in report.checks] == CHECK_NAMES
+
+
 def test_unknown_level_rejected():
     with pytest.raises(ValueError):
         verification.run_verification("paranoid")
+
+
+@pytest.mark.parametrize("level", ["x", None, 1])
+def test_unknown_level_raises_invalid_config(level):
+    with pytest.raises(InvalidConfig):
+        verification.run_verification(level)
 
 
 def test_tampered_tolerance_fails(monkeypatch, capsys):
