@@ -167,7 +167,6 @@ def cmd_entropy(args: argparse.Namespace) -> Result:
         raise ValueError("provide exactly one of --beta or --grid")
     if args.csv is not None and args.grid is None:
         raise ValueError("--csv writes the --grid sweep; use it with --grid")
-    unit = ent.EntropyUnit(args.unit)
     if args.grid is not None:
         grid = _parse_grid(args.grid)
         target = open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext(sys.stdout)
@@ -195,15 +194,13 @@ def cmd_entropy(args: argparse.Namespace) -> Result:
         gamma = one_plus_z = s_relativistic = None
     payload = {
         "beta": b.value,
-        "unit": unit.value,
-        "S": s[unit],
         "S_nats": s[ent.EntropyUnit.NATS],
         "S_bits": s[ent.EntropyUnit.BITS],
         "S_relativistic_nats": s_relativistic,
         "gamma": gamma,
         "one_plus_z": one_plus_z,
     }
-    return payload, {"beta": b.value, "unit": unit.value}, None
+    return payload, {"beta": b.value}, None
 
 
 def cmd_scales(args: argparse.Namespace) -> Result:
@@ -236,13 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    unit_flag = {"choices": [u.value for u in ent.EntropyUnit], "default": "nats",
-                 "help": "entropy unit of the JSON result (default: nats)"}
-
     p = sub.add_parser("compose", help="relativistic velocity addition, both routes")
     p.add_argument("--u", type=float, required=True, help="observer velocity in [-1, 1]")
     p.add_argument("--v", type=float, required=True, help="particle velocity in [-1, 1]")
-    p.add_argument("--unit", **unit_flag)
+    p.add_argument(
+        "--unit", choices=[u.value for u in ent.EntropyUnit], default="nats",
+        help="entropy unit of the JSON result (default: nats)",
+    )
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("simulate", help="seeded +/-c tick process and drift estimate")
@@ -280,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep an inclusive grid and emit CSV, with S in both nats and bits, instead of JSON",
     )
     p.add_argument("--csv", metavar="PATH", help="write grid CSV to PATH (default stdout)")
-    p.add_argument("--unit", **unit_flag)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("scales", help="tick frequency and length for a mass")

@@ -27,8 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LightSpeedSingularity
-from .kinematics import BetaLike, DirectionDistribution, _betas, _reject_light_speed, _scalar
+from .errors import InvalidEntropy, LightSpeedSingularity
+from .kinematics import (
+    BetaLike, DirectionDistribution, _betas, _is_real, _reject_light_speed, _scalar,
+)
 
 __all__ = [
     "EntropyUnit",
@@ -70,30 +72,30 @@ class EntropyValue:
     unit: EntropyUnit
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"entropy must be finite, got {self.value!r}")
-        if self.value < 0.0 or self.value > self.unit.max_value + _RANGE_SLACK:
-            raise ValueError(
+        max_value = _require_unit(self.unit).max_value
+        # NaN fails the comparison too.
+        if not (_is_real(self.value) and 0.0 <= self.value <= max_value + _RANGE_SLACK):
+            raise InvalidEntropy(
                 f"entropy of a binary law must lie in [0, log 2] "
-                f"({self.unit.max_value} {self.unit.value}), got {self.value!r}"
+                f"({max_value} {self.unit.value}), got {self.value!r}"
             )
 
     def __float__(self) -> float:
         return self.value
 
-    def to(self, unit: EntropyUnit) -> "EntropyValue":
-        """Convert between nats and bits (value scales by ln 2)."""
-        if unit is self.unit:
-            return self
-        if unit is EntropyUnit.NATS:
-            return EntropyValue(self.value * math.log(2.0), unit)
-        return EntropyValue(self.value / math.log(2.0), unit)
+
+def _require_unit(unit: object) -> EntropyUnit:
+    """``unit`` if it is an ``EntropyUnit``; InvalidEntropy otherwise, for
+    the strings "nats" and "bits" too."""
+    if not isinstance(unit, EntropyUnit):
+        raise InvalidEntropy(f"unit must be an EntropyUnit, got {unit!r}")
+    return unit
 
 
 def _binary_entropy(p, q, unit: EntropyUnit) -> np.ndarray:
     # 0 log 0 = 0 by convention: log is only taken where the probability is
     # positive and is 0 elsewhere.  Each term is >= 0, so S >= 0 exactly.
-    log = unit.log
+    log = _require_unit(unit).log
     t_right = p * log(p, out=np.zeros_like(p), where=p > 0.0)
     t_left = q * log(q, out=np.zeros_like(q), where=q > 0.0)
     # "+ 0.0" normalizes -0.0 at the certainty boundary.

@@ -14,6 +14,7 @@ __all__ = [
     "IndeterminateComposition",
     "LightSpeedRapidity",
     "LightSpeedSingularity",
+    "InvalidEntropy",
     "NonPositiveMass",
     "UnknownParticle",
     "InvalidConfig",
@@ -45,6 +46,11 @@ class LightSpeedRapidity(ZitterError, ValueError):
 
 class LightSpeedSingularity(ZitterError, ValueError):
     """Lorentz factor / redshift factor requested at |beta| = 1."""
+
+
+class InvalidEntropy(ZitterError, ValueError):
+    """Entropy unit that is not an ``EntropyUnit``, or an entropy value
+    outside [0, log 2] (or not a number)."""
 
 
 class NonPositiveMass(ZitterError, ValueError):

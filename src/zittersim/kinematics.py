@@ -17,9 +17,9 @@ This module implements that calculus two independent ways (closed form and
 the probability route) plus the rapidity parametrization under which the
 composition is plain addition.  Each formula is one numpy expression: the
 ``*_array`` functions take scalars or (broadcasting) arrays, validate each
-input in one pass and raise on the first offending value; the scalar
-functions wrap them and return Python floats inside the dataclasses below.
-All functions are pure and thread-safe.
+input in one pass and raise on the first offending value;
+``velocity_addition`` wraps the closed form for one pair and returns a
+``Beta``.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -41,17 +41,12 @@ __all__ = [
     "Beta",
     "BetaLike",
     "DirectionDistribution",
-    "Rapidity",
     "direction_distribution_from_beta",
-    "beta_from_direction_distribution",
     "compose_frames",
     "velocity_addition",
     "velocity_addition_array",
-    "compose_velocity_via_probabilities",
     "compose_velocity_via_probabilities_array",
-    "rapidity_from_beta",
     "rapidity_from_beta_array",
-    "beta_from_rapidity",
 ]
 
 # Direction probabilities must sum to one within this additive tolerance.
@@ -102,22 +97,6 @@ class DirectionDistribution:
             )
 
 
-@dataclass(frozen=True)
-class Rapidity:
-    """Hyperbolic angle atanh(beta); additive under velocity composition."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise LightSpeedRapidity(
-                f"rapidity must be finite, got {self.value!r}"
-            )
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def direction_distribution_from_beta(v: BetaLike) -> DirectionDistribution:
     """Direction probabilities ((1+v)/2, (1-v)/2) for average velocity v.
 
@@ -127,11 +106,6 @@ def direction_distribution_from_beta(v: BetaLike) -> DirectionDistribution:
     b = Beta(v).value
     p_right = 0.5 * (1.0 + b)
     return DirectionDistribution(p_right=p_right, p_left=1.0 - p_right)
-
-
-def beta_from_direction_distribution(d: DirectionDistribution) -> Beta:
-    """Average velocity Pr(R) - Pr(L) of a direction distribution."""
-    return Beta(d.p_right - d.p_left)
 
 
 def _first(values: np.ndarray, bad: np.ndarray) -> float:
@@ -261,23 +235,8 @@ def compose_velocity_via_probabilities_array(
     return p_right - p_left
 
 
-def compose_velocity_via_probabilities(u: BetaLike, v: BetaLike) -> Beta:
-    """``compose_velocity_via_probabilities_array`` of two scalars, as a ``Beta``."""
-    return Beta(_scalar(compose_velocity_via_probabilities_array(u, v), u, v))
-
-
 def rapidity_from_beta_array(v: np.typing.ArrayLike) -> np.ndarray:
     """Elementwise rapidity atanh(v); raises LightSpeedRapidity at |v| = 1."""
     b = _betas(v)
     _reject_light_speed(b, LightSpeedRapidity, "rapidity diverges")
     return np.arctanh(b)
-
-
-def rapidity_from_beta(v: BetaLike) -> Rapidity:
-    """Rapidity atanh(v); raises LightSpeedRapidity at |v| = 1."""
-    return Rapidity(_scalar(rapidity_from_beta_array(v), v))
-
-
-def beta_from_rapidity(r: Rapidity) -> Beta:
-    """Inverse map tanh(rapidity) back to an average velocity."""
-    return Beta(math.tanh(float(r)))

@@ -25,8 +25,6 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "HBAR",
     "ParticleScale",
-    "zitter_frequency",
-    "zitter_length",
     "named_particles",
     "particle_mass",
     "scale_for_particle",
@@ -53,22 +51,6 @@ def _positive_real(value: object, error: type, message: str) -> float:
     return float(value)
 
 
-def _require_mass(mass_kg: float) -> float:
-    return _positive_real(mass_kg, NonPositiveMass, "mass must be a positive number of kg")
-
-
-def zitter_frequency(mass_kg: float) -> float:
-    """Tick angular frequency 2 m c^2 / hbar in rad/s."""
-    m = _require_mass(mass_kg)
-    return 2.0 * m * SPEED_OF_LIGHT**2 / HBAR
-
-
-def zitter_length(mass_kg: float) -> float:
-    """Characteristic length hbar / (2 m c) in meters; equals c / omega."""
-    m = _require_mass(mass_kg)
-    return HBAR / (2.0 * m * SPEED_OF_LIGHT)
-
-
 @dataclass(frozen=True)
 class ParticleScale:
     """Mass with its derived tick frequency and characteristic length."""
@@ -79,11 +61,13 @@ class ParticleScale:
 
     @classmethod
     def from_mass(cls, mass_kg: float) -> "ParticleScale":
-        m = _require_mass(mass_kg)
+        """Tick angular frequency 2 m c^2 / hbar in rad/s and characteristic
+        length hbar / (2 m c) = c / omega in meters of the mass ``mass_kg``."""
+        m = _positive_real(mass_kg, NonPositiveMass, "mass must be a positive number of kg")
         return cls(
             mass_kg=m,
-            omega_rad_per_s=zitter_frequency(m),
-            length_m=zitter_length(m),
+            omega_rad_per_s=2.0 * m * SPEED_OF_LIGHT**2 / HBAR,
+            length_m=HBAR / (2.0 * m * SPEED_OF_LIGHT),
         )
 
     @property

@@ -18,7 +18,7 @@ from . import entropy as ent
 from . import kinematics as kin
 from .errors import InvalidConfig
 from .scales import SPEED_OF_LIGHT, ParticleScale, scale_for_particle
-from .simulate import SimConfig, estimate_drift, generate_path, observe_from_moving_frame
+from .simulate import SimConfig, observe_from_moving_frame, simulate_drift
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "LEVELS"]
 
@@ -128,7 +128,7 @@ def _check_monte_carlo_drift(report: VerificationReport, ticks: int) -> None:
     worst_sigmas = 0.0
     for i, beta in enumerate((-0.9, -0.5, 0.0, 0.5, 0.9)):
         cfg = SimConfig(beta=beta, ticks=ticks, seed=20_000 + i)
-        est = estimate_drift(generate_path(cfg))
+        est = simulate_drift(cfg)
         bound = math.sqrt((1.0 - beta * beta) / ticks)
         worst_sigmas = max(worst_sigmas, abs(est.mean - beta) / bound)
     report.add(
@@ -171,9 +171,8 @@ def _check_frame_transform(report: VerificationReport, ticks: int) -> None:
 
 def _check_telegraph_consistency(report: VerificationReport, ticks: int) -> None:
     beta = 0.3
-    iid_est = estimate_drift(generate_path(SimConfig(beta=beta, ticks=ticks, seed=505)))
-    tg_cfg = SimConfig(beta=beta, ticks=ticks, seed=606, dynamics="telegraph")
-    tg_est = estimate_drift(generate_path(tg_cfg))
+    iid_est = simulate_drift(SimConfig(beta=beta, ticks=ticks, seed=505))
+    tg_est = simulate_drift(SimConfig(beta=beta, ticks=ticks, seed=606, dynamics="telegraph"))
     report.add(
         "telegraph_iid_drift_consistency",
         abs(tg_est.mean - iid_est.mean) / math.hypot(iid_est.std_error, tg_est.std_error),
@@ -184,9 +183,7 @@ def _check_telegraph_consistency(report: VerificationReport, ticks: int) -> None
 
 def _check_determinism(report: VerificationReport) -> None:
     cfg = SimConfig(beta=0.25, ticks=10_000, seed=99)
-    first = estimate_drift(generate_path(cfg))
-    second = estimate_drift(generate_path(cfg))
-    identical = first == second
+    identical = simulate_drift(cfg) == simulate_drift(cfg)
     report.add(
         "determinism_same_config_same_estimate",
         0.0 if identical else 1.0,

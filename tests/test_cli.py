@@ -246,11 +246,17 @@ class TestEntropy:
         code, out, _ = run_cli(capsys, "entropy", "--grid", f"{beta}:{beta}:1")
         assert code == 0
         row = out.splitlines()[1].split(",")
-        grid = {"nats": float(row[1]), "bits": float(row[2])}
-        for unit in ("nats", "bits"):
-            payload = run_json(capsys, "entropy", "--beta", beta, "--unit", unit)
-            assert (payload["S_nats"], payload["S_bits"]) == (grid["nats"], grid["bits"])
-            assert payload["S"] == grid[unit]
+        payload = run_json(capsys, "entropy", "--beta", beta)
+        assert (payload["S_nats"], payload["S_bits"]) == (float(row[1]), float(row[2]))
+        assert "S" not in payload and "unit" not in payload
+        assert payload["manifest"]["parameters"] == {"beta": float(beta)}
+
+    def test_unit_option_is_rejected(self, capsys):
+        # both units are always reported, so entropy takes no --unit
+        with pytest.raises(SystemExit) as info:
+            main(["entropy", "--beta", "0.6", "--unit", "bits"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --unit bits" in capsys.readouterr().err
 
     def test_superluminal_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "entropy", "--beta", "1.01")
@@ -514,7 +520,6 @@ _OPTIONS = {
             "--beta": _BETAS,
             "--grid": _GRIDS,
             "--csv": _OUTPUTS,
-            "--unit": st.sampled_from(["nats", "bits", "x"]),
         },
     ),
     "scales": ({}, {"--particle": _PARTICLES, "--mass-kg": _POSITIVE}),

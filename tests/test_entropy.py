@@ -14,11 +14,13 @@ from zittersim import (
     EntropyValue,
     LightSpeedSingularity,
     InvalidBeta,
+    InvalidEntropy,
+    ZitterError,
     entropy_from_beta,
     entropy_from_distribution,
     entropy_relativistic_form,
     lorentz_gamma,
-    rapidity_from_beta,
+    rapidity_from_beta_array,
     redshift_factor,
 )
 from zittersim.entropy import (
@@ -118,7 +120,7 @@ class TestRelativisticFactors:
     @given(v=INTERIOR)
     def test_log_redshift_is_rapidity(self, v):
         assert math.log(redshift_factor(v)) == pytest.approx(
-            rapidity_from_beta(v).value, abs=1e-12
+            rapidity_from_beta_array(v), abs=1e-12
         )
 
 
@@ -164,21 +166,30 @@ class TestUnits:
         bits = entropy_from_beta(v, EntropyUnit.BITS).value
         assert bits * LN2 == pytest.approx(nats, abs=1e-15)
 
-    def test_conversion_round_trip(self):
-        s = entropy_from_beta(0.3, EntropyUnit.NATS)
-        assert s.to(EntropyUnit.BITS).to(EntropyUnit.NATS).value == pytest.approx(
-            s.value, rel=1e-15
-        )
-        assert s.to(EntropyUnit.NATS) is s
-
     def test_value_range_is_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidEntropy):
             EntropyValue(-0.1, EntropyUnit.NATS)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidEntropy):
             EntropyValue(LN2 + 1e-6, EntropyUnit.NATS)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidEntropy):
             EntropyValue(1.1, EntropyUnit.BITS)
         EntropyValue(1.0, EntropyUnit.BITS)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: entropy_from_beta(0.5, "bits"),
+            lambda: entropy_from_beta_array([0.5], "bits"),
+            lambda: entropy_from_distribution(DirectionDistribution(0.5, 0.5), "nats"),
+            lambda: EntropyValue(0.5, "nats"),
+            lambda: EntropyValue(math.nan, EntropyUnit.BITS),
+            lambda: EntropyValue("0.5", EntropyUnit.NATS),
+        ],
+    )
+    def test_bad_unit_or_value_raises_invalid_entropy(self, call):
+        with pytest.raises(InvalidEntropy) as info:
+            call()
+        assert isinstance(info.value, ZitterError) and isinstance(info.value, ValueError)
 
 
 class TestArrayForms:

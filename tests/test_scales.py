@@ -17,8 +17,6 @@ from zittersim import (
     named_particles,
     particle_mass,
     scale_for_particle,
-    zitter_frequency,
-    zitter_length,
 )
 
 ELECTRON_MASS = 9.1093837015e-31
@@ -29,50 +27,50 @@ ELECTRON_LAMBDA = 1.9307963386214167e-13
 MASSES = st.floats(min_value=1e-31, max_value=1e-25, allow_nan=False)
 
 
+def omega(mass):
+    return ParticleScale.from_mass(mass).omega_rad_per_s
+
+
+def length(mass):
+    return ParticleScale.from_mass(mass).length_m
+
+
 class TestFrequency:
     def test_electron_value(self):
-        omega = zitter_frequency(ELECTRON_MASS)
-        assert omega == pytest.approx(ELECTRON_OMEGA, rel=1e-12)
-        assert 1.0e21 <= omega <= 2.0e21
+        assert omega(ELECTRON_MASS) == pytest.approx(ELECTRON_OMEGA, rel=1e-12)
+        assert 1.0e21 <= omega(ELECTRON_MASS) <= 2.0e21
 
     def test_linear_in_mass(self):
-        assert zitter_frequency(2.0 * ELECTRON_MASS) == 2.0 * zitter_frequency(ELECTRON_MASS)
+        assert omega(2.0 * ELECTRON_MASS) == 2.0 * omega(ELECTRON_MASS)
 
     @pytest.mark.parametrize("mass", [0.0, -1.0, math.nan])
     def test_rejects_non_positive_mass(self, mass):
         with pytest.raises(NonPositiveMass):
-            zitter_frequency(mass)
+            omega(mass)
 
 
 class TestLength:
     def test_electron_value(self):
-        lam = zitter_length(ELECTRON_MASS)
-        assert lam == pytest.approx(ELECTRON_LAMBDA, rel=1e-12)
-        assert 1.5e-13 <= lam <= 2.5e-13
+        assert length(ELECTRON_MASS) == pytest.approx(ELECTRON_LAMBDA, rel=1e-12)
+        assert 1.5e-13 <= length(ELECTRON_MASS) <= 2.5e-13
 
     def test_inverse_in_mass(self):
-        assert zitter_length(2.0 * ELECTRON_MASS) == 0.5 * zitter_length(ELECTRON_MASS)
+        assert length(2.0 * ELECTRON_MASS) == 0.5 * length(ELECTRON_MASS)
 
     @pytest.mark.parametrize("mass", [0.0, -3.0])
     def test_rejects_non_positive_mass(self, mass):
         with pytest.raises(NonPositiveMass):
-            zitter_length(mass)
+            length(mass)
 
     @given(mass=MASSES)
     def test_length_times_frequency_is_c(self, mass):
-        product = zitter_length(mass) * zitter_frequency(mass)
+        product = length(mass) * omega(mass)
         assert abs(product - SPEED_OF_LIGHT) / SPEED_OF_LIGHT <= 1e-12
 
 
 @pytest.mark.parametrize(
     "fn,mass",
-    [
-        (ParticleScale.from_mass, "x"),
-        (ParticleScale.from_mass, "1e-30"),
-        (ParticleScale.from_mass, True),
-        (zitter_frequency, None),
-        (zitter_length, [1e-30]),
-    ],
+    [(ParticleScale.from_mass, mass) for mass in ("x", "1e-30", True, None, [1e-30])],
 )
 def test_non_number_mass_raises_non_positive_mass(fn, mass):
     with pytest.raises(NonPositiveMass):
@@ -82,8 +80,10 @@ def test_non_number_mass_raises_non_positive_mass(fn, mass):
 class TestParticleScale:
     def test_from_mass_consistency(self):
         scale = ParticleScale.from_mass(ELECTRON_MASS)
-        assert scale.omega_rad_per_s == zitter_frequency(ELECTRON_MASS)
-        assert scale.length_m == zitter_length(ELECTRON_MASS)
+        assert scale.mass_kg == ELECTRON_MASS
+        # bit for bit the closed forms 2 m c^2 / hbar and hbar / (2 m c)
+        assert scale.omega_rad_per_s == ELECTRON_OMEGA
+        assert scale.length_m == ELECTRON_LAMBDA
         assert scale.frequency_hz == pytest.approx(
             scale.omega_rad_per_s / (2.0 * math.pi), rel=1e-15
         )

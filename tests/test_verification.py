@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import zittersim.verification as verification
-from zittersim import InvalidConfig
+from zittersim import InvalidConfig, simulate
 from zittersim.cli import main
 
 CHECK_NAMES = [
@@ -48,6 +48,17 @@ def test_report_shape():
 def test_check_names_in_order():
     report = verification.run_verification("fast")
     assert [c.name for c in report.checks] == CHECK_NAMES
+
+
+def test_monte_carlo_checks_run_through_simulate_drift(monkeypatch):
+    # verify holds the drift route the CLI ships, not the whole-path API
+    def whole_path_api(*args, **kwargs):
+        raise AssertionError("verify reached the whole-path API")
+
+    for module in (simulate, verification):
+        for name in ("generate_path", "estimate_drift"):
+            monkeypatch.setattr(module, name, whole_path_api, raising=False)
+    assert verification.run_verification("fast").passed
 
 
 def test_unknown_level_rejected():
