@@ -18,7 +18,6 @@ __all__ = [
     "NonPositiveMass",
     "UnknownParticle",
     "InvalidConfig",
-    "EmptyPath",
     "NoAcceptedTicks",
 ]
 
@@ -66,10 +65,6 @@ class UnknownParticle(ZitterError, KeyError):
 
 class InvalidConfig(ZitterError, ValueError):
     """Simulation configuration violates its invariants."""
-
-
-class EmptyPath(ZitterError, ValueError):
-    """Drift estimation requested for a path with no ticks."""
 
 
 class NoAcceptedTicks(ZitterError):

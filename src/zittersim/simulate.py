@@ -44,13 +44,12 @@ from typing import IO, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import EmptyPath, InvalidConfig, NoAcceptedTicks
+from .errors import InvalidConfig, NoAcceptedTicks
 from .kinematics import Beta, BetaLike, _is_real, _reject_antipodal
 from .scales import SPEED_OF_LIGHT, ParticleScale, _positive_real
 
 __all__ = [
     "SimConfig",
-    "ZitterPath",
     "DriftEstimate",
     "FrameObservation",
     "EnsembleResult",
@@ -196,48 +195,20 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class ZitterPath:
-    """A sample path of +/-1 tick directions.
-
-    Positions are the running sums scaled by the per-tick step length, so
-    they are in meters when the generating config carried a physical scale.
-    ``flip_probabilities`` are the telegraph flips the path was drawn with
-    (None for iid ticks), which ``estimate_drift``'s standard error needs.
-    """
+class _Path:
+    """The int8 directions ``generate_path`` drew and the config it drew them for."""
 
     directions: np.ndarray
-    tick_duration: float = 1.0
-    step_length: float = 1.0
-    seed: Optional[int] = None
-    flip_probabilities: Optional[tuple[float, float]] = None
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.directions)
-        if arr.ndim != 1:
-            raise InvalidConfig("directions must be a one-dimensional sequence")
-        # Values are checked before the int8 cast, which would wrap 255 to -1
-        # and truncate 1.7 to 1.  int8 is checked as in [-1, 1] without zeros,
-        # with no temporary as long as the path.
-        if arr.dtype == np.int8:
-            in_range = not arr.size or (arr.min() >= -1 and arr.max() <= 1)
-            ok = in_range and np.count_nonzero(arr) == arr.size
-        else:
-            ok = arr.dtype.kind in "iuf" and bool(np.all(np.abs(arr) == 1))
-        if not ok:
-            raise InvalidConfig("every step must be exactly +1 or -1")
-        object.__setattr__(self, "directions", arr.astype(np.int8, copy=False))
+    config: SimConfig
 
     def __len__(self) -> int:
         return int(self.directions.size)
 
-    @property
-    def positions(self) -> np.ndarray:
-        return np.cumsum(self.directions, dtype=np.int64) * self.step_length
-
 
 @dataclass(frozen=True)
 class DriftEstimate:
-    """Sample mean of tick directions with its binomial standard error."""
+    """Sample mean of tick directions with its standard error: binomial for
+    iid ticks, the exact one for a mean of correlated telegraph ticks."""
 
     mean: float
     std_error: float
@@ -310,8 +281,7 @@ def _path_sum(cfg: SimConfig, seed: int, stream: Optional[IO[str]] = None) -> in
 
 def _sum_blocks(blocks: Iterable[np.ndarray], stream: Optional[IO], step_length: float) -> int:
     """Direction sum of ``blocks``, written as path CSV when ``stream`` is given."""
-    total = 0
-    tick = 0
+    total = tick = 0
     if stream is not None:
         stream.write("tick,direction,position\n")
         blocks = (b[i : i + _CSV_ROWS] for b in blocks for i in range(0, b.size, _CSV_ROWS))
@@ -326,61 +296,60 @@ def _sum_blocks(blocks: Iterable[np.ndarray], stream: Optional[IO], step_length:
     return total
 
 
-def generate_path(cfg: SimConfig) -> ZitterPath:
-    """Generate a seeded sample path under the configured dynamics.
-
-    Identical configs (including seed) produce identical paths within one
-    implementation/platform.
-    """
+def generate_path(cfg: SimConfig) -> _Path:
+    """The whole path ``simulate_drift(cfg)`` reduces, one byte per tick."""
     rng = np.random.default_rng(cfg.seed)
     directions = np.empty(cfg.ticks, np.int8)
     start = 0
     for block in _direction_blocks(rng, cfg.ticks, cfg.p_right, cfg.flip_probabilities):
         directions[start : start + block.size] = block
         start += block.size
-    return ZitterPath(
-        directions=directions,
-        tick_duration=cfg.resolved_tick_duration,
-        step_length=cfg.step_length,
-        seed=cfg.seed,
-        flip_probabilities=cfg.flip_probabilities,
-    )
+    return _Path(directions, cfg)
 
 
 def _variance_inflation(flips: Optional[tuple[float, float]], n: int) -> float:
-    """Var(mean of n stationary ticks) over its iid value: 1 for iid ticks; the
-    telegraph lag-k correlations rho^k, rho = 1 - a - b, sum exactly to this."""
+    """Var(mean of n stationary ticks) over its iid value: 1 for iid ticks.
+    Telegraph flips (a, b) give lag-k correlations rho^k, rho = 1 - d, d = a + b,
+    which sum exactly to 1 + 2 rho h/(n d^2) with h = rho^n - 1 + n d.  h is
+    evaluated from d, not rho, so that it keeps its digits as d -> 0."""
     if flips is None:
         return 1.0
-    rho = 1.0 - flips[0] - flips[1]
-    return (1.0 + rho) / (1.0 - rho) - 2.0 * rho * (1.0 - rho**n) / (n * (1.0 - rho) ** 2)
+    d = flips[0] + flips[1]
+    if n * d >= 1.0:
+        h = (math.expm1(n * math.log1p(-d)) if d < 1.0 else (1.0 - d) ** n - 1.0) + n * d
+        h_ratio = h / (n * d * d)
+    else:
+        # h/(n d^2) = sum_{k=2..n} C(n, k) (-d)^(k-2) / n; terms shrink by n d/(k+1) < 1.
+        term, h_ratio, k = 0.5 * (n - 1), 0.0, 2
+        while h_ratio + term != h_ratio:
+            h_ratio += term
+            term *= -d * (n - k) / (k + 1)
+            k += 1
+    return 1.0 + 2.0 * (1.0 - d) * h_ratio
 
 
-def _estimate_from_sum(
-    total: int, n: int, seed: Optional[int], inflation: float = 1.0
-) -> DriftEstimate:
+def _estimate_from_sum(total: int, n: int, seed: Optional[int], inflation: float) -> DriftEstimate:
     mean = total / n
     std_error = math.sqrt(max(0.0, (1.0 - mean * mean) * inflation) / n)
     return DriftEstimate(mean=mean, std_error=std_error, n=n, seed=seed)
 
 
-def estimate_drift(path: ZitterPath) -> DriftEstimate:
-    """Sample mean of the tick directions with std error sqrt((1-m^2)/n),
-    times the exact telegraph inflation when the path carries its flips."""
-    n = len(path)
-    if n == 0:
-        raise EmptyPath("cannot estimate drift from an empty path")
-    total = int(np.sum(path.directions, dtype=np.int64))
-    inflation = _variance_inflation(path.flip_probabilities, n)
-    return _estimate_from_sum(total, n, path.seed, inflation)
+def _estimate(total: int, cfg: SimConfig) -> DriftEstimate:
+    """Drift estimate of ``cfg``'s path from the sum of its directions."""
+    inflation = _variance_inflation(cfg.flip_probabilities, cfg.ticks)
+    return _estimate_from_sum(total, cfg.ticks, cfg.seed, inflation)
+
+
+def estimate_drift(path: _Path) -> DriftEstimate:
+    """``simulate_drift`` of the config ``generate_path`` drew ``path`` for."""
+    return _estimate(int(np.sum(path.directions, dtype=np.int64)), path.config)
 
 
 def simulate_drift(cfg: SimConfig, stream: Optional[IO[str]] = None) -> DriftEstimate:
-    """``estimate_drift(generate_path(cfg))`` in bounded memory: the path is
-    reduced block by block and, with ``stream``, written as ``write_path_csv``
-    writes it in the same pass."""
-    inflation = _variance_inflation(cfg.flip_probabilities, cfg.ticks)
-    return _estimate_from_sum(_path_sum(cfg, cfg.seed, stream), cfg.ticks, cfg.seed, inflation)
+    """Sample mean of ``cfg``'s tick directions with its standard error, in
+    bounded memory: the path is reduced block by block and, with ``stream``,
+    written as ``write_path_csv`` writes it in the same pass."""
+    return _estimate(_path_sum(cfg, cfg.seed, stream), cfg)
 
 
 def observe_from_moving_frame(
@@ -420,7 +389,7 @@ def observe_from_moving_frame(
             "increase ticks to estimate this composition"
         )
     return FrameObservation(
-        estimate=_estimate_from_sum(total, n_retained, seed),
+        estimate=_estimate_from_sum(total, n_retained, seed, 1.0),
         acceptance_rate=n_retained / ticks,
         ticks_total=ticks,
     )
@@ -446,6 +415,6 @@ def run_ensemble(cfg: SimConfig, replicates: int) -> EnsembleResult:
     return EnsembleResult(replicates=estimates, pooled=pooled)
 
 
-def write_path_csv(path: ZitterPath, stream: IO[str]) -> None:
+def write_path_csv(path: _Path, stream: IO[str]) -> None:
     """Dump a path as CSV rows ``tick,direction,position`` (direction +1/-1)."""
-    _sum_blocks([path.directions], stream, path.step_length)
+    _sum_blocks([path.directions], stream, path.config.step_length)

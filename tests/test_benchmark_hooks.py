@@ -9,6 +9,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import io
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,28 @@ def test_tracer_install_and_uninstall_restore_every_name(perfbench):
     finally:
         tracer.uninstall()
     assert [dict(vars(owner)) for owner in PATCHED] == before
+
+
+def test_tracer_counts_the_whole_path_calls(perfbench):
+    # the tracer links an estimate to its path through a weakref and counts
+    # CSV rows with len(path), so the path record must support both
+    spans, _ = perfbench
+    # seed 8 draws a mean of exactly beta, where the tracer's exact standard
+    # error at beta and the estimate's at the sample mean coincide
+    cfg = simulate.SimConfig(beta=0.2, ticks=1_000, seed=8, dynamics="telegraph")
+    stream = io.StringIO()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        path = simulate.generate_path(cfg)
+        simulate.estimate_drift(path)
+        simulate.write_path_csv(path, stream)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["simulate.telegraph.ticks"] == cfg.ticks
+    assert tracer.se_ratio() == pytest.approx(1.0, abs=1e-12)
+    assert tracer.counts["simulate.csv.rows"] == stream.getvalue().count("\n") - 1 == cfg.ticks
+    assert tracer.counts["simulate.csv.bytes"] == len(stream.getvalue().encode())
 
 
 def test_peak_bytes_per_tick_imports_resolve(perfbench):

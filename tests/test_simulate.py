@@ -12,13 +12,11 @@ import numpy as np
 import pytest
 
 from zittersim import (
-    EmptyPath,
     IndeterminateComposition,
     InvalidBeta,
     InvalidConfig,
     NoAcceptedTicks,
     SimConfig,
-    ZitterPath,
     derive_seed,
     estimate_drift,
     generate_path,
@@ -199,51 +197,32 @@ class TestGeneratePath:
         assert flips < 200
 
     def test_positions_are_scaled_cumulative_sums(self):
-        path = generate_path(SimConfig(beta=1.0, ticks=4, seed=1, tick_duration=0.5))
-        assert np.allclose(path.positions, [0.5, 1.0, 1.5, 2.0])
+        cfg = SimConfig(beta=1.0, ticks=4, seed=1, tick_duration=0.5)
+        assert _csv_positions(cfg) == [0.5, 1.0, 1.5, 2.0]
 
     def test_physical_positions_in_meters(self):
         scale = scale_for_particle("electron")
         cfg = SimConfig(beta=1.0, ticks=3, seed=1, scale=scale)
-        path = generate_path(cfg)
-        assert path.positions[-1] == pytest.approx(3.0 * scale.length_m, rel=1e-12)
+        assert _csv_positions(cfg)[-1] == pytest.approx(3.0 * scale.length_m, rel=1e-12)
 
     def test_path_carries_seed(self):
-        assert generate_path(SimConfig(beta=0.0, ticks=5, seed=77)).seed == 77
+        cfg = SimConfig(beta=0.0, ticks=5, seed=77)
+        assert estimate_drift(generate_path(cfg)).seed == 77
+        assert simulate_drift(cfg).seed == 77
+
+
+def _csv_positions(cfg: SimConfig) -> list[float]:
+    """The position column of ``cfg``'s path CSV."""
+    buf = io.StringIO()
+    simulate_drift(cfg, buf)
+    return [float(row.split(",")[2]) for row in buf.getvalue().splitlines()[1:]]
 
 
 class TestZitterPath:
-    def test_rejects_non_unit_steps(self):
-        with pytest.raises(InvalidConfig):
-            ZitterPath(directions=np.array([1, 2, -1]))
+    """The whole path that ``generate_path`` returns."""
 
     def test_length(self):
-        assert len(ZitterPath(directions=np.array([1, -1, 1]))) == 3
-
-    @pytest.mark.parametrize(
-        "directions",
-        [
-            np.array([255, 1, 511]),  # wraps to [-1, 1, -1] as int8
-            [1.7, -1.2],  # truncates to [1, -1] as int8
-            np.array([1, -128], dtype=np.int8),
-            np.array([1, 0, -1], dtype=np.int8),
-            [1.0, math.nan],
-            [True, True],
-            ["1", "-1"],
-        ],
-        ids=["int-wraps", "float-truncates", "int8-min", "int8-zero", "nan", "bool", "str"],
-    )
-    def test_values_checked_before_int8_cast(self, directions):
-        with pytest.raises(InvalidConfig):
-            ZitterPath(directions=directions)
-
-    @pytest.mark.parametrize(
-        "directions", [[1, -1], [1.0, -1.0], np.array([-1, 1], np.int16), []]
-    )
-    def test_accepts_unit_steps_of_any_real_dtype(self, directions):
-        path = ZitterPath(directions=directions)
-        assert path.directions.dtype == np.int8
-        assert path.directions.tolist() == [int(d) for d in directions]
+        assert len(generate_path(SimConfig(beta=0.0, ticks=3, seed=1))) == 3
 
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
     def test_generate_path_holds_one_byte_per_tick(self, dynamics):
@@ -255,31 +234,41 @@ class TestZitterPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the int8 path plus one block's sampling temporaries; validating the
-        # path with full-length temporaries would add 2 bytes per tick
+        # the int8 path plus one block's sampling temporaries; concatenating
+        # the blocks would hold the path twice
         assert peak < ticks + 40 * simulate._CHUNK
+
+
+def _estimate_of(cfg: SimConfig, directions: list[int]):
+    """``estimate_drift`` of ``cfg``'s path, which must draw ``directions``;
+    ``simulate_drift`` must agree with it."""
+    path = generate_path(cfg)
+    assert path.directions.tolist() == directions
+    est = estimate_drift(path)
+    assert simulate_drift(cfg) == est
+    return est
 
 
 class TestEstimateDrift:
     def test_all_right(self):
-        est = estimate_drift(ZitterPath(directions=np.array([1, 1, 1, 1])))
+        est = _estimate_of(SimConfig(beta=1.0, ticks=4, seed=1), [1, 1, 1, 1])
         assert est.mean == 1.0
         assert est.std_error == 0.0
         assert est.n == 4
 
     def test_alternating(self):
-        est = estimate_drift(ZitterPath(directions=np.array([1, -1, 1, -1])))
+        est = _estimate_of(SimConfig(beta=0.0, ticks=4, seed=8), [1, -1, 1, -1])
         assert est.mean == 0.0
+        # flips (1, 1) alternate every tick, so the mean of 4 ticks is exact
+        cfg = SimConfig(beta=0.0, ticks=4, seed=1, dynamics="telegraph", flip_asymmetry=(1, 1))
+        est = estimate_drift(generate_path(cfg))
+        assert (est.mean, est.std_error) == (0.0, 0.0)
 
     def test_three_quarters(self):
-        est = estimate_drift(ZitterPath(directions=np.array([1, 1, 1, -1])))
+        est = _estimate_of(SimConfig(beta=0.0, ticks=4, seed=2), [1, 1, -1, 1])
         assert est.mean == 0.5
         # sqrt((1 - 0.25)/4)
         assert est.std_error == pytest.approx(0.4330127018922193, abs=1e-15)
-
-    def test_empty_path_raises(self):
-        with pytest.raises(EmptyPath):
-            estimate_drift(ZitterPath(directions=np.array([], dtype=np.int8)))
 
 
 class TestObserveFromMovingFrame:
@@ -422,21 +411,23 @@ class TestPathCsv:
         assert lines[3] == "2,+1,3.0"
 
     def test_directions_signed(self):
-        path = ZitterPath(directions=np.array([-1, 1]))
+        # seed 1 draws [-1, -1, 1, -1]
+        path = generate_path(SimConfig(beta=0.0, ticks=4, seed=1))
         buf = io.StringIO()
         write_path_csv(path, buf)
         rows = buf.getvalue().strip().splitlines()[1:]
-        assert rows[0].split(",")[1] == "-1"
-        assert rows[1].split(",")[1] == "+1"
+        assert [row.split(",")[1] for row in rows] == ["-1", "-1", "+1", "-1"]
 
 
-def _reference_csv(path: ZitterPath) -> str:
-    """The per-row csv.writer dump the block writer replaced, kept as the
-    byte-for-byte reference."""
+def _reference_csv(cfg: SimConfig) -> str:
+    """The per-row csv.writer dump of ``cfg``'s path that the block writer
+    replaced, kept as the byte-for-byte reference."""
+    directions = generate_path(cfg).directions
+    positions = np.cumsum(directions, dtype=np.int64) * cfg.step_length
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["tick", "direction", "position"])
-    for tick, (direction, position) in enumerate(zip(path.directions, path.positions)):
+    for tick, (direction, position) in enumerate(zip(directions, positions)):
         writer.writerow([tick, f"{int(direction):+d}", repr(float(position))])
     return buf.getvalue()
 
@@ -520,6 +511,25 @@ class TestChunkedSampler:
             math.sqrt((1 - est.mean**2) / 1_000 * factor), rel=1e-12
         )
 
+    @pytest.mark.parametrize("n", [10, 1000])
+    @pytest.mark.parametrize("d", [1.5, 0.5, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15])
+    def test_variance_inflation_matches_direct_sum(self, n, d):
+        # Var(mean) / iid value = 1 + 2 sum_k (1 - k/n) rho^k for rho = 1 - a - b
+        rho = 1.0 - d
+        direct = 1.0 + 2.0 * math.fsum((1.0 - k / n) * rho**k for k in range(1, n))
+        got = simulate._variance_inflation((0.5 * d, 0.5 * d), n)
+        assert got == pytest.approx(direct, rel=1e-9)
+
+    def test_near_frozen_pooled_std_error_matches_spread(self):
+        # (5e-12, 5e-12) flips almost never reverse within 100 ticks, so each
+        # replicate is nearly all +1 or all -1 and the inflation is ~n
+        replicates = 2_000
+        cfg = SimConfig(beta=0.0, ticks=100, seed=1, dynamics="telegraph",
+                        flip_asymmetry=(5e-12, 5e-12))
+        result = run_ensemble(cfg, replicates)
+        spread = statistics.stdev(e.mean for e in result.replicates) / math.sqrt(replicates)
+        assert result.pooled.std_error == pytest.approx(spread, rel=0.1)
+
     @pytest.mark.parametrize(
         "reduce",
         [
@@ -553,10 +563,9 @@ class TestBlockCsvWriter:
         ids=["unit-steps", "telegraph", "electron"],
     )
     def test_byte_identical_to_csv_writer(self, cfg):
-        path = generate_path(cfg)
         buf = io.StringIO()
-        write_path_csv(path, buf)
-        _assert_same_text(buf.getvalue(), _reference_csv(path))
+        write_path_csv(generate_path(cfg), buf)
+        _assert_same_text(buf.getvalue(), _reference_csv(cfg))
 
     @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
     def test_streamed_dump_matches_path_dump(self, monkeypatch, chunk):
@@ -564,4 +573,4 @@ class TestBlockCsvWriter:
         cfg = SimConfig(beta=0.1, ticks=10_000, seed=9, scale=scale_for_particle("muon"))
         buf = io.StringIO()
         assert simulate_drift(cfg, buf) == simulate_drift(cfg)
-        _assert_same_text(buf.getvalue(), _reference_csv(generate_path(cfg)))
+        _assert_same_text(buf.getvalue(), _reference_csv(cfg))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import zittersim.verification as verification
-from zittersim import InvalidConfig, simulate
+from zittersim import InvalidConfig, cli, simulate
 from zittersim.cli import main
 
 CHECK_NAMES = [
@@ -50,15 +50,26 @@ def test_check_names_in_order():
     assert [c.name for c in report.checks] == CHECK_NAMES
 
 
-def test_monte_carlo_checks_run_through_simulate_drift(monkeypatch):
-    # verify holds the drift route the CLI ships, not the whole-path API
+def test_monte_carlo_checks_run_through_simulate_drift(monkeypatch, capsys, tmp_path):
+    # verify and the CLI hold the drift route they ship, not the whole-path API
     def whole_path_api(*args, **kwargs):
-        raise AssertionError("verify reached the whole-path API")
+        raise AssertionError("a product path reached the whole-path API")
 
-    for module in (simulate, verification):
-        for name in ("generate_path", "estimate_drift"):
+    for module in (simulate, cli, verification):
+        for name in ("generate_path", "estimate_drift", "write_path_csv"):
             monkeypatch.setattr(module, name, whole_path_api, raising=False)
     assert verification.run_verification("fast").passed
+    simulate_args = ["simulate", "--beta", "0.3", "--ticks", "1000", "--seed", "1"]
+    for extra in (
+        [],
+        ["--dynamics", "telegraph"],
+        ["--path", str(tmp_path / "path.csv")],
+        ["--replicates", "3"],
+    ):
+        assert main(simulate_args + extra) == 0, extra
+    assert main(["observe", "--u", "0.5", "--v", "0.5", "--ticks", "1000", "--seed", "1"]) == 0
+    assert main(["verify", "--level", "fast"]) == 0
+    capsys.readouterr()
 
 
 def test_unknown_level_rejected():
