@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -26,12 +27,7 @@ import numpy as np
 from . import __version__
 from . import entropy as ent
 from . import kinematics as kin
-from .errors import (
-    IndeterminateComposition,
-    LightSpeedSingularity,
-    NoAcceptedTicks,
-    ZitterError,
-)
+from .errors import IndeterminateComposition, NoAcceptedTicks, ZitterError
 from .scales import (
     HBAR, SPEED_OF_LIGHT, ParticleScale, named_particles, scale_for_particle,
 )
@@ -74,13 +70,14 @@ def _manifest(command: str, parameters: dict, seed: Optional[int]) -> dict:
 
 def _parse_grid(raw: str) -> tuple[float, float, int]:
     """Parse and validate ``start:stop:count`` of an endpoint-inclusive grid."""
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be start:stop:count, got {raw!r}")
-    start, stop = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    malformed = ValueError(f"grid must be start:stop:count with integer count >= 1, got {raw!r}")
+    try:
+        start, stop, count = raw.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise malformed from None
     if count < 1:
-        raise ValueError(f"grid count must be >= 1, got {count}")
+        raise malformed
     return kin.Beta(start).value, kin.Beta(stop).value, count
 
 
@@ -101,23 +98,34 @@ def _grid_slices(start: float, stop: float, count: int) -> Iterator[np.ndarray]:
         yield y
 
 
+def _entropy_columns(b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entropy table at velocities ``b``: beta, S in nats, S in bits,
+    gamma and 1+z, the last two nan at light speed."""
+    inside = np.abs(b) < 1.0
+    gamma, one_plus_z = np.full((2, b.size), np.nan)
+    gamma[inside] = ent.lorentz_gamma_array(b[inside])
+    one_plus_z[inside] = ent.redshift_factor_array(b[inside])
+    s_nats = ent.entropy_from_beta_array(b, ent.EntropyUnit.NATS)
+    s_bits = ent.entropy_from_beta_array(b, ent.EntropyUnit.BITS)
+    return b, s_nats, s_bits, gamma, one_plus_z
+
+
 def cmd_compose(args: argparse.Namespace) -> Result:
     unit = ent.EntropyUnit(args.unit)
-    u = kin.Beta(args.u)
-    v = kin.Beta(args.v)
-    w = kin.velocity_addition(u, v)
+    u, v = args.u, args.v
+    w = kin.velocity_addition_array(u, v).item()
     u_dist = kin.direction_distribution_from_beta(u)
     v_dist = kin.direction_distribution_from_beta(v)
     composed = kin.compose_frames(v_dist, u_dist)
-    payload = {"w": w.value, "unit": unit.value}
+    payload = {"w": w, "unit": unit.value}
     roles = (("observer", u, u_dist), ("particle", v, v_dist), ("composed", w, composed))
     for role, beta, dist in roles:
         payload[role] = {
-            "beta": beta.value,
+            "beta": beta,
             "distribution": asdict(dist),
-            "entropy": ent.entropy_from_distribution(dist, unit).value,
+            "entropy": ent.entropy_from_distribution(dist, unit),
         }
-    return payload, {"u": u.value, "v": v.value, "unit": unit.value}, None
+    return payload, {"u": u, "v": v, "unit": unit.value}, None
 
 
 def _build_config(args: argparse.Namespace) -> SimConfig:
@@ -173,34 +181,23 @@ def cmd_entropy(args: argparse.Namespace) -> Result:
         with target as fh:
             fh.write("beta,S_nats,S_bits,gamma,one_plus_z\n")
             for b in _grid_slices(*grid):
-                inside = np.abs(b) < 1.0  # gamma and 1+z are nan at light speed
-                gamma, one_plus_z = np.full((2, b.size), np.nan)
-                gamma[inside] = ent.lorentz_gamma_array(b[inside])
-                one_plus_z[inside] = ent.redshift_factor_array(b[inside])
-                s_nats = ent.entropy_from_beta_array(b, ent.EntropyUnit.NATS)
-                s_bits = ent.entropy_from_beta_array(b, ent.EntropyUnit.BITS)
-                columns = (b, s_nats, s_bits, gamma, one_plus_z)
-                rows = map("{!r},{!r},{!r},{!r},{!r}\n".format, *(c.tolist() for c in columns))
-                fh.write("".join(rows))
+                columns = (c.tolist() for c in _entropy_columns(b))
+                fh.write("".join(map("{!r},{!r},{!r},{!r},{!r}\n".format, *columns)))
         return None
-    b = kin.Beta(args.beta)
-    # Each unit is evaluated directly, as the grid CSV does, not converted.
-    s = {u: ent.entropy_from_beta(b, u).value for u in ent.EntropyUnit}
-    try:
-        gamma = ent.lorentz_gamma(b)
-        one_plus_z = ent.redshift_factor(b)
-        s_relativistic = ent.entropy_relativistic_form(b).value
-    except LightSpeedSingularity:
-        gamma = one_plus_z = s_relativistic = None
+    # The --grid beta:beta:1 row, with JSON null where the row has nan.
+    b = np.array([kin.Beta(args.beta).value])
+    row = [None if math.isnan(x) else x for x in np.concatenate(_entropy_columns(b)).tolist()]
+    beta, s_nats, s_bits, gamma, one_plus_z = row
+    s_relativistic = None if gamma is None else ent.entropy_relativistic_form_array(b).item()
     payload = {
-        "beta": b.value,
-        "S_nats": s[ent.EntropyUnit.NATS],
-        "S_bits": s[ent.EntropyUnit.BITS],
+        "beta": beta,
+        "S_nats": s_nats,
+        "S_bits": s_bits,
         "S_relativistic_nats": s_relativistic,
         "gamma": gamma,
         "one_plus_z": one_plus_z,
     }
-    return payload, {"beta": b.value}, None
+    return payload, {"beta": beta}, None
 
 
 def cmd_scales(args: argparse.Namespace) -> Result:

@@ -15,39 +15,27 @@ with gamma = (1 - beta^2)^(-1/2) and 1 + z = sqrt((1+beta)/(1-beta)).
 
 Logarithm base only changes the unit; nats are the default, bits optional.
 As in ``kinematics``, each formula is one numpy expression behind an
-``*_array`` function, and the scalar functions wrap it.  All functions are
-pure and thread-safe.
+``*_array`` function; ``entropy_from_distribution`` returns the entropy of
+one distribution as a float.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidEntropy, LightSpeedSingularity
-from .kinematics import (
-    BetaLike, DirectionDistribution, _betas, _is_real, _reject_light_speed, _scalar,
-)
+from .kinematics import DirectionDistribution, _betas, _reject_light_speed
 
 __all__ = [
     "EntropyUnit",
-    "EntropyValue",
     "entropy_from_distribution",
-    "entropy_from_beta",
     "entropy_from_beta_array",
-    "lorentz_gamma",
     "lorentz_gamma_array",
-    "redshift_factor",
     "redshift_factor_array",
-    "entropy_relativistic_form",
     "entropy_relativistic_form_array",
 ]
-
-# Upper-bound slack: rounding may land a hair above log 2 near beta = 0.
-_RANGE_SLACK = 1e-12
 
 
 class EntropyUnit(enum.Enum):
@@ -57,31 +45,6 @@ class EntropyUnit(enum.Enum):
     @property
     def log(self) -> np.ufunc:
         return np.log if self is EntropyUnit.NATS else np.log2
-
-    @property
-    def max_value(self) -> float:
-        """Entropy of the fair coin, log 2 in this unit's base."""
-        return math.log(2.0) if self is EntropyUnit.NATS else 1.0
-
-
-@dataclass(frozen=True)
-class EntropyValue:
-    """A Shannon entropy together with its unit; bounded by [0, log 2]."""
-
-    value: float
-    unit: EntropyUnit
-
-    def __post_init__(self) -> None:
-        max_value = _require_unit(self.unit).max_value
-        # NaN fails the comparison too.
-        if not (_is_real(self.value) and 0.0 <= self.value <= max_value + _RANGE_SLACK):
-            raise InvalidEntropy(
-                f"entropy of a binary law must lie in [0, log 2] "
-                f"({max_value} {self.unit.value}), got {self.value!r}"
-            )
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _require_unit(unit: object) -> EntropyUnit:
@@ -104,9 +67,9 @@ def _binary_entropy(p, q, unit: EntropyUnit) -> np.ndarray:
 
 def entropy_from_distribution(
     d: DirectionDistribution, unit: EntropyUnit = EntropyUnit.NATS
-) -> EntropyValue:
+) -> float:
     """Shannon entropy -p log p - q log q of a direction distribution."""
-    return EntropyValue(float(_binary_entropy(d.p_right, d.p_left, unit)), unit)
+    return float(_binary_entropy(d.p_right, d.p_left, unit))
 
 
 def entropy_from_beta_array(
@@ -122,13 +85,6 @@ def entropy_from_beta_array(
     return _binary_entropy(0.5 * (1.0 + b), 0.5 * (1.0 - b), unit)
 
 
-def entropy_from_beta(
-    v: BetaLike, unit: EntropyUnit = EntropyUnit.NATS
-) -> EntropyValue:
-    """Entropy written directly in terms of the average velocity."""
-    return EntropyValue(_scalar(entropy_from_beta_array(v, unit), v), unit)
-
-
 def lorentz_gamma_array(v: np.typing.ArrayLike) -> np.ndarray:
     """Elementwise Lorentz factor (1 - beta^2)^(-1/2); raises
     LightSpeedSingularity at |beta| = 1, where it diverges.
@@ -141,22 +97,12 @@ def lorentz_gamma_array(v: np.typing.ArrayLike) -> np.ndarray:
     return 1.0 / np.sqrt((1.0 - b) * (1.0 + b))
 
 
-def lorentz_gamma(v: BetaLike) -> float:
-    """Lorentz factor (1 - beta^2)^(-1/2); diverges at |beta| = 1."""
-    return _scalar(lorentz_gamma_array(v), v)
-
-
 def redshift_factor_array(v: np.typing.ArrayLike) -> np.ndarray:
     """Elementwise collinear Doppler factor 1 + z = sqrt((1+beta)/(1-beta)),
     which equals exp(rapidity); raises LightSpeedSingularity at |beta| = 1."""
     b = _betas(v)
     _reject_light_speed(b, LightSpeedSingularity, "redshift factor is singular")
     return np.sqrt((1.0 + b) / (1.0 - b))
-
-
-def redshift_factor(v: BetaLike) -> float:
-    """Collinear Doppler factor 1 + z; singular at |beta| = 1."""
-    return _scalar(redshift_factor_array(v), v)
 
 
 def entropy_relativistic_form_array(v: np.typing.ArrayLike) -> np.ndarray:
@@ -171,8 +117,3 @@ def entropy_relativistic_form_array(v: np.typing.ArrayLike) -> np.ndarray:
     # Rounding of the difference may dip microscopically below zero near the
     # (excluded) boundary; the value is an entropy, keep it in range.
     return np.maximum(s, 0.0)
-
-
-def entropy_relativistic_form(v: BetaLike) -> EntropyValue:
-    """Entropy via the decomposition S = log(2 gamma) - beta log(1+z), nats."""
-    return EntropyValue(_scalar(entropy_relativistic_form_array(v), v), EntropyUnit.NATS)

@@ -12,7 +12,6 @@ __all__ = [
     "InvalidBeta",
     "InvalidDistribution",
     "IndeterminateComposition",
-    "LightSpeedRapidity",
     "LightSpeedSingularity",
     "InvalidEntropy",
     "NonPositiveMass",
@@ -39,17 +38,13 @@ class IndeterminateComposition(ZitterError):
     of light in opposite directions, so the normalizer vanishes."""
 
 
-class LightSpeedRapidity(ZitterError, ValueError):
-    """Rapidity requested for |beta| = 1, where atanh diverges."""
-
-
 class LightSpeedSingularity(ZitterError, ValueError):
-    """Lorentz factor / redshift factor requested at |beta| = 1."""
+    """Lorentz factor, redshift factor 1 + z or rapidity log(1 + z)
+    requested at |beta| = 1, where each diverges."""
 
 
 class InvalidEntropy(ZitterError, ValueError):
-    """Entropy unit that is not an ``EntropyUnit``, or an entropy value
-    outside [0, log 2] (or not a number)."""
+    """Entropy unit that is not an ``EntropyUnit``."""
 
 
 class NonPositiveMass(ZitterError, ValueError):

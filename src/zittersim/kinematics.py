@@ -17,9 +17,8 @@ This module implements that calculus two independent ways (closed form and
 the probability route) plus the rapidity parametrization under which the
 composition is plain addition.  Each formula is one numpy expression: the
 ``*_array`` functions take scalars or (broadcasting) arrays, validate each
-input in one pass and raise on the first offending value;
-``velocity_addition`` wraps the closed form for one pair and returns a
-``Beta``.  All functions are pure and thread-safe.
+input in one pass and raise on the first offending value; a scalar input
+gives a 0-d array.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .errors import (
     IndeterminateComposition,
     InvalidBeta,
     InvalidDistribution,
-    LightSpeedRapidity,
+    LightSpeedSingularity,
 )
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "DirectionDistribution",
     "direction_distribution_from_beta",
     "compose_frames",
-    "velocity_addition",
     "velocity_addition_array",
     "compose_velocity_via_probabilities_array",
     "rapidity_from_beta_array",
@@ -64,7 +62,10 @@ class Beta:
     value: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", _scalar(_betas(self.value), self.value))
+        b = _betas(self.value)
+        if b.ndim:
+            raise InvalidBeta(f"beta must be a real number, got {self.value!r}")
+        object.__setattr__(self, "value", float(b))
 
     def __float__(self) -> float:
         return self.value
@@ -136,15 +137,6 @@ def _betas(v: np.typing.ArrayLike) -> np.ndarray:
     return arr
 
 
-def _scalar(result: np.ndarray, *betas: BetaLike) -> float:
-    """The 0-d ``result`` of a scalar call as a Python float; raises
-    InvalidBeta, naming the first input that was not a single number."""
-    if result.ndim:
-        bad = next(b for b in betas if np.ndim(b))
-        raise InvalidBeta(f"beta must be a real number, got {bad!r}")
-    return float(result)
-
-
 def _reject_antipodal(u: np.ndarray, v: np.ndarray) -> None:
     """Raise IndeterminateComposition at the first opposite light-speed pair."""
     bad = (np.abs(u) == 1.0) & (u == -v)
@@ -212,11 +204,6 @@ def velocity_addition_array(u: np.typing.ArrayLike, v: np.typing.ArrayLike) -> n
     return np.minimum(np.maximum((u + v) / (1.0 + u * v), -1.0), 1.0)
 
 
-def velocity_addition(u: BetaLike, v: BetaLike) -> Beta:
-    """``velocity_addition_array`` of two scalars, as a ``Beta``."""
-    return Beta(_scalar(velocity_addition_array(u, v), u, v))
-
-
 def compose_velocity_via_probabilities_array(
     u: np.typing.ArrayLike, v: np.typing.ArrayLike
 ) -> np.ndarray:
@@ -236,7 +223,8 @@ def compose_velocity_via_probabilities_array(
 
 
 def rapidity_from_beta_array(v: np.typing.ArrayLike) -> np.ndarray:
-    """Elementwise rapidity atanh(v); raises LightSpeedRapidity at |v| = 1."""
+    """Elementwise rapidity atanh(v) = log(1+z); raises LightSpeedSingularity
+    at |v| = 1."""
     b = _betas(v)
-    _reject_light_speed(b, LightSpeedRapidity, "rapidity diverges")
+    _reject_light_speed(b, LightSpeedSingularity, "rapidity diverges")
     return np.arctanh(b)

@@ -248,6 +248,10 @@ class TestEntropy:
         row = out.splitlines()[1].split(",")
         payload = run_json(capsys, "entropy", "--beta", beta)
         assert (payload["S_nats"], payload["S_bits"]) == (float(row[1]), float(row[2]))
+        # gamma and 1+z are the row's, or null where the row has nan (|beta| = 1)
+        factors = [None if math.isnan(x) else x for x in map(float, row[3:])]
+        assert [payload["gamma"], payload["one_plus_z"]] == factors
+        assert (None in factors) == (abs(float(beta)) == 1.0)
         assert "S" not in payload and "unit" not in payload
         assert payload["manifest"]["parameters"] == {"beta": float(beta)}
 
@@ -306,8 +310,11 @@ class TestEntropy:
         assert len(lines) == 4
 
     def test_bad_grid_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "entropy", "--grid", "0:0.5")
-        assert code == 2
+        for raw in ("0:0.5", "0:0.5:1e3", "a:0.5:3", "0:0.5:0"):
+            code, out, err = run_cli(capsys, "entropy", "--grid", raw)
+            assert code == 2 and out == ""
+            assert err.startswith("error: grid must be start:stop:count")
+            assert err.endswith(f"got {raw!r}\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize("count", [1, 2, 4095, 4097, 10_000])
     @pytest.mark.parametrize("start,stop", [(-0.99, 0.99), (0.7, -0.2), (0.3, 0.3), (0.0, 1e-320)])
@@ -435,6 +442,25 @@ class TestKeyOrder:
     MANIFEST = ["command", "parameters", "seed", "constants", "version", "rng", "timestamp"]
     SIMULATE = ["beta", "ticks", "dynamics", "flip_asymmetry", "tick_duration", "particle",
                 "replicates"]
+
+    ROLE = ["beta", "distribution", "entropy"]
+
+    def test_compose(self, capsys):
+        payload = run_json(capsys, "compose", "--u", "0.5", "--v", "0.4")
+        assert list(payload) == ["w", "unit", "observer", "particle", "composed", "manifest"]
+        for role in ("observer", "particle", "composed"):
+            assert list(payload[role]) == self.ROLE
+            assert list(payload[role]["distribution"]) == ["p_right", "p_left"]
+        assert list(payload["manifest"]) == self.MANIFEST
+        assert list(payload["manifest"]["parameters"]) == ["u", "v", "unit"]
+
+    @pytest.mark.parametrize("beta", ["0.6", "1"])
+    def test_entropy_beta(self, capsys, beta):
+        payload = run_json(capsys, "entropy", "--beta", beta)
+        assert list(payload) == ["beta", "S_nats", "S_bits", "S_relativistic_nats", "gamma",
+                                 "one_plus_z", "manifest"]
+        assert list(payload["manifest"]) == self.MANIFEST
+        assert list(payload["manifest"]["parameters"]) == ["beta"]
 
     def test_simulate(self, capsys):
         payload = run_json(capsys, "simulate", "--beta", "0.2", "--ticks", "100", "--seed", "3")

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import zittersim
 from zittersim import entropy, errors, kinematics, scales, simulate, verification
 
 MODULES = (errors, kinematics, entropy, simulate, scales, verification)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_is_version_plus_the_modules_all():
@@ -19,3 +22,10 @@ def test_every_exported_name_resolves():
         value = getattr(zittersim, name)
         if name != "__version__":
             assert value is getattr(owner[name], name), name
+
+
+def test_readme_library_example_runs():
+    # fails as soon as the README imports a name the package no longer exports
+    library = README.read_text().split("## Library", 1)[1]
+    example = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, str(README), "exec"), {})

@@ -25,7 +25,7 @@ from zittersim import (
     scale_for_particle,
     simulate,
     simulate_drift,
-    velocity_addition,
+    velocity_addition_array,
     write_path_csv,
 )
 
@@ -313,7 +313,7 @@ class TestObserveFromMovingFrame:
             for v in values:
                 seed += 1
                 obs = observe_from_moving_frame(u, v, ticks=n, seed=seed)
-                expected = velocity_addition(u, v).value
+                expected = velocity_addition_array(u, v)
                 assert abs(obs.estimate.mean - expected) <= 5.0 * obs.estimate.std_error
                 z = 0.5 * (1.0 + u * v)
                 sigma = math.sqrt(z * (1.0 - z) / n)
