@@ -36,6 +36,7 @@ from .simulate import (
     DYNAMICS,
     STREAM_LAYOUT,
     SimConfig,
+    _validate_int,
     observe_from_moving_frame,
     run_ensemble,
     simulate_drift,
@@ -144,6 +145,8 @@ def _build_config(args: argparse.Namespace) -> SimConfig:
 
 def cmd_simulate(args: argparse.Namespace) -> Result:
     cfg = _build_config(args)
+    # A bad count is the error to report, whatever else the command asks for.
+    _validate_int("replicates", args.replicates)
     parameters = {
         "beta": cfg.beta,
         "ticks": cfg.ticks,

@@ -31,13 +31,19 @@ to (u + v)/(1 + u v) and the acceptance rate to (1 + u v)/2.
 All randomness flows from a single 64-bit seed through numpy's PCG64;
 replicate streams are derived with the published SplitMix64 mixer, so runs
 are reproducible within one implementation/platform.  ``STREAM_LAYOUT``
-(recorded in run manifests) numbers the order of draws: layout 2 keeps
-layout 1's iid stream, draws telegraph run lengths, and interleaves observe's
-particle and observer draws per block.
+(recorded in run manifests) numbers the order of draws: layout 2 drew
+telegraph run lengths and interleaved observe's particle and observer draws
+per block; layout 3 keeps both and draws iid tick i from the i-th 16-bit
+digit of the raw PCG64 stream.  A tick is right iff that digit, followed by a
+64-bit word of a second stream when it ties with p's leading digit, reads
+below p = (1 + beta)/2.  p is a multiple of 2**-54, so those 80 bits hold it
+exactly and each tick is an exact Bernoulli(p) draw: Knuth & Yao's lazy
+comparison of random digits with p's expansion.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional
@@ -80,8 +86,9 @@ _CHUNK = 1 << 16
 # CSV rows formatted per write; a row holds ~100 bytes until it is written.
 _CSV_ROWS = 1 << 12
 
-# Version of the order in which the samplers draw from the PCG64 stream.
-STREAM_LAYOUT = 2
+# Version of the order in which the samplers draw from the PCG64 stream;
+# 3 reads each iid tick from a 16-bit digit of the raw stream.
+STREAM_LAYOUT = 3
 
 
 def _validate_int(name: str, value: object, low: int = 1, high: float = math.inf) -> int:
@@ -233,23 +240,87 @@ class EnsembleResult:
     pooled: DriftEstimate
 
 
+_NO_DIGITS = np.empty(0, np.uint16)
+
+
+class _Streams:
+    """The random streams of one seed.
+
+    ``bits`` is numpy's PCG64 at ``seed``: telegraph draws read it through a
+    Generator, and ``digits`` reads it as four 16-bit digits per 64-bit word,
+    in memory order (lowest first on little-endian machines).  Digits a block
+    leaves over go to the next one.  ``tie_words`` reads the 64-bit words of
+    a second stream that starts at ``PCG64(seed).jumped()``; it is created at
+    the first tie, so its origin depends on the seed alone and a path without
+    a tie never pays for it.
+    """
+
+    __slots__ = ("seed", "bits", "_carry", "_ties")
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self.bits = np.random.PCG64(seed)
+        self._carry = _NO_DIGITS
+        self._ties: Optional[np.random.PCG64] = None
+
+    def digits(self, k: int) -> np.ndarray:
+        """The next ``k`` 16-bit digits of ``bits``."""
+        digits = self._carry
+        if digits.size < k:
+            drawn = self.bits.random_raw((k - digits.size + 3) // 4).view(np.uint16)
+            if not digits.size and drawn.size == k:
+                return drawn
+            digits = np.concatenate((digits, drawn))
+        self._carry = digits[k:]
+        return digits[:k]
+
+    def tie_words(self, n: int) -> np.ndarray:
+        """The next ``n`` 64-bit words of the tie stream."""
+        if self._ties is None:
+            self._ties = np.random.PCG64(self.seed).jumped()
+        return self._ties.random_raw(n)
+
+
+# Cached: an ensemble of short paths would otherwise pay for it per path.
+@functools.lru_cache(maxsize=64)
+def _threshold(p_right: float) -> tuple[int, int]:
+    """(head, tail) with head * 2**64 + tail = p_right * 2**80 exactly.
+
+    (1 + beta) rounds to a multiple of 2**-53 for every float beta in
+    [-1, 1], so p_right * 2**80 is an integer of at most 2**80; head is
+    its leading 16-bit digit (65536 at p = 1) and tail the 64 bits below.
+    """
+    return divmod(int(math.ldexp(p_right, 80)), 1 << 64)
+
+
 def _direction_blocks(
-    rng: np.random.Generator, ticks: int, p_right: float, flips: Optional[tuple] = None
+    streams: _Streams, ticks: int, p_right: float, flips: Optional[tuple] = None
 ) -> Iterator[np.ndarray]:
     """Yield ``ticks`` +/-1 directions as int8 blocks of at most ``_CHUNK``.
 
-    iid tick i is right iff the i-th uniform is below ``p_right``, whatever
-    the block size.  Telegraph ``flips`` = (a, b) start the chain from its
-    stationary law and alternate runs of Geom(a) ticks right and Geom(b)
-    left; a run cut at a block edge goes on with a fresh draw, which the
-    geometric law's memorylessness makes exact.
+    iid tick i is right iff the i-th 16-bit digit of ``streams`` is below
+    ``head``, or equals it and the next tie word is below ``tail``
+    (``_threshold``), whatever the block size.  Telegraph ``flips`` = (a, b)
+    start the chain from its stationary law and alternate runs of Geom(a)
+    ticks right and Geom(b) left; a run cut at a block edge goes on with a
+    fresh draw, which the geometric law's memorylessness makes exact.
     """
     sizes = (min(_CHUNK, ticks - start) for start in range(0, ticks, _CHUNK))
     if flips is None:
+        head, tail = _threshold(p_right)
         for k in sizes:
+            digits = streams.digits(k)
             # 0/1 as int8, mapped to -1/+1: many times faster than np.where
-            yield (rng.random(k) < p_right).view(np.int8) * np.int8(2) - np.int8(1)
+            block = (digits < head).view(np.int8)
+            block += block
+            block -= 1
+            ties = digits == head
+            n_ties = np.count_nonzero(ties)
+            if n_ties:
+                block[ties] = np.where(streams.tie_words(n_ties) < tail, 1, -1)
+            yield block
         return
+    rng = np.random.Generator(streams.bits)
     state = 1 if rng.random() < p_right else -1
     for k in sizes:
         here, there = flips if state == 1 else flips[::-1]
@@ -274,8 +345,7 @@ def _direction_blocks(
 
 def _path_sum(cfg: SimConfig, seed: int, stream: Optional[IO[str]] = None) -> int:
     """Direction sum of ``cfg``'s path from ``seed``; with ``stream`` also its CSV."""
-    rng = np.random.default_rng(seed)
-    blocks = _direction_blocks(rng, cfg.ticks, cfg.p_right, cfg.flip_probabilities)
+    blocks = _direction_blocks(_Streams(seed), cfg.ticks, cfg.p_right, cfg.flip_probabilities)
     return _sum_blocks(blocks, stream, cfg.step_length)
 
 
@@ -298,10 +368,10 @@ def _sum_blocks(blocks: Iterable[np.ndarray], stream: Optional[IO], step_length:
 
 def generate_path(cfg: SimConfig) -> _Path:
     """The whole path ``simulate_drift(cfg)`` reduces, one byte per tick."""
-    rng = np.random.default_rng(cfg.seed)
     directions = np.empty(cfg.ticks, np.int8)
     start = 0
-    for block in _direction_blocks(rng, cfg.ticks, cfg.p_right, cfg.flip_probabilities):
+    blocks = _direction_blocks(_Streams(cfg.seed), cfg.ticks, cfg.p_right, cfg.flip_probabilities)
+    for block in blocks:
         directions[start : start + block.size] = block
         start += block.size
     return _Path(directions, cfg)
@@ -373,9 +443,10 @@ def observe_from_moving_frame(
     ticks = _validate_int("ticks", ticks)
     seed = _validate_int("seed", seed, 0, _MAX_SEED)
 
-    rng = np.random.default_rng(seed)
-    particle = _direction_blocks(rng, ticks, 0.5 * (1.0 + vf))
-    observer = _direction_blocks(rng, ticks, 0.5 * (1.0 + uf))
+    # zip draws particle block j, then observer block j, from the same streams.
+    streams = _Streams(seed)
+    particle = _direction_blocks(streams, ticks, 0.5 * (1.0 + vf))
+    observer = _direction_blocks(streams, ticks, 0.5 * (1.0 + uf))
     n_retained = total = 0
     for d, e in zip(particle, observer):
         # d + e is 2d on retained ticks (D = E) and 0 on the others.

@@ -170,6 +170,12 @@ class TestSimulate:
             "bit_generator": "PCG64",
             "stream_layout": simulate.STREAM_LAYOUT,
         }
+        # layout 3: iid ticks are 16-bit digits of the raw PCG64 stream
+        assert payload["manifest"]["rng"]["stream_layout"] == 3
+        observed = run_json(
+            capsys, "observe", "--u", "0.2", "--v", "0.3", "--ticks", "10", "--seed", "1"
+        )
+        assert observed["manifest"]["rng"]["stream_layout"] == 3
 
     def test_unwritable_path_exits_1(self, capsys, tmp_path):
         code, out, err = run_cli(
@@ -196,6 +202,16 @@ class TestSimulate:
             "--replicates", "2", "--path", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("replicates", ["0", "-3"])
+    def test_bad_replicates_reported_before_path(self, capsys, tmp_path, replicates):
+        code, out, err = run_cli(
+            capsys, "simulate", "--beta", "0", "--ticks", "10", "--seed", "1",
+            "--replicates", replicates, "--path", str(tmp_path / "x.csv"),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: replicates must be an integer in [1, inf), got {replicates}\n"
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestObserve:

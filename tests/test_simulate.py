@@ -7,9 +7,11 @@ import io
 import math
 import statistics
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from zittersim import (
     IndeterminateComposition,
@@ -257,7 +259,7 @@ class TestEstimateDrift:
         assert est.n == 4
 
     def test_alternating(self):
-        est = _estimate_of(SimConfig(beta=0.0, ticks=4, seed=8), [1, -1, 1, -1])
+        est = _estimate_of(SimConfig(beta=0.0, ticks=4, seed=4), [1, -1, 1, -1])
         assert est.mean == 0.0
         # flips (1, 1) alternate every tick, so the mean of 4 ticks is exact
         cfg = SimConfig(beta=0.0, ticks=4, seed=1, dynamics="telegraph", flip_asymmetry=(1, 1))
@@ -265,7 +267,7 @@ class TestEstimateDrift:
         assert (est.mean, est.std_error) == (0.0, 0.0)
 
     def test_three_quarters(self):
-        est = _estimate_of(SimConfig(beta=0.0, ticks=4, seed=2), [1, 1, -1, 1])
+        est = _estimate_of(SimConfig(beta=0.0, ticks=4, seed=34), [1, 1, -1, 1])
         assert est.mean == 0.5
         # sqrt((1 - 0.25)/4)
         assert est.std_error == pytest.approx(0.4330127018922193, abs=1e-15)
@@ -411,8 +413,8 @@ class TestPathCsv:
         assert lines[3] == "2,+1,3.0"
 
     def test_directions_signed(self):
-        # seed 1 draws [-1, -1, 1, -1]
-        path = generate_path(SimConfig(beta=0.0, ticks=4, seed=1))
+        # seed 41 draws [-1, -1, 1, -1]
+        path = generate_path(SimConfig(beta=0.0, ticks=4, seed=41))
         buf = io.StringIO()
         write_path_csv(path, buf)
         rows = buf.getvalue().strip().splitlines()[1:]
@@ -441,17 +443,88 @@ def _assert_same_text(got: str, want: str) -> None:
     assert identical, f"{len(got)} chars written, {len(want)} expected"
 
 
+def _layout3_ticks(beta: float, ticks: int, seed: int) -> np.ndarray:
+    """Stream layout 3's iid path drawn in one piece: tick i is right iff the
+    i-th 16-bit digit of PCG64(seed)'s raw words is below p's leading digit
+    head, or equals it and the next word of PCG64(seed).jumped() is below
+    the 64 bits of p that follow."""
+    head, tail = divmod(int(Fraction(0.5 * (1.0 + beta)) * 2**80), 2**64)
+    digits = np.random.PCG64(seed).random_raw(-(-ticks // 4)).view(np.uint16)[:ticks]
+    right = digits < head
+    ties = np.flatnonzero(digits == head)
+    right[ties] = np.random.PCG64(seed).jumped().random_raw(ties.size) < tail
+    return np.where(right, 1, -1)
+
+
+def _right_counts_chi2(counts: list[int], n: int, p: float) -> tuple[float, int]:
+    """Pearson X^2 of right-tick counts against Binomial(n, p), with bins
+    pooled from the left until each expects at least 5 paths; (X^2, df)."""
+    pmf = [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+    observed = np.bincount(counts, minlength=n + 1)
+    bins, expected, seen = [], 0.0, 0
+    for k in range(n + 1):
+        expected += pmf[k] * len(counts)
+        seen += int(observed[k])
+        if expected >= 5.0:
+            bins.append((expected, seen))
+            expected, seen = 0.0, 0
+    last = bins.pop()
+    bins.append((last[0] + expected, last[1] + seen))
+    chi2 = sum((o - e) ** 2 / e for e, o in bins)
+    return chi2, len(bins) - 1
+
+
 class TestChunkedSampler:
     @pytest.mark.parametrize("chunk", [1, 7, 4096, simulate._CHUNK])
     def test_iid_stream_independent_of_chunk_size(self, monkeypatch, chunk):
-        cfg = SimConfig(beta=0.3, ticks=10_000, seed=17)
-        # stream layout 1: tick i is right iff the i-th uniform is below p
-        expected = np.where(np.random.default_rng(17).random(10_000) < 0.65, 1, -1)
-        reference = (estimate_drift(generate_path(cfg)), run_ensemble(cfg, 3))
+        # 3e5 ticks hold ~5 ties per path, and chunks 1 and 7 carry digits
+        # across most block edges; -1 + 2**-52 has head 0, so only tie words
+        # can draw right
+        ticks = 300_000
+        small = SimConfig(beta=0.3, ticks=10_000, seed=17)
+        reference = (simulate_drift(small), run_ensemble(small, 3))
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
-        assert np.array_equal(generate_path(cfg).directions, expected)
-        assert simulate_drift(cfg) == reference[0]
-        assert run_ensemble(cfg, 3) == reference[1]
+        for beta in (0.3, 1.0, -1.0, 0.0, -1.0 + 2.0**-52):
+            cfg = SimConfig(beta=beta, ticks=ticks, seed=17)
+            directions = generate_path(cfg).directions
+            assert np.array_equal(directions, _layout3_ticks(beta, ticks, 17)), beta
+        assert simulate_drift(small) == reference[0]
+        assert run_ensemble(small, 3) == reference[1]
+
+    @given(st.floats(min_value=-1.0, max_value=1.0))
+    def test_threshold_is_p_in_80_bits(self, beta):
+        p = SimConfig(beta=beta, ticks=1, seed=0).p_right
+        head, tail = simulate._threshold(p)
+        assert 0 <= head <= 2**16 and 0 <= tail < 2**64
+        assert head * 2**64 + tail == Fraction(p) * 2**80
+
+    @pytest.mark.parametrize("beta,seed", [(-0.6, 61), (0.3, 62)])
+    def test_iid_right_counts_are_binomial(self, monkeypatch, beta, seed):
+        # 7-tick blocks carry digits across 7 of the 9 block edges
+        monkeypatch.setattr(simulate, "_CHUNK", 7)
+        n = 64
+        result = run_ensemble(SimConfig(beta=beta, ticks=n, seed=seed), 5_000)
+        counts = [round((e.mean + 1.0) * n / 2) for e in result.replicates]
+        chi2, df = _right_counts_chi2(counts, n, 0.5 * (1.0 + beta))
+        assert (chi2 - df) / math.sqrt(2.0 * df) < 5.0
+
+    @pytest.mark.parametrize(
+        "cfg,replicates,mean,std_error",
+        [
+            (SimConfig(beta=0.3, ticks=150_000, seed=2024, dynamics="telegraph"), 1,
+             0.30236, 0.0042627933427443684),
+            (SimConfig(beta=-0.6, ticks=150_000, seed=2025, dynamics="telegraph",
+                       flip_asymmetry=(0.4, 0.1)), 1,
+             -0.6032266666666667, 0.0035668247342521796),
+            (SimConfig(beta=0.3, ticks=1_000, seed=2026, dynamics="telegraph"), 5,
+             0.274, 0.023541759934210524),
+        ],
+        ids=["default-flips", "flips-0.4-0.1", "replicates"],
+    )
+    def test_telegraph_stream_unchanged(self, cfg, replicates, mean, std_error):
+        # golden values drawn under stream layout 2, which layout 3 keeps for telegraph
+        est = simulate_drift(cfg) if replicates == 1 else run_ensemble(cfg, replicates).pooled
+        assert (est.mean, est.std_error) == (mean, std_error)
 
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
     @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
