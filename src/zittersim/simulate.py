@@ -8,9 +8,7 @@ Pr(R) = (1 + beta)/2:
 * ``iid``       - each tick is an independent Bernoulli draw,
 * ``telegraph`` - a two-state Markov chain (discrete Kac telegraph process)
                   started from its stationary distribution, with per-tick
-                  flip probabilities (a, b), b/(a + b) = (1 + beta)/2.  Runs
-                  between reversals are Geom(a) ticks right and Geom(b) left,
-                  so paths are drawn as run lengths, not tick by tick.
+                  flip probabilities (a, b), b/(a + b) = (1 + beta)/2.
 
 Only the stationary statistics are physically constrained; what causes a
 reversal is deliberately left unmodeled, so the dynamics choice is a knob.
@@ -29,22 +27,21 @@ product law of the frame composition, so the retained-tick drift converges
 to (u + v)/(1 + u v) and the acceptance rate to (1 + u v)/2.
 
 All randomness flows from a single 64-bit seed through numpy's PCG64;
-replicate streams are derived with the published SplitMix64 mixer, so runs
-are reproducible within one implementation/platform.  ``STREAM_LAYOUT``
-(recorded in run manifests) numbers the order of draws: layout 2 drew
-telegraph run lengths and interleaved observe's particle and observer draws
-per block; layout 3 keeps both and draws iid tick i from the i-th 16-bit
-digit of the raw PCG64 stream.  A tick is right iff that digit, followed by a
-64-bit word of a second stream when it ties with p's leading digit, reads
-below p = (1 + beta)/2.  p is a multiple of 2**-54, so those 80 bits hold it
-exactly and each tick is an exact Bernoulli(p) draw: Knuth & Yao's lazy
-comparison of random digits with p's expansion.
+replicate streams are derived with the published SplitMix64 mixer.
+``STREAM_LAYOUT`` (recorded in run manifests) numbers the order of draws.
+Since layout 4 every draw is one exact Bernoulli(q) draw: the next 16-bit
+digit of the raw PCG64 stream, followed by a 64-bit word of a second stream
+when it ties with q's leading digit, reads below q's 80-bit expansion (Knuth
+& Yao).  Layout 3 drew iid ticks this way; layout 4 also draws the telegraph
+start and per-tick flips so.  A seed thus reproduces a run under one layout
+on any platform and numpy version that keeps PCG64's raw stream.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional
 
@@ -87,17 +84,22 @@ _CHUNK = 1 << 16
 _CSV_ROWS = 1 << 12
 
 # Version of the order in which the samplers draw from the PCG64 stream;
-# 3 reads each iid tick from a 16-bit digit of the raw stream.
-STREAM_LAYOUT = 3
+# 4 reads every iid tick and telegraph flip from a 16-bit digit of it.
+STREAM_LAYOUT = 4
+
+# Ticks per path stay below 2**63: the CSV positions are int64 tick sums.
+_MAX_TICKS = 2**63
 
 
 def _validate_int(name: str, value: object, low: int = 1, high: float = math.inf) -> int:
     """``value`` as a Python int in [low, high), as ``operator.index`` reads
-    it: numpy integers pass, bools and floats raise InvalidConfig."""
-    index = getattr(type(value), "__index__", None)
-    if isinstance(value, bool) or index is None or not low <= index(value) < high:
-        raise InvalidConfig(f"{name} must be an integer in [{low}, {high}), got {value!r}")
-    return index(value)
+    it: numpy integers pass, bools, floats and float arrays raise InvalidConfig."""
+    try:
+        if not isinstance(value, bool) and low <= operator.index(value) < high:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise InvalidConfig(f"{name} must be an integer in [{low}, {high}), got {value!r}")
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -132,7 +134,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", Beta(self.beta).value)
-        object.__setattr__(self, "ticks", _validate_int("ticks", self.ticks))
+        object.__setattr__(self, "ticks", _validate_int("ticks", self.ticks, 1, _MAX_TICKS))
         object.__setattr__(self, "seed", _validate_int("seed", self.seed, 0, _MAX_SEED))
         if self.dynamics not in DYNAMICS:
             raise InvalidConfig(f"dynamics must be one of {DYNAMICS}, got {self.dynamics!r}")
@@ -246,13 +248,12 @@ _NO_DIGITS = np.empty(0, np.uint16)
 class _Streams:
     """The random streams of one seed.
 
-    ``bits`` is numpy's PCG64 at ``seed``: telegraph draws read it through a
-    Generator, and ``digits`` reads it as four 16-bit digits per 64-bit word,
-    in memory order (lowest first on little-endian machines).  Digits a block
-    leaves over go to the next one.  ``tie_words`` reads the 64-bit words of
-    a second stream that starts at ``PCG64(seed).jumped()``; it is created at
-    the first tie, so its origin depends on the seed alone and a path without
-    a tie never pays for it.
+    ``bits`` is numpy's PCG64 at ``seed``.  ``digits`` reads its raw words as
+    four 16-bit digits each, least significant first on any platform; digits
+    a draw leaves over go to the next one.  ``tie_words`` reads the 64-bit
+    words of a second stream that starts at ``PCG64(seed).jumped()``; it is
+    created at the first tie, so its origin depends on the seed alone and a
+    path without a tie never pays for it.
     """
 
     __slots__ = ("seed", "bits", "_carry", "_ties")
@@ -267,7 +268,8 @@ class _Streams:
         """The next ``k`` 16-bit digits of ``bits``."""
         digits = self._carry
         if digits.size < k:
-            drawn = self.bits.random_raw((k - digits.size + 3) // 4).view(np.uint16)
+            drawn = self.bits.random_raw((k - digits.size + 3) // 4)
+            drawn = drawn.astype("<u8", copy=False).view("<u2")
             if not digits.size and drawn.size == k:
                 return drawn
             digits = np.concatenate((digits, drawn))
@@ -283,14 +285,26 @@ class _Streams:
 
 # Cached: an ensemble of short paths would otherwise pay for it per path.
 @functools.lru_cache(maxsize=64)
-def _threshold(p_right: float) -> tuple[int, int]:
-    """(head, tail) with head * 2**64 + tail = p_right * 2**80 exactly.
+def _threshold(q: float) -> tuple[int, int]:
+    """(head, tail) with head * 2**64 + tail = floor(q * 2**80): q's leading
+    16-bit digit (65536 at q = 1) and the 64 bits below.  1 + beta rounds to
+    a multiple of 2**-53, so p = (1 + beta)/2 and the default flips s * (1 - p),
+    s * p are exact; a user's flip asymmetry is truncated, a bias below 2**-80."""
+    return divmod(int(math.ldexp(q, 80)), 1 << 64)
 
-    (1 + beta) rounds to a multiple of 2**-53 for every float beta in
-    [-1, 1], so p_right * 2**80 is an integer of at most 2**80; head is
-    its leading 16-bit digit (65536 at p = 1) and tail the 64 bits below.
-    """
-    return divmod(int(math.ldexp(p_right, 80)), 1 << 64)
+
+def _bernoulli(streams: _Streams, k: int, q: float) -> np.ndarray:
+    """The next ``k`` exact Bernoulli(q) draws of ``streams`` as booleans: draw
+    i is true iff the i-th digit is below ``head``, or equals it and the next
+    tie word is below ``tail`` (``_threshold(q)``); q = 0 never draws true."""
+    head, tail = _threshold(q)
+    digits = streams.digits(k)
+    drawn = digits < head
+    ties = digits == head
+    n_ties = np.count_nonzero(ties)
+    if n_ties:
+        drawn[ties] = streams.tie_words(n_ties) < tail
+    return drawn
 
 
 def _direction_blocks(
@@ -298,49 +312,35 @@ def _direction_blocks(
 ) -> Iterator[np.ndarray]:
     """Yield ``ticks`` +/-1 directions as int8 blocks of at most ``_CHUNK``.
 
-    iid tick i is right iff the i-th 16-bit digit of ``streams`` is below
-    ``head``, or equals it and the next tie word is below ``tail``
-    (``_threshold``), whatever the block size.  Telegraph ``flips`` = (a, b)
-    start the chain from its stationary law and alternate runs of Geom(a)
-    ticks right and Geom(b) left; a run cut at a block edge goes on with a
-    fresh draw, which the geometric law's memorylessness makes exact.
+    iid tick i is right iff the i-th ``_bernoulli`` draw of p_right is true,
+    whatever the block size.  A telegraph chain with ``flips`` = (a, b) starts
+    right iff one draw of p_right is true.  Each block of k ticks then draws
+    k Bernoulli(a) right flips, then k Bernoulli(b) left flips: entry t says
+    whether a right or a left tick t would reverse, and the flips of the
+    block's last tick give the next block's first.
     """
-    sizes = (min(_CHUNK, ticks - start) for start in range(0, ticks, _CHUNK))
-    if flips is None:
-        head, tail = _threshold(p_right)
-        for k in sizes:
-            digits = streams.digits(k)
-            # 0/1 as int8, mapped to -1/+1: many times faster than np.where
-            block = (digits < head).view(np.int8)
-            block += block
-            block -= 1
-            ties = digits == head
-            n_ties = np.count_nonzero(ties)
-            if n_ties:
-                block[ties] = np.where(streams.tie_words(n_ties) < tail, 1, -1)
-            yield block
-        return
-    rng = np.random.Generator(streams.bits)
-    state = 1 if rng.random() < p_right else -1
-    for k in sizes:
-        here, there = flips if state == 1 else flips[::-1]
-        # Draw about 5 % more runs than k ticks need on average.
-        pairs = int(1.05 * k * here * there / (here + there)) + 16
-        lengths = np.empty(0, np.int64)
-        while lengths.sum() < k:
-            # A cap of k + 1 ticks keeps the run sums from overflowing and
-            # stands for the endless run of a state that never flips (q = 0).
-            runs = [np.minimum(rng.geometric(q, pairs), k + 1) if q else np.full(pairs, k + 1)
-                    for q in (here, there)]
-            lengths = np.concatenate([lengths, np.column_stack(runs).ravel()])
-        ends = np.cumsum(lengths)
-        used = int(np.searchsorted(ends, k)) + 1
-        lengths[used - 1] -= ends[used - 1] - k
-        signs = np.full(used, state, dtype=np.int8)
-        signs[1::2] = -state
-        yield np.repeat(signs, lengths[:used])
-        # The chain flips after a run that ends exactly at the block edge.
-        state = int(signs[-1]) * (-1 if ends[used - 1] == k else 1)
+    if flips is not None:
+        state = _bernoulli(streams, 1, p_right)
+    for k in (min(_CHUNK, ticks - start) for start in range(0, ticks, _CHUNK)):
+        if flips is None:
+            right = _bernoulli(streams, k, p_right)
+        else:
+            flip_right = _bernoulli(streams, k, flips[0])
+            flip_left = _bernoulli(streams, k, flips[1])
+            # Tick t + 1 keeps or reverses tick t where neither or both flips are set;
+            # where one is, it is right iff that is the left flip (its verdict).  The
+            # direction xor the reversal parity changes only there, as verdict xor parity.
+            toggle = flip_right & flip_left
+            known = np.flatnonzero(flip_right ^ flip_left)
+            verdict_xor_parity = flip_left[known] ^ np.logical_xor.accumulate(toggle)[known]
+            toggle[known] = np.diff(verdict_xor_parity, prepend=state)
+            right = np.concatenate((state, np.logical_xor.accumulate(toggle) ^ state))
+            state = right[k:]
+        # 0/1 as int8, mapped to -1/+1: many times faster than np.where
+        block = right[:k].view(np.int8)
+        block += block
+        block -= 1
+        yield block
 
 
 def _path_sum(cfg: SimConfig, seed: int, stream: Optional[IO[str]] = None) -> int:
@@ -440,7 +440,7 @@ def observe_from_moving_frame(
     vf = Beta(v).value
     # No tick of an antipodal light-speed pair is ever retained.
     _reject_antipodal(uf, vf)
-    ticks = _validate_int("ticks", ticks)
+    ticks = _validate_int("ticks", ticks, 1, _MAX_TICKS)
     seed = _validate_int("seed", seed, 0, _MAX_SEED)
 
     # zip draws particle block j, then observer block j, from the same streams.

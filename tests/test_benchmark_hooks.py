@@ -46,9 +46,9 @@ def test_tracer_counts_the_whole_path_calls(perfbench):
     # the tracer links an estimate to its path through a weakref and counts
     # CSV rows with len(path), so the path record must support both
     spans, _ = perfbench
-    # seed 8 draws a mean of exactly beta, where the tracer's exact standard
+    # seed 58 draws a mean of exactly beta, where the tracer's exact standard
     # error at beta and the estimate's at the sample mean coincide
-    cfg = simulate.SimConfig(beta=0.2, ticks=1_000, seed=8, dynamics="telegraph")
+    cfg = simulate.SimConfig(beta=0.2, ticks=1_000, seed=58, dynamics="telegraph")
     stream = io.StringIO()
     tracer = spans.Tracer()
     tracer.install()

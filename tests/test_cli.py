@@ -170,12 +170,12 @@ class TestSimulate:
             "bit_generator": "PCG64",
             "stream_layout": simulate.STREAM_LAYOUT,
         }
-        # layout 3: iid ticks are 16-bit digits of the raw PCG64 stream
-        assert payload["manifest"]["rng"]["stream_layout"] == 3
+        # layout 4: iid ticks and telegraph flips are 16-bit digits of the raw PCG64 stream
+        assert payload["manifest"]["rng"]["stream_layout"] == 4
         observed = run_json(
             capsys, "observe", "--u", "0.2", "--v", "0.3", "--ticks", "10", "--seed", "1"
         )
-        assert observed["manifest"]["rng"]["stream_layout"] == 3
+        assert observed["manifest"]["rng"]["stream_layout"] == 4
 
     def test_unwritable_path_exits_1(self, capsys, tmp_path):
         code, out, err = run_cli(
@@ -195,6 +195,14 @@ class TestSimulate:
         assert code == 2 and stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "observe"])
+    @pytest.mark.parametrize("ticks", [str(2**63), str(10**400)])
+    def test_huge_ticks_exit_2(self, capsys, command, ticks):
+        frame = ["--beta", "0"] if command == "simulate" else ["--u", "0", "--v", "0"]
+        code, out, err = run_cli(capsys, command, *frame, "--ticks", ticks, "--seed", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ticks must be an integer in [1, ") and err.count("\n") == 1
 
     def test_replicates_with_path_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -528,7 +536,7 @@ _POSITIVE = _mostly(
 )
 _TICKS = _mostly(
     st.integers(min_value=1, max_value=10_000).map(str),
-    st.sampled_from(["0", "-2", "1.5", "1e3", "0x10", "x"]),
+    st.sampled_from(["0", "-2", "1.5", "1e3", "0x10", "x", str(2**63), str(10**400)]),
 )
 _SEEDS = _mostly(
     st.integers(min_value=0, max_value=2**64 - 1).map(str),

@@ -359,11 +359,32 @@ TELEGRAPH = {"beta": 0.0, "ticks": 10, "seed": 1, "dynamics": "telegraph"}
         pytest.param(lambda: derive_seed(1, 1.5), id="index-float"),
         pytest.param(lambda: derive_seed(1, "2"), id="index-str"),
         pytest.param(lambda: derive_seed(1, True), id="index-bool"),
+        pytest.param(lambda: derive_seed(np.array(0.5), 1), id="seed-float-array"),
+        pytest.param(lambda: derive_seed(1, np.array(1.5)), id="index-float-array"),
+        pytest.param(lambda: SimConfig(beta=0.0, ticks=np.array(0.5), seed=1),
+                     id="ticks-float-array"),
+        pytest.param(lambda: SimConfig(beta=0.0, ticks=10, seed=np.array(0.5)),
+                     id="config-seed-float-array"),
+        pytest.param(lambda: observe_from_moving_frame(0.1, 0.2, ticks=np.array(0.5), seed=1),
+                     id="observe-ticks-float-array"),
+        pytest.param(lambda: observe_from_moving_frame(0.1, 0.2, ticks=10, seed=np.array(0.5)),
+                     id="observe-seed-float-array"),
+        pytest.param(lambda: run_ensemble(SimConfig(**TELEGRAPH), np.array(0.5)),
+                     id="replicates-float-array"),
+        pytest.param(lambda: SimConfig(beta=0.0, ticks=2**63, seed=1), id="ticks-2**63"),
+        pytest.param(lambda: SimConfig(beta=0.0, ticks=10**400, seed=1), id="ticks-10**400"),
+        pytest.param(lambda: observe_from_moving_frame(0.1, 0.2, ticks=2**63, seed=1),
+                     id="observe-ticks-2**63"),
     ],
 )
 def test_non_number_input_raises_invalid_config(make):
     with pytest.raises(InvalidConfig):
         make()
+
+
+def test_largest_ticks_accepted():
+    # the CSV positions are int64 sums of up to ticks directions; 2**63 raises
+    assert SimConfig(beta=0.0, ticks=np.uint64(2**63 - 1), seed=1).ticks == 2**63 - 1
 
 
 class TestRunEnsemble:
@@ -456,10 +477,58 @@ def _layout3_ticks(beta: float, ticks: int, seed: int) -> np.ndarray:
     return np.where(right, 1, -1)
 
 
-def _right_counts_chi2(counts: list[int], n: int, p: float) -> tuple[float, int]:
-    """Pearson X^2 of right-tick counts against Binomial(n, p), with bins
-    pooled from the left until each expects at least 5 paths; (X^2, df)."""
-    pmf = [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+def _layout4_ticks(cfg: SimConfig, chunk: int) -> list[int]:
+    """Stream layout 4's telegraph path, tick by tick.  One Bernoulli(p) draw
+    starts the chain right or left.  Each block of ``chunk`` ticks then draws
+    a right flip per tick, then a left flip per tick, and the tick after t
+    reverses tick t iff the flip of tick t's own direction is set.  Draw j of
+    Bernoulli(q) reads the j-th 16-bit digit of PCG64(seed)'s words, least
+    significant first; it is true iff the digit is below q's leading 16 bits,
+    or equals them and the next word of PCG64(seed).jumped() is below the 64
+    bits of q that follow."""
+    words = np.random.PCG64(cfg.seed).random_raw(-(-(1 + 2 * cfg.ticks) // 4)).tolist()
+    digits = iter([word >> shift & 0xFFFF for word in words for shift in (0, 16, 32, 48)])
+    ties = np.random.PCG64(cfg.seed).jumped()
+    a, b = cfg.flip_probabilities
+    thresholds = {q: divmod(math.floor(Fraction(q) * 2**80), 2**64) for q in (cfg.p_right, a, b)}
+
+    def draw(q: float) -> bool:
+        head, tail = thresholds[q]
+        digit = next(digits)
+        return digit < head or (digit == head and int(ties.random_raw()) < tail)
+
+    right = draw(cfg.p_right)
+    path = []
+    for start in range(0, cfg.ticks, chunk):
+        k = min(chunk, cfg.ticks - start)
+        flip_right = [draw(a) for _ in range(k)]
+        flip_left = [draw(b) for _ in range(k)]
+        for t in range(k):
+            path.append(1 if right else -1)
+            right ^= flip_right[t] if right else flip_left[t]
+    return path
+
+
+def _binomial_pmf(n: int, p: float) -> list[float]:
+    return [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+
+
+def _telegraph_pmf(n: int, p: float, a: float, b: float) -> np.ndarray:
+    """Exact law of the right-tick count of n stationary telegraph ticks with
+    flips (a, b): the forward recursion over (state, #right)."""
+    right, left = np.zeros(n + 1), np.zeros(n + 1)
+    right[1], left[0] = p, 1.0 - p
+    for _ in range(n - 1):
+        stay_or_enter = right * (1.0 - a) + left * b
+        right, left = np.concatenate(([0.0], stay_or_enter[:-1])), right * a + left * (1.0 - b)
+    return right + left
+
+
+def _right_counts_chi2(counts: list[int], pmf) -> tuple[float, int]:
+    """Pearson X^2 of right-tick counts against ``pmf`` over 0..n right ticks,
+    with bins pooled from the left until each expects at least 5 paths;
+    (X^2, df)."""
+    n = len(pmf) - 1
     observed = np.bincount(counts, minlength=n + 1)
     bins, expected, seen = [], 0.0, 0
     for k in range(n + 1):
@@ -491,12 +560,17 @@ class TestChunkedSampler:
         assert simulate_drift(small) == reference[0]
         assert run_ensemble(small, 3) == reference[1]
 
-    @given(st.floats(min_value=-1.0, max_value=1.0))
-    def test_threshold_is_p_in_80_bits(self, beta):
-        p = SimConfig(beta=beta, ticks=1, seed=0).p_right
-        head, tail = simulate._threshold(p)
+    @given(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
+    def test_threshold_is_p_in_80_bits(self, beta, q):
+        # any q in [0, 1] is truncated to 80 bits
+        head, tail = simulate._threshold(q)
         assert 0 <= head <= 2**16 and 0 <= tail < 2**64
-        assert head * 2**64 + tail == Fraction(p) * 2**80
+        assert head * 2**64 + tail == math.floor(Fraction(q) * 2**80)
+        # p and the default flips s * (1 - p), s * p lose nothing
+        cfg = SimConfig(beta=beta, ticks=1, seed=0, dynamics="telegraph")
+        for exact in (cfg.p_right, *cfg.flip_probabilities):
+            head, tail = simulate._threshold(exact)
+            assert head * 2**64 + tail == Fraction(exact) * 2**80
 
     @pytest.mark.parametrize("beta,seed", [(-0.6, 61), (0.3, 62)])
     def test_iid_right_counts_are_binomial(self, monkeypatch, beta, seed):
@@ -505,24 +579,79 @@ class TestChunkedSampler:
         n = 64
         result = run_ensemble(SimConfig(beta=beta, ticks=n, seed=seed), 5_000)
         counts = [round((e.mean + 1.0) * n / 2) for e in result.replicates]
-        chi2, df = _right_counts_chi2(counts, n, 0.5 * (1.0 + beta))
+        chi2, df = _right_counts_chi2(counts, _binomial_pmf(n, 0.5 * (1.0 + beta)))
         assert (chi2 - df) / math.sqrt(2.0 * df) < 5.0
+
+    @pytest.mark.parametrize(
+        "beta,flips,seed", [(0.3, None, 63), (-0.4, (0.035, 0.015), 64)],
+        ids=["default-flips", "slow-flips"],
+    )
+    def test_telegraph_right_counts_follow_exact_law(self, monkeypatch, beta, flips, seed):
+        # 64 ticks in 7-tick blocks carry the chain's state across 9 block edges
+        monkeypatch.setattr(simulate, "_CHUNK", 7)
+        n = 64
+        cfg = SimConfig(beta=beta, ticks=n, seed=seed, dynamics="telegraph", flip_asymmetry=flips)
+        result = run_ensemble(cfg, 3_000)
+        counts = [round((e.mean + 1.0) * n / 2) for e in result.replicates]
+        pmf = _telegraph_pmf(n, cfg.p_right, *cfg.flip_probabilities)
+        assert sum(pmf) == pytest.approx(1.0, abs=1e-12)
+        chi2, df = _right_counts_chi2(counts, pmf)
+        assert (chi2 - df) / math.sqrt(2.0 * df) < 5.0
+
+    @pytest.mark.parametrize(
+        "beta,flips",
+        [(0.3, None), (-0.6, (0.4, 0.1)), (0.0, (0.9, 0.9)), (-1.0, (0.3, 0.0)),
+         (0.0, (2.0**-20, 2.0**-20))],
+        ids=["default-flips", "flips-0.4-0.1", "flips-0.9-0.9", "never-left-flip", "tie-words"],
+    )
+    @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
+    def test_telegraph_stream_matches_tick_by_tick_reference(
+        self, monkeypatch, beta, flips, chunk
+    ):
+        # two whole blocks and a partial one
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        cfg = SimConfig(beta=beta, ticks=2 * chunk + 8_000, seed=31, dynamics="telegraph",
+                        flip_asymmetry=flips)
+        path = generate_path(cfg).directions
+        assert path.tolist() == _layout4_ticks(cfg, chunk)
+        if flips == (2.0**-20, 2.0**-20) and chunk > 8_000:
+            # a 2**-20 flip is a 0 digit (odds 2**-16) and then a tie word
+            # below 2**60 (odds 1/16): seed 31 draws one such flip
+            assert np.count_nonzero(path[1:] != path[:-1]) == 1
+
+    def test_digits_read_words_least_significant_first(self):
+        class BigEndianWords:
+            """PCG64's raw words, stored big-endian."""
+
+            def __init__(self, seed: int) -> None:
+                self.bits = np.random.PCG64(seed)
+
+            def random_raw(self, n: int) -> np.ndarray:
+                return self.bits.random_raw(n).astype(">u8")
+
+        native, swapped = simulate._Streams(5), simulate._Streams(5)
+        swapped.bits = BigEndianWords(5)
+        words = np.random.PCG64(5).random_raw(6).tolist()
+        expected = [word >> shift & 0xFFFF for word in words for shift in (0, 16, 32, 48)]
+        drawn = [streams.digits(k).tolist() for streams in (native, swapped) for k in (3, 1, 9, 8)]
+        assert drawn[:4] == drawn[4:]
+        assert sum(drawn[:4], []) == expected[:21]
 
     @pytest.mark.parametrize(
         "cfg,replicates,mean,std_error",
         [
             (SimConfig(beta=0.3, ticks=150_000, seed=2024, dynamics="telegraph"), 1,
-             0.30236, 0.0042627933427443684),
+             0.2978266666666667, 0.004269171292380309),
             (SimConfig(beta=-0.6, ticks=150_000, seed=2025, dynamics="telegraph",
                        flip_asymmetry=(0.4, 0.1)), 1,
-             -0.6032266666666667, 0.0035668247342521796),
+             -0.5962533333333333, 0.00359019841724753),
             (SimConfig(beta=0.3, ticks=1_000, seed=2026, dynamics="telegraph"), 5,
-             0.274, 0.023541759934210524),
+             0.3052, 0.02331064764505697),
         ],
         ids=["default-flips", "flips-0.4-0.1", "replicates"],
     )
-    def test_telegraph_stream_unchanged(self, cfg, replicates, mean, std_error):
-        # golden values drawn under stream layout 2, which layout 3 keeps for telegraph
+    def test_telegraph_stream_is_layout_4(self, cfg, replicates, mean, std_error):
+        # golden values drawn under stream layout 4
         est = simulate_drift(cfg) if replicates == 1 else run_ensemble(cfg, replicates).pooled
         assert (est.mean, est.std_error) == (mean, std_error)
 
