@@ -1,11 +1,12 @@
 """Command-line surface: compose, simulate, observe, entropy, scales, verify.
 
 Results are JSON on stdout (full float precision, as Python's repr emits);
-bulk series go to CSV.  Every result embeds a run manifest with the resolved
-parameters, seed, constants, version and RNG stream provenance, so a run can
-be reproduced from its own output.  Each ``cmd_*`` returns its payload, its
-manifest parameters and its seed; ``main`` adds the manifest and writes the
-JSON.  Exit codes: 0 success, 1 verification/run failure or an output file
+bulk series go to CSV.  Every result embeds a run manifest with the command's
+options as parsed (null where not given), seed, constants, version and RNG
+stream provenance, so a run can be replayed from its own output.  Each
+``cmd_*`` returns its payload, or None when it wrote its result itself
+(``entropy --grid``); ``main`` adds the manifest and writes the JSON.
+Exit codes: 0 success, 1 verification/run failure or an output file
 (``--path``, ``--csv``) that cannot be written, 2 invalid input,
 3 indeterminate composition.
 """
@@ -17,6 +18,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -36,7 +38,7 @@ from .simulate import (
     DYNAMICS,
     STREAM_LAYOUT,
     SimConfig,
-    _validate_int,
+    _validate_replicates,
     observe_from_moving_frame,
     run_ensemble,
     simulate_drift,
@@ -48,17 +50,15 @@ EXIT_FAILURE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_INDETERMINATE = 3
 
-# What a ``cmd_*`` hands to ``main``: JSON payload, manifest parameters, seed;
-# None when the command wrote its result itself (``entropy --grid``).
-Result = Optional[tuple[dict, dict, Optional[int]]]
-
-
-def _manifest(command: str, parameters: dict, seed: Optional[int]) -> dict:
-    """Everything needed to audit and re-run a CLI invocation."""
+def _manifest(args: argparse.Namespace) -> dict:
+    """Everything needed to audit and re-run a CLI invocation: its options
+    in parser order, as parsed, with null where one was not given."""
     return {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
+        "command": args.command,
+        "parameters": {
+            k: v for k, v in vars(args).items() if k not in ("command", "func", "seed")
+        },
+        "seed": getattr(args, "seed", None),
         "constants": {
             "speed_of_light_m_per_s": SPEED_OF_LIGHT,
             "hbar_J_s": HBAR,
@@ -111,7 +111,7 @@ def _entropy_columns(b: np.ndarray) -> tuple[np.ndarray, ...]:
     return b, s_nats, s_bits, gamma, one_plus_z
 
 
-def cmd_compose(args: argparse.Namespace) -> Result:
+def cmd_compose(args: argparse.Namespace) -> dict:
     unit = ent.EntropyUnit(args.unit)
     u, v = args.u, args.v
     w = kin.velocity_addition_array(u, v).item()
@@ -126,7 +126,7 @@ def cmd_compose(args: argparse.Namespace) -> Result:
             "distribution": asdict(dist),
             "entropy": ent.entropy_from_distribution(dist, unit),
         }
-    return payload, {"u": u, "v": v, "unit": unit.value}, None
+    return payload
 
 
 def _build_config(args: argparse.Namespace) -> SimConfig:
@@ -143,37 +143,26 @@ def _build_config(args: argparse.Namespace) -> SimConfig:
     )
 
 
-def cmd_simulate(args: argparse.Namespace) -> Result:
+def cmd_simulate(args: argparse.Namespace) -> dict:
     cfg = _build_config(args)
     # A bad count is the error to report, whatever else the command asks for.
-    _validate_int("replicates", args.replicates)
-    parameters = {
-        "beta": cfg.beta,
-        "ticks": cfg.ticks,
-        "dynamics": cfg.dynamics,
-        "flip_asymmetry": list(cfg.flip_asymmetry) if cfg.flip_asymmetry else None,
-        "tick_duration": cfg.resolved_tick_duration,
-        "particle": args.particle,
-        "replicates": args.replicates,
-    }
+    _validate_replicates(cfg, args.replicates)
     if args.replicates != 1:
         if args.path:
             raise ValueError("--path dumps a single path; drop --replicates")
-        return asdict(run_ensemble(cfg, args.replicates)), parameters, cfg.seed
+        return asdict(run_ensemble(cfg, args.replicates))
     csv_file = open(args.path, "w", newline="") if args.path else contextlib.nullcontext()
     with csv_file as fh:
-        estimate = simulate_drift(cfg, fh)
-    return asdict(estimate), parameters, cfg.seed
+        return asdict(simulate_drift(cfg, fh))
 
 
-def cmd_observe(args: argparse.Namespace) -> Result:
+def cmd_observe(args: argparse.Namespace) -> dict:
     obs = asdict(observe_from_moving_frame(args.u, args.v, ticks=args.ticks, seed=args.seed))
     # The estimate's fields come first, then the frame's own.
-    payload = {**obs.pop("estimate"), **obs}
-    return payload, {"u": args.u, "v": args.v, "ticks": args.ticks}, args.seed
+    return {**obs.pop("estimate"), **obs}
 
 
-def cmd_entropy(args: argparse.Namespace) -> Result:
+def cmd_entropy(args: argparse.Namespace) -> Optional[dict]:
     if (args.beta is None) == (args.grid is None):
         raise ValueError("provide exactly one of --beta or --grid")
     if args.csv is not None and args.grid is None:
@@ -192,7 +181,7 @@ def cmd_entropy(args: argparse.Namespace) -> Result:
     row = [None if math.isnan(x) else x for x in np.concatenate(_entropy_columns(b)).tolist()]
     beta, s_nats, s_bits, gamma, one_plus_z = row
     s_relativistic = None if gamma is None else ent.entropy_relativistic_form_array(b).item()
-    payload = {
+    return {
         "beta": beta,
         "S_nats": s_nats,
         "S_bits": s_bits,
@@ -200,17 +189,16 @@ def cmd_entropy(args: argparse.Namespace) -> Result:
         "gamma": gamma,
         "one_plus_z": one_plus_z,
     }
-    return payload, {"beta": beta}, None
 
 
-def cmd_scales(args: argparse.Namespace) -> Result:
+def cmd_scales(args: argparse.Namespace) -> dict:
     if (args.particle is None) == (args.mass_kg is None):
         raise ValueError("provide exactly one of --particle or --mass-kg")
     if args.particle is not None:
         scale = scale_for_particle(args.particle)
     else:
         scale = ParticleScale.from_mass(args.mass_kg)
-    payload = {
+    return {
         "particle": args.particle,
         "mass_kg": scale.mass_kg,
         "omega_rad_per_s": scale.omega_rad_per_s,
@@ -218,11 +206,10 @@ def cmd_scales(args: argparse.Namespace) -> Result:
         "lambda_m": scale.length_m,
         "tick_duration_s": scale.tick_duration_s,
     }
-    return payload, {"particle": args.particle, "mass_kg": scale.mass_kg}, None
 
 
-def cmd_verify(args: argparse.Namespace) -> Result:
-    return run_verification(args.level).to_dict(), {"level": args.level}, None
+def cmd_verify(args: argparse.Namespace) -> dict:
+    return run_verification(args.level).to_dict()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,14 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_grid_value(argv: Sequence[str]) -> list[str]:
-    # argparse mistakes "-0.99:0.99:199" for an option; fold it into --grid=.
+def _join_dash_values(argv: Sequence[str]) -> list[str]:
+    # argparse takes "-1e-05" or "-0.99:0.99:199" for an option.  Every option
+    # is long, so a "-" token right after "--opt" is its value: "--opt=value".
     out: list[str] = []
-    tokens = iter(argv)
-    for token in tokens:
-        if token == "--grid":
-            value = next(tokens, None)
-            out.append(token if value is None else f"--grid={value}")
+    for token in argv:
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-(?!-)", token):
+            out[-1] += "=" + token
         else:
             out.append(token)
     return out
@@ -308,13 +294,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_grid_value(argv))
+    args = parser.parse_args(_join_dash_values(argv))
     try:
-        result = args.func(args)
-        if result is None:
+        payload = args.func(args)
+        if payload is None:
             return EXIT_OK
-        payload, parameters, seed = result
-        payload["manifest"] = _manifest(args.command, parameters, seed)
+        payload["manifest"] = _manifest(args)
         # A result that overflowed to inf or nan raises ValueError, not "Infinity".
         sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         return EXIT_FAILURE if args.command == "verify" and not payload["passed"] else EXIT_OK

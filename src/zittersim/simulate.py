@@ -102,6 +102,14 @@ def _validate_int(name: str, value: object, low: int = 1, high: float = math.inf
     raise InvalidConfig(f"{name} must be an integer in [{low}, {high}), got {value!r}")
 
 
+def _validate_replicates(cfg: SimConfig, replicates: object) -> int:
+    """``replicates`` as an int >= 1 whose pooled n, replicates * ticks, stays
+    below 2**63 like ``cfg.ticks``."""
+    replicates = _validate_int("replicates", replicates)
+    _validate_int("replicates * ticks", replicates * cfg.ticks, 1, _MAX_TICKS)
+    return replicates
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Deterministic per-replicate seed: output ``index`` of the SplitMix64
     stream seeded at ``seed`` (Steele, Lea & Flood's published mixer)."""
@@ -188,19 +196,11 @@ class SimConfig:
         return (_DEFAULT_FLIP_SCALE * (1.0 - p), _DEFAULT_FLIP_SCALE * p)
 
     @property
-    def resolved_tick_duration(self) -> float:
-        if self.tick_duration is not None:
-            return self.tick_duration
-        if self.scale is not None:
-            return self.scale.tick_duration_s
-        return 1.0
-
-    @property
     def step_length(self) -> float:
         """Distance covered per tick: c * tick_duration, meters when a
         physical scale is attached, else natural units (c = 1)."""
-        c = SPEED_OF_LIGHT if self.scale is not None else 1.0
-        return c * self.resolved_tick_duration
+        c, tick = (SPEED_OF_LIGHT, self.scale.tick_duration_s) if self.scale else (1.0, 1.0)
+        return c * (tick if self.tick_duration is None else self.tick_duration)
 
 
 @dataclass(frozen=True)
@@ -475,7 +475,7 @@ def run_ensemble(cfg: SimConfig, replicates: int) -> EnsembleResult:
     and commutative exactly, so the pooling order cannot matter.  Replicates
     are independent chains, so the pooled error keeps their inflation.
     """
-    replicates = _validate_int("replicates", replicates)
+    replicates = _validate_replicates(cfg, replicates)
     inflation = _variance_inflation(cfg.flip_probabilities, cfg.ticks)
     seeds = [derive_seed(cfg.seed, r) for r in range(replicates)]
     sums = [_path_sum(cfg, seed) for seed in seeds]

@@ -123,22 +123,6 @@ class TestSimulate:
         seeds = {r["seed"] for r in payload["replicates"]}
         assert len(seeds) == 4
 
-    def test_manifest_reproduces_run(self, capsys):
-        first = run_json(
-            capsys, "simulate", "--beta", "0.4", "--ticks", "5000", "--seed", "31",
-            "--dynamics", "telegraph",
-        )
-        params = first["manifest"]["parameters"]
-        second = run_json(
-            capsys, "simulate",
-            "--beta", repr(params["beta"]),
-            "--ticks", str(params["ticks"]),
-            "--seed", str(first["manifest"]["seed"]),
-            "--dynamics", params["dynamics"],
-        )
-        assert second["mean"] == first["mean"]
-        assert second["n"] == first["n"]
-
     @pytest.mark.parametrize("replicates", ["0", "-3"])
     def test_nonpositive_replicates_exit_2(self, capsys, replicates):
         code, out, err = run_cli(
@@ -155,8 +139,9 @@ class TestSimulate:
                 "--dynamics", dynamics)
         plain = run_json(capsys, *argv)
         dumped = run_json(capsys, *argv, "--path", str(tmp_path / "p.csv"))
-        plain["manifest"].pop("timestamp")
-        dumped["manifest"].pop("timestamp")
+        for payload in (plain, dumped):
+            payload["manifest"].pop("timestamp")
+            payload["manifest"]["parameters"].pop("path")
         assert plain == dumped
         with open(tmp_path / "p.csv") as fh:
             last = fh.read().splitlines()[-1].split(",")
@@ -277,7 +262,7 @@ class TestEntropy:
         assert [payload["gamma"], payload["one_plus_z"]] == factors
         assert (None in factors) == (abs(float(beta)) == 1.0)
         assert "S" not in payload and "unit" not in payload
-        assert payload["manifest"]["parameters"] == {"beta": float(beta)}
+        assert payload["manifest"]["parameters"] == {"beta": float(beta), "grid": None, "csv": None}
 
     def test_unit_option_is_rejected(self, capsys):
         # both units are always reported, so entropy takes no --unit
@@ -436,6 +421,22 @@ class TestParser:
         sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
         assert "--json" not in sub.choices[command]._option_string_actions
 
+    @pytest.mark.parametrize(
+        "argv, exit_code, error",
+        [
+            (["simulate", "--beta", "-1e-05", "--ticks", "10", "--seed", "1"], 0, ""),
+            (["compose", "--u", "-1e-3", "--v", "-0.2"], 0, ""),
+            (["entropy", "--grid", "-1e-3:0.5:3"], 0, ""),
+            (["simulate", "--beta", "0", "--ticks", "10", "--seed", "-1"], 2, "error: seed must be "),
+        ],
+        ids=["simulate-beta", "compose-u-v", "entropy-grid", "simulate-seed"],
+    )
+    def test_dash_token_is_the_value_of_its_option(self, capsys, argv, exit_code, error):
+        # argparse alone takes "-1e-05" for an option and exits 2
+        code, out, err = run_cli(capsys, *argv)
+        assert code == exit_code and bool(out) == (exit_code == 0)
+        assert err.startswith(error) and err.count("\n") == (exit_code != 0)
+
 
 class TestVerify:
     def test_fast_level_passes(self, capsys):
@@ -465,7 +466,7 @@ class TestKeyOrder:
     ESTIMATE = ["mean", "std_error", "n", "seed"]
     MANIFEST = ["command", "parameters", "seed", "constants", "version", "rng", "timestamp"]
     SIMULATE = ["beta", "ticks", "dynamics", "flip_asymmetry", "tick_duration", "particle",
-                "replicates"]
+                "path", "replicates"]
 
     ROLE = ["beta", "distribution", "entropy"]
 
@@ -484,7 +485,7 @@ class TestKeyOrder:
         assert list(payload) == ["beta", "S_nats", "S_bits", "S_relativistic_nats", "gamma",
                                  "one_plus_z", "manifest"]
         assert list(payload["manifest"]) == self.MANIFEST
-        assert list(payload["manifest"]["parameters"]) == ["beta"]
+        assert list(payload["manifest"]["parameters"]) == ["beta", "grid", "csv"]
 
     def test_simulate(self, capsys):
         payload = run_json(capsys, "simulate", "--beta", "0.2", "--ticks", "100", "--seed", "3")
@@ -518,6 +519,66 @@ class TestKeyOrder:
         assert list(payload["manifest"]) == self.MANIFEST
 
 
+def _replay_argv(manifest: dict) -> list[str]:
+    """The argv a manifest records: null options skipped, lists spread, floats
+    as repr, and ``--opt=value`` for a value that starts with "-"."""
+    argv = [manifest["command"]]
+    for name, value in {**manifest["parameters"], "seed": manifest["seed"]}.items():
+        if value is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        values = [repr(v) if isinstance(v, float) else str(v)
+                  for v in (value if isinstance(value, list) else [value])]
+        if len(values) == 1 and values[0].startswith("-"):
+            argv.append(f"{flag}={values[0]}")
+        else:
+            argv += [flag, *values]
+    return argv
+
+
+class TestReplay:
+    """Re-running the argv rebuilt from a run's manifest reproduces the run."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compose", "--u", "0.5", "--v", "-0.4"],
+            ["compose", "--u", "-0.3", "--v", "0.7", "--unit", "bits"],
+            ["entropy", "--beta", "-0.6"],
+            ["scales", "--particle", "electron"],
+            ["scales", "--mass-kg", "1.8218767403e-30"],
+            ["verify", "--level", "fast"],
+            ["observe", "--u", "0.5", "--v", "-0.2", "--ticks", "3000", "--seed", "3"],
+            ["simulate", "--beta", "0.2", "--ticks", "3000", "--seed", "7"],
+            ["simulate", "--beta", "0.2", "--ticks", "3000", "--seed", "7",
+             "--dynamics", "telegraph", "--flip-asymmetry", "0.2", "0.3"],
+            ["simulate", "--beta", "0.3", "--ticks", "500", "--seed", "5", "--replicates", "3"],
+            ["simulate", "--beta", "0.6", "--ticks", "100", "--seed", "9", "--particle", "electron"],
+            ["simulate", "--beta", "0.6", "--ticks", "100", "--seed", "9", "--tick-duration", "2.5"],
+            ["simulate", "--beta", "-0.4", "--ticks", "300", "--seed", "11",
+             "--dynamics", "telegraph", "--path", "p.csv"],
+            ["simulate", "--beta", "-1e-05", "--ticks", "100", "--seed", "1"],
+        ],
+        ids=[
+            "compose-nats", "compose-bits", "entropy-beta", "scales-particle", "scales-mass",
+            "verify", "observe", "simulate-iid", "simulate-telegraph-flips",
+            "simulate-replicates", "simulate-particle", "simulate-tick-duration",
+            "simulate-path", "simulate-negative-exponent",
+        ],
+    )
+    def test_manifest_replays(self, capsys, tmp_path, argv):
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        first = run_json(capsys, *argv)
+        path = tmp_path / "p.csv"
+        written = path.read_bytes() if path.exists() else None
+        path.unlink(missing_ok=True)
+        second = run_json(capsys, *_replay_argv(first["manifest"]))
+        for payload in (first, second):
+            payload["manifest"].pop("timestamp")
+        assert second == first
+        assert (path.read_bytes() if path.exists() else None) == written
+
+
 # -- every argv ends in JSON or one error line, never a traceback -------------
 
 
@@ -540,7 +601,7 @@ _TICKS = _mostly(
 )
 _SEEDS = _mostly(
     st.integers(min_value=0, max_value=2**64 - 1).map(str),
-    st.sampled_from(["-1", str(2**64), "x"]),
+    st.sampled_from(["-1", str(2**64), str(10**400), "x"]),
 )
 _GRIDS = _mostly(
     st.tuples(_BETAS, _BETAS, st.integers(min_value=1, max_value=1_000).map(str)).map(":".join),
@@ -560,7 +621,7 @@ _OPTIONS = {
             "--tick-duration": _POSITIVE,
             "--particle": _PARTICLES,
             "--path": _OUTPUTS,
-            "--replicates": st.sampled_from(["-1", "0", "1", "3", "x"]),
+            "--replicates": st.sampled_from(["-1", "0", "1", "3", "x", str(10**400)]),
         },
     ),
     "observe": ({"--u": _BETAS, "--v": _BETAS, "--ticks": _TICKS, "--seed": _SEEDS}, {}),

@@ -30,13 +30,13 @@ from zittersim import (
     velocity_addition_array,
     write_path_csv,
 )
+from zittersim.scales import SPEED_OF_LIGHT
 
 
 class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig(beta=0.3, ticks=100, seed=1)
         assert cfg.dynamics == "iid"
-        assert cfg.resolved_tick_duration == 1.0
         assert cfg.step_length == 1.0
         assert cfg.p_right == pytest.approx(0.65)
 
@@ -116,8 +116,8 @@ class TestSimConfig:
     def test_scale_sets_tick_duration(self):
         scale = scale_for_particle("electron")
         cfg = SimConfig(beta=0.0, ticks=10, seed=1, scale=scale)
-        assert cfg.resolved_tick_duration == pytest.approx(
-            1.0 / scale.omega_rad_per_s, rel=1e-15
+        assert cfg.step_length == pytest.approx(
+            SPEED_OF_LIGHT / scale.omega_rad_per_s, rel=1e-15
         )
         # distance per tick is then the characteristic length, in meters
         assert cfg.step_length == pytest.approx(scale.length_m, rel=1e-12)
@@ -137,7 +137,7 @@ class TestSimConfig:
             beta=0.0, ticks=10, seed=1, scale=scale_for_particle("electron"),
             tick_duration=2.0,
         )
-        assert cfg.resolved_tick_duration == 2.0
+        assert cfg.step_length == SPEED_OF_LIGHT * 2.0
 
 
 class TestGeneratePath:
@@ -420,6 +420,11 @@ class TestRunEnsemble:
         cfg = SimConfig(beta=0.0, ticks=10, seed=1)
         with pytest.raises(InvalidConfig):
             run_ensemble(cfg, 0)
+
+    def test_rejects_a_pooled_n_of_2_63(self):
+        # the pooled n is replicates * ticks, bounded below 2**63 like ticks
+        with pytest.raises(InvalidConfig, match="replicates \\* ticks"):
+            run_ensemble(SimConfig(beta=0.0, ticks=2**62, seed=1), 2)
 
 
 class TestPathCsv:
