@@ -4,8 +4,8 @@ Results are JSON on stdout (full float precision, as Python's repr emits);
 bulk series go to CSV.  Every result embeds a run manifest with the command's
 options as parsed (null where not given), seed, constants, version and RNG
 stream provenance, so a run can be replayed from its own output.  Each
-``cmd_*`` returns its payload, or None when it wrote its result itself
-(``entropy --grid``); ``main`` adds the manifest and writes the JSON.
+``cmd_*`` returns its payload, or None when it wrote its result to stdout
+itself (``entropy --grid``); ``main`` adds the manifest and writes the JSON.
 Exit codes: 0 success, 1 verification/run failure or an output file
 (``--path``, ``--csv``) that cannot be written, 2 invalid input,
 3 indeterminate composition.
@@ -79,7 +79,7 @@ def _parse_grid(raw: str) -> tuple[float, float, int]:
         raise malformed from None
     if count < 1:
         raise malformed
-    return kin.Beta(start).value, kin.Beta(stop).value, count
+    return kin._beta(start), kin._beta(stop), count
 
 
 def _grid_slices(start: float, stop: float, count: int) -> Iterator[np.ndarray]:
@@ -115,16 +115,17 @@ def cmd_compose(args: argparse.Namespace) -> dict:
     unit = ent.EntropyUnit(args.unit)
     u, v = args.u, args.v
     w = kin.velocity_addition_array(u, v).item()
-    u_dist = kin.direction_distribution_from_beta(u)
-    v_dist = kin.direction_distribution_from_beta(v)
-    composed = kin.compose_frames(v_dist, u_dist)
     payload = {"w": w, "unit": unit.value}
-    roles = (("observer", u, u_dist), ("particle", v, v_dist), ("composed", w, composed))
-    for role, beta, dist in roles:
+    roles = (
+        ("observer", u, kin.direction_probabilities_array(u)),
+        ("particle", v, kin.direction_probabilities_array(v)),
+        ("composed", w, kin.compose_probabilities_array(u, v)),
+    )
+    for role, beta, (p_right, p_left) in roles:
         payload[role] = {
             "beta": beta,
-            "distribution": asdict(dist),
-            "entropy": ent.entropy_from_distribution(dist, unit),
+            "distribution": {"p_right": p_right.item(), "p_left": p_left.item()},
+            "entropy": ent.entropy_from_probabilities_array(p_right, p_left, unit).item(),
         }
     return payload
 
@@ -168,16 +169,17 @@ def cmd_entropy(args: argparse.Namespace) -> Optional[dict]:
     if args.csv is not None and args.grid is None:
         raise ValueError("--csv writes the --grid sweep; use it with --grid")
     if args.grid is not None:
-        grid = _parse_grid(args.grid)
+        start, stop, count = _parse_grid(args.grid)
         target = open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext(sys.stdout)
         with target as fh:
             fh.write("beta,S_nats,S_bits,gamma,one_plus_z\n")
-            for b in _grid_slices(*grid):
+            for b in _grid_slices(start, stop, count):
                 columns = (c.tolist() for c in _entropy_columns(b))
                 fh.write("".join(map("{!r},{!r},{!r},{!r},{!r}\n".format, *columns)))
-        return None
+        # A sweep written to a file reports on stdout, with its manifest.
+        return {"rows": count} if args.csv else None
     # The --grid beta:beta:1 row, with JSON null where the row has nan.
-    b = np.array([kin.Beta(args.beta).value])
+    b = np.array([kin._beta(args.beta)])
     row = [None if math.isnan(x) else x for x in np.concatenate(_entropy_columns(b)).tolist()]
     beta, s_nats, s_bits, gamma, one_plus_z = row
     s_relativistic = None if gamma is None else ent.entropy_relativistic_form_array(b).item()

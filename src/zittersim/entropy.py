@@ -15,8 +15,8 @@ with gamma = (1 - beta^2)^(-1/2) and 1 + z = sqrt((1+beta)/(1-beta)).
 
 Logarithm base only changes the unit; nats are the default, bits optional.
 As in ``kinematics``, each formula is one numpy expression behind an
-``*_array`` function; ``entropy_from_distribution`` returns the entropy of
-one distribution as a float.  All functions are pure and thread-safe.
+``*_array`` function; S is available from direction laws (Pr(R), Pr(L)) or
+from velocities.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -25,17 +25,20 @@ import enum
 
 import numpy as np
 
-from .errors import InvalidEntropy, LightSpeedSingularity
-from .kinematics import DirectionDistribution, _betas, _reject_light_speed
+from .errors import InvalidDistribution, InvalidEntropy, LightSpeedSingularity
+from .kinematics import _betas, _first, _reject_light_speed
 
 __all__ = [
     "EntropyUnit",
-    "entropy_from_distribution",
+    "entropy_from_probabilities_array",
     "entropy_from_beta_array",
     "lorentz_gamma_array",
     "redshift_factor_array",
     "entropy_relativistic_form_array",
 ]
+
+# Direction probabilities must sum to one within this additive tolerance.
+DISTRIBUTION_SUM_TOL = 1e-12
 
 
 class EntropyUnit(enum.Enum):
@@ -65,11 +68,32 @@ def _binary_entropy(p, q, unit: EntropyUnit) -> np.ndarray:
     return -(t_right + t_left) + 0.0
 
 
-def entropy_from_distribution(
-    d: DirectionDistribution, unit: EntropyUnit = EntropyUnit.NATS
-) -> float:
-    """Shannon entropy -p log p - q log q of a direction distribution."""
-    return float(_binary_entropy(d.p_right, d.p_left, unit))
+def entropy_from_probabilities_array(
+    p_right: np.typing.ArrayLike, p_left: np.typing.ArrayLike,
+    unit: EntropyUnit = EntropyUnit.NATS,
+) -> np.ndarray:
+    """Elementwise Shannon entropy -p log p - q log q of the direction laws
+    (``p_right``, ``p_left``), broadcast against each other.  Raises
+    InvalidDistribution, naming the first offending pair, unless every pair
+    is real, finite, nonnegative and sums to 1 within ``DISTRIBUTION_SUM_TOL``."""
+    try:
+        p, q = np.broadcast_arrays(p_right, p_left)
+        real = p.dtype.kind in "iuf" and q.dtype.kind in "iuf"
+    except ValueError:  # ragged, or shapes that do not broadcast
+        real = False
+    if not real:
+        raise InvalidDistribution(
+            f"probabilities must be real numbers that broadcast, got ({p_right!r}, {p_left!r})"
+        )
+    p, q = p.astype(np.float64), q.astype(np.float64)
+    with np.errstate(invalid="ignore"):  # inf + -inf; NaN and inf fail the sum test
+        bad = ~((p >= 0.0) & (q >= 0.0) & (np.abs((p + q) - 1.0) <= DISTRIBUTION_SUM_TOL))
+    if bad.any():
+        raise InvalidDistribution(
+            "probabilities must be finite, nonnegative and sum to 1 within "
+            f"{DISTRIBUTION_SUM_TOL}, got ({_first(p, bad)!r}, {_first(q, bad)!r})"
+        )
+    return _binary_entropy(p, q, unit)
 
 
 def entropy_from_beta_array(

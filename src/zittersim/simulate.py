@@ -48,7 +48,7 @@ from typing import IO, Iterable, Iterator, Optional
 import numpy as np
 
 from .errors import InvalidConfig, NoAcceptedTicks
-from .kinematics import Beta, BetaLike, _is_real, _reject_antipodal
+from .kinematics import _beta, _is_real, _reject_antipodal
 from .scales import SPEED_OF_LIGHT, ParticleScale, _positive_real
 
 __all__ = [
@@ -141,7 +141,7 @@ class SimConfig:
     scale: Optional[ParticleScale] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", Beta(self.beta).value)
+        object.__setattr__(self, "beta", _beta(self.beta))
         object.__setattr__(self, "ticks", _validate_int("ticks", self.ticks, 1, _MAX_TICKS))
         object.__setattr__(self, "seed", _validate_int("seed", self.seed, 0, _MAX_SEED))
         if self.dynamics not in DYNAMICS:
@@ -423,7 +423,7 @@ def simulate_drift(cfg: SimConfig, stream: Optional[IO[str]] = None) -> DriftEst
 
 
 def observe_from_moving_frame(
-    u: BetaLike, v: BetaLike, ticks: int, seed: int
+    u: float, v: float, ticks: int, seed: int
 ) -> FrameObservation:
     """Rejection-sampled drift of a particle as seen by a drifting observer.
 
@@ -436,8 +436,7 @@ def observe_from_moving_frame(
     Raises IndeterminateComposition for the antipodal light-speed pair and
     NoAcceptedTicks when no tick is retained.
     """
-    uf = Beta(u).value
-    vf = Beta(v).value
+    uf, vf = _beta(u), _beta(v)
     # No tick of an antipodal light-speed pair is ever retained.
     _reject_antipodal(uf, vf)
     ticks = _validate_int("ticks", ticks, 1, _MAX_TICKS)

@@ -63,6 +63,71 @@ class TestCompose:
         assert bits["observer"]["entropy"] == pytest.approx(1.0, abs=1e-15)
 
 
+def _role(beta, p_right, p_left, entropy):
+    return {"beta": beta, "distribution": {"p_right": p_right, "p_left": p_left},
+            "entropy": entropy}
+
+
+# Golden payloads, without the manifest: an ulp of drift in the probability
+# route or in the entropy shows here, where a rounded comparison would pass.
+COMPOSE_GOLDEN = {
+    "--u 0.5 --v 0.5": {
+        "w": 0.8, "unit": "nats",
+        "observer": _role(0.5, 0.75, 0.25, 0.5623351446188083),
+        "particle": _role(0.5, 0.75, 0.25, 0.5623351446188083),
+        "composed": _role(0.8, 0.9, 0.1, 0.3250829733914482),
+    },
+    "--u -0.3 --v 0.8": {
+        "w": 0.6578947368421053, "unit": "nats",
+        "observer": _role(-0.3, 0.35, 0.65, 0.6474466390346325),
+        "particle": _role(0.8, 0.9, 0.09999999999999998, 0.3250829733914482),
+        "composed": _role(0.6578947368421053, 0.8289473684210527, 0.17105263157894735,
+                          0.4575513743696661),
+    },
+    "--u 0.1 --v 0.2 --unit bits": {
+        "w": 0.2941176470588236, "unit": "bits",
+        "observer": _role(0.1, 0.55, 0.44999999999999996, 0.9927744539878083),
+        "particle": _role(0.2, 0.6, 0.4, 0.9709505944546686),
+        "composed": _role(0.2941176470588236, 0.6470588235294118, 0.3529411764705882,
+                          0.9366673818775626),
+    },
+    "--u 1 --v 0.3": {
+        "w": 1.0, "unit": "nats",
+        "observer": _role(1.0, 1.0, 0.0, 0.0),
+        "particle": _role(0.3, 0.65, 0.35, 0.6474466390346325),
+        "composed": _role(1.0, 1.0, 0.0, 0.0),
+    },
+    "--u 0.7 --v 1e-300": {
+        "w": 0.7, "unit": "nats",
+        "observer": _role(0.7, 0.85, 0.15000000000000002, 0.4227090878059909),
+        "particle": _role(1e-300, 0.5, 0.5, 0.6931471805599453),
+        "composed": _role(0.7, 0.85, 0.15000000000000002, 0.4227090878059909),
+    },
+    "--u 0.999999 --v -0.999998": {
+        "w": 0.3333335555261161, "unit": "nats",
+        "observer": _role(0.999999, 0.9999994999999999, 5.00000000069889e-07,
+                          7.754328745276084e-06),
+        "particle": _role(-0.999998, 9.999999999732445e-07, 0.9999990000000001,
+                          1.4815510057538956e-05),
+        "composed": _role(0.3333335555261161, 0.6666667777408444, 0.3333332222591557,
+                          0.6365140913040319),
+    },
+}
+
+
+class TestComposeGolden:
+    @pytest.mark.parametrize("argv", list(COMPOSE_GOLDEN))
+    def test_payload_is_bit_for_bit(self, capsys, argv):
+        code, out, err = run_cli(capsys, "compose", *argv.split())
+        assert code == 0, err
+        payload = json.loads(out)
+        payload.pop("manifest")
+        expected = COMPOSE_GOLDEN[argv]
+        assert payload == expected
+        # the JSON text pins key order, the sign of zeros and every digit
+        assert json.dumps(payload, indent=2) == json.dumps(expected, indent=2)
+
+
 class TestSimulate:
     def test_light_speed_mean_is_one(self, capsys):
         payload = run_json(
@@ -290,10 +355,13 @@ class TestEntropy:
 
     def test_grid_csv(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
-        code, _, err = run_cli(
+        code, stdout, err = run_cli(
             capsys, "entropy", "--grid", "-0.99:0.99:199", "--csv", str(out)
         )
         assert code == 0, err
+        # the CSV goes to the file; stdout reports the row count and manifest
+        report = json.loads(stdout)
+        assert report["rows"] == 199 and report["manifest"]["parameters"]["csv"] == str(out)
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["beta", "S_nats", "S_bits", "gamma", "one_plus_z"]
@@ -487,6 +555,13 @@ class TestKeyOrder:
         assert list(payload["manifest"]) == self.MANIFEST
         assert list(payload["manifest"]["parameters"]) == ["beta", "grid", "csv"]
 
+    def test_entropy_grid_csv(self, capsys, tmp_path):
+        payload = run_json(capsys, "entropy", "--grid", "0:0.5:3", "--csv", str(tmp_path / "g.csv"))
+        assert list(payload) == ["rows", "manifest"]
+        assert payload["rows"] == 3
+        assert list(payload["manifest"]) == self.MANIFEST
+        assert list(payload["manifest"]["parameters"]) == ["beta", "grid", "csv"]
+
     def test_simulate(self, capsys):
         payload = run_json(capsys, "simulate", "--beta", "0.2", "--ticks", "100", "--seed", "3")
         assert list(payload) == self.ESTIMATE + ["manifest"]
@@ -545,6 +620,7 @@ class TestReplay:
             ["compose", "--u", "0.5", "--v", "-0.4"],
             ["compose", "--u", "-0.3", "--v", "0.7", "--unit", "bits"],
             ["entropy", "--beta", "-0.6"],
+            ["entropy", "--grid", "-0.5:0.5:7", "--csv", "p.csv"],
             ["scales", "--particle", "electron"],
             ["scales", "--mass-kg", "1.8218767403e-30"],
             ["verify", "--level", "fast"],
@@ -560,7 +636,8 @@ class TestReplay:
             ["simulate", "--beta", "-1e-05", "--ticks", "100", "--seed", "1"],
         ],
         ids=[
-            "compose-nats", "compose-bits", "entropy-beta", "scales-particle", "scales-mass",
+            "compose-nats", "compose-bits", "entropy-beta", "entropy-grid-csv",
+            "scales-particle", "scales-mass",
             "verify", "observe", "simulate-iid", "simulate-telegraph-flips",
             "simulate-replicates", "simulate-particle", "simulate-tick-duration",
             "simulate-path", "simulate-negative-exponent",
@@ -671,8 +748,8 @@ class TestNoTraceback:
         out, err = out.getvalue(), err.getvalue()
         if code == 0:
             assert err == ""
-            if "--grid" in argv:
-                assert out == "" if "--csv" in argv else out.startswith("beta,S_nats,")
+            if "--grid" in argv and "--csv" not in argv:
+                assert out.startswith("beta,S_nats,")
             else:
                 json.loads(out, parse_constant=_reject_constant)
         else:

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zittersim import (
-    DirectionDistribution,
     EntropyUnit,
     LightSpeedSingularity,
     InvalidBeta,
+    InvalidDistribution,
     InvalidEntropy,
     ZitterError,
+    direction_probabilities_array,
     entropy_from_beta_array,
-    entropy_from_distribution,
+    entropy_from_probabilities_array,
     entropy_relativistic_form_array,
     lorentz_gamma_array,
     rapidity_from_beta_array,
@@ -32,20 +33,49 @@ INTERIOR = st.floats(min_value=-0.999, max_value=0.999, allow_nan=False)
 
 
 class TestEntropyFromDistribution:
+    """``entropy_from_probabilities_array``: the entropy of a direction law."""
+
     def test_rest_is_maximal(self):
-        s = entropy_from_distribution(DirectionDistribution(0.5, 0.5))
+        s = entropy_from_probabilities_array(0.5, 0.5)
         assert s == pytest.approx(LN2, abs=1e-15)
-        assert entropy_from_distribution(
-            DirectionDistribution(0.5, 0.5), EntropyUnit.BITS
-        ) == pytest.approx(1.0, abs=1e-15)
+        assert entropy_from_probabilities_array(0.5, 0.5, EntropyUnit.BITS) == pytest.approx(
+            1.0, abs=1e-15
+        )
 
     def test_certainty_is_zero(self):
-        s = entropy_from_distribution(DirectionDistribution(1.0, 0.0))
-        assert s == 0.0
+        s = entropy_from_probabilities_array(1.0, 0.0)
+        assert s == 0.0 and not np.signbit(s)
+        assert entropy_from_probabilities_array(0.0, 1.0) == 0.0
 
     def test_skewed_distribution(self):
-        s = entropy_from_distribution(DirectionDistribution(0.8, 0.2))
+        s = entropy_from_probabilities_array(0.8, 0.2)
         assert s == pytest.approx(S_POINT_SIX_NATS, abs=1e-15)
+
+    def test_elementwise_over_broadcast_pairs(self):
+        p_right = np.array([[0.5], [0.8]])
+        s = entropy_from_probabilities_array(p_right, 1.0 - p_right)
+        assert s.shape == (2, 1)
+        assert s.ravel().tolist() == [
+            entropy_from_probabilities_array(0.5, 0.5).item(),
+            entropy_from_probabilities_array(0.8, 1.0 - 0.8).item(),
+        ]
+
+    def test_invalid_pair_named(self):
+        with pytest.raises(InvalidDistribution, match=r"got \(0\.7, 0\.2\)$"):
+            entropy_from_probabilities_array([0.5, 0.7, 0.2], [0.5, 0.2, -0.1])
+        with pytest.raises(InvalidDistribution, match=r"got \(nan, 0\.5\)$"):
+            entropy_from_probabilities_array([0.5, math.nan], 0.5)
+        with pytest.raises(InvalidDistribution, match=r"got \(inf, -inf\)$"):
+            entropy_from_probabilities_array(math.inf, -math.inf)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [(np.zeros(3), np.zeros(4)), ([[0.5], [0.5, 0.5]], 0.5), (0.5j, 0.5)],
+        ids=["shapes", "ragged", "complex"],
+    )
+    def test_malformed_pairs_raise_invalid_distribution(self, pair):
+        with pytest.raises(InvalidDistribution):
+            entropy_from_probabilities_array(*pair)
 
 
 class TestEntropyFromBeta:
@@ -58,15 +88,13 @@ class TestEntropyFromBeta:
 
     def test_matches_distribution_route(self):
         via_beta = entropy_from_beta_array(0.6)
-        via_dist = entropy_from_distribution(DirectionDistribution(0.8, 0.2))
+        via_dist = entropy_from_probabilities_array(0.8, 0.2)
         assert via_beta == pytest.approx(via_dist, abs=1e-14)
 
     @given(v=BETAS)
     def test_agrees_with_distribution_route(self, v):
-        from zittersim import direction_distribution_from_beta
-
         via_beta = entropy_from_beta_array(v)
-        via_dist = entropy_from_distribution(direction_distribution_from_beta(v))
+        via_dist = entropy_from_probabilities_array(*direction_probabilities_array(v))
         assert via_beta == pytest.approx(via_dist, abs=1e-14)
 
     @given(v=BETAS)
@@ -161,7 +189,7 @@ class TestUnits:
         [
             lambda: entropy_from_beta_array(0.5, "bits"),
             lambda: entropy_from_beta_array([0.5], "bits"),
-            lambda: entropy_from_distribution(DirectionDistribution(0.5, 0.5), "nats"),
+            lambda: entropy_from_probabilities_array(0.5, 0.5, "nats"),
         ],
     )
     def test_bad_unit_or_value_raises_invalid_entropy(self, call):
@@ -188,15 +216,17 @@ class TestArrayForms:
         inside = self.GRID[1:-1]
         assert array_fn(inside).tolist() == [array_fn(b).item() for b in inside]
 
-    @pytest.mark.parametrize("bad", ["0.5", True, None])
+    @pytest.mark.parametrize("bad", ["0.5", True, None, [[0.1], [0.2, 0.3]]])
     @pytest.mark.parametrize("fn", [entropy_from_beta_array, *FACTORS])
     def test_non_numbers_rejected(self, fn, bad):
         with pytest.raises(InvalidBeta):
             fn(bad)
 
-    def test_scalar_api_returns_python_floats(self):
-        d = DirectionDistribution(0.8, 0.2)
-        assert type(entropy_from_distribution(d)) is float
+    def test_scalar_input_gives_zero_dim_array(self):
+        values = [fn(np.float64(0.6)) for fn in (entropy_from_beta_array, *self.FACTORS)]
+        values.append(entropy_from_probabilities_array(0.8, 0.2))
+        for s in values:
+            assert s.ndim == 0 and type(s.item()) is float
 
     @pytest.mark.parametrize("fn", FACTORS)
     def test_light_speed_entry_named(self, fn):
@@ -206,3 +236,5 @@ class TestArrayForms:
     def test_invalid_entry_named(self):
         with pytest.raises(InvalidBeta, match=r"got -1\.25$"):
             entropy_from_beta_array([0.5, -1.25, 3.0])
+        with pytest.raises(InvalidBeta, match=r"got \[\[0\.1\], \[0\.2, 0\.3\]\]$"):
+            entropy_from_beta_array([[0.1], [0.2, 0.3]])

@@ -9,131 +9,144 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zittersim import (
-    Beta,
-    DirectionDistribution,
     IndeterminateComposition,
     InvalidBeta,
     InvalidDistribution,
     LightSpeedSingularity,
-    compose_frames,
+    SimConfig,
+    compose_probabilities_array,
     compose_velocity_via_probabilities_array,
-    direction_distribution_from_beta,
+    direction_probabilities_array,
+    entropy_from_probabilities_array,
+    observe_from_moving_frame,
     rapidity_from_beta_array,
     velocity_addition_array,
 )
+from zittersim.kinematics import _beta
 
 BETAS = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 SUBLUMINAL = st.floats(min_value=-0.98, max_value=0.98, allow_nan=False)
 
 
 class TestBeta:
+    """``_beta``, the one-velocity check of SimConfig, observe and the CLI."""
+
     @pytest.mark.parametrize("v", [-1.0, -0.5, 0.0, 0.25, 1.0])
     def test_accepts_physical_range(self, v):
-        assert Beta(v).value == v
+        assert _beta(v) == v
 
     @pytest.mark.parametrize("v", [1.0000000001, -1.1, 2.0, math.inf, -math.inf, math.nan])
     def test_rejects_out_of_range(self, v):
         with pytest.raises(InvalidBeta):
-            Beta(v)
+            _beta(v)
 
     def test_rejects_non_numbers(self):
         with pytest.raises(InvalidBeta):
-            Beta("0.5")
+            _beta("0.5")
 
     def test_float_conversion(self):
-        assert float(Beta(0.25)) == 0.25
+        assert _beta(np.float32(0.25)) == 0.25 and type(_beta(np.int64(1))) is float
 
     @pytest.mark.parametrize("v", ["0.5", True, None])
     def test_velocity_arguments_reject_non_numbers(self, v):
-        # every entry point validates through Beta, never through float()
+        # every entry point validates through _betas, never through float()
         with pytest.raises(InvalidBeta):
-            direction_distribution_from_beta(v)
+            direction_probabilities_array(v)
         with pytest.raises(InvalidBeta):
             velocity_addition_array(v, 0.1)
+        with pytest.raises(InvalidBeta):
+            compose_probabilities_array(0.1, v)
 
 
 class TestDirectionDistribution:
     def test_rest_is_fifty_fifty(self):
-        d = direction_distribution_from_beta(0.0)
-        assert d.p_right == 0.5 and d.p_left == 0.5
+        assert direction_probabilities_array(0.0) == (0.5, 0.5)
 
     def test_light_speed_is_certain(self):
-        assert direction_distribution_from_beta(1.0) == DirectionDistribution(1.0, 0.0)
-        assert direction_distribution_from_beta(-1.0) == DirectionDistribution(0.0, 1.0)
+        assert direction_probabilities_array(1.0) == (1.0, 0.0)
+        assert direction_probabilities_array(-1.0) == (0.0, 1.0)
 
     def test_probabilities_from_velocity(self):
         # (1 + 0.6)/2 = 0.8, (1 - 0.6)/2 = 0.2
-        d = direction_distribution_from_beta(0.6)
-        assert d.p_right == pytest.approx(0.8, abs=1e-15)
-        assert d.p_left == pytest.approx(0.2, abs=1e-15)
+        p_right, p_left = direction_probabilities_array(0.6)
+        assert p_right == pytest.approx(0.8, abs=1e-15)
+        assert p_left == pytest.approx(0.2, abs=1e-15)
 
     @given(v=BETAS)
     def test_normalization_is_exact(self, v):
-        d = direction_distribution_from_beta(v)
-        assert d.p_right + d.p_left == 1.0
-        assert d.p_right >= 0.0 and d.p_left >= 0.0
+        p_right, p_left = direction_probabilities_array(v)
+        assert p_right + p_left == 1.0
+        assert p_right >= 0.0 and p_left >= 0.0
 
     def test_normalization_exact_on_grid(self):
-        for v in np.linspace(-1.0, 1.0, 1001):
-            d = direction_distribution_from_beta(v)
-            assert d.p_right + d.p_left == 1.0
+        p_right, p_left = direction_probabilities_array(np.linspace(-1.0, 1.0, 1001))
+        assert p_right.shape == p_left.shape == (1001,)
+        assert np.all(p_right + p_left == 1.0)
 
+    # A law that comes from outside is checked where it is consumed: by
+    # entropy_from_probabilities_array.
     def test_rejects_negative_probability(self):
         with pytest.raises(InvalidDistribution):
-            DirectionDistribution(1.2, -0.2)
+            entropy_from_probabilities_array(1.2, -0.2)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(InvalidDistribution):
-            DirectionDistribution(0.6, 0.5)
+            entropy_from_probabilities_array(0.6, 0.5)
 
     def test_accepts_within_sum_tolerance(self):
-        DirectionDistribution(0.6, 0.4 + 5e-13)
+        entropy_from_probabilities_array(0.6, 0.4 + 5e-13)
 
     @pytest.mark.parametrize("pair", [("a", 0.5), (0.5, "b"), (True, False), (None, 1.0)])
     def test_rejects_non_numbers(self, pair):
         with pytest.raises(InvalidDistribution):
-            DirectionDistribution(*pair)
+            entropy_from_probabilities_array(*pair)
 
 
 class TestBetaFromDistribution:
     """beta = Pr(R) - Pr(L) recovers the velocity a distribution was built from."""
 
     def test_round_trip_on_grid(self):
-        for v in np.linspace(-1.0, 1.0, 1001):
-            d = direction_distribution_from_beta(v)
-            assert d.p_right - d.p_left == pytest.approx(float(v), abs=1e-15)
+        grid = np.linspace(-1.0, 1.0, 1001)
+        p_right, p_left = direction_probabilities_array(grid)
+        assert np.max(np.abs((p_right - p_left) - grid)) <= 1e-15
 
     @given(v=BETAS)
     def test_round_trip_property(self, v):
-        d = direction_distribution_from_beta(v)
-        assert d.p_right - d.p_left == pytest.approx(v, abs=1e-15)
+        p_right, p_left = direction_probabilities_array(v)
+        assert p_right - p_left == pytest.approx(v, abs=1e-15)
 
 
 class TestComposeFrames:
+    """``compose_probabilities_array(u, v)``: the particle's law at v seen by
+    an observer at u, the normalized pointwise product."""
+
     def test_rest_with_rest(self):
-        rest = DirectionDistribution(0.5, 0.5)
-        assert compose_frames(rest, rest) == DirectionDistribution(0.5, 0.5)
+        assert compose_probabilities_array(0.0, 0.0) == (0.5, 0.5)
 
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 1.0])
     def test_light_speed_is_absorbing(self, q):
-        lightlike = DirectionDistribution(1.0, 0.0)
-        observer = DirectionDistribution(q, 1.0 - q)
-        assert compose_frames(lightlike, observer) == DirectionDistribution(1.0, 0.0)
+        # an observer whose own law is (q, 1 - q) sees a lightlike particle
+        assert compose_probabilities_array(2.0 * q - 1.0, 1.0) == (1.0, 0.0)
 
     def test_product_rule(self):
         # 0.75^2 / (0.75^2 + 0.25^2) = 0.5625 / 0.625 = 0.9
-        d = DirectionDistribution(0.75, 0.25)
-        composed = compose_frames(d, d)
-        assert composed.p_right == pytest.approx(0.9, abs=1e-15)
-        assert composed.p_left == pytest.approx(0.1, abs=1e-15)
+        p_right, p_left = compose_probabilities_array(0.5, 0.5)
+        assert p_right == pytest.approx(0.9, abs=1e-15)
+        assert p_left == pytest.approx(0.1, abs=1e-15)
 
     def test_antipodal_light_speed_raises(self):
-        right = DirectionDistribution(1.0, 0.0)
-        left = DirectionDistribution(0.0, 1.0)
         with pytest.raises(IndeterminateComposition):
-            compose_frames(right, left)
+            compose_probabilities_array(-1.0, 1.0)
         with pytest.raises(IndeterminateComposition):
-            compose_frames(left, right)
+            compose_probabilities_array(1.0, -1.0)
+
+    def test_normalized_on_grid(self):
+        grid = np.linspace(-1.0, 1.0, 41)
+        u, v = grid[1:-1, None], grid[None, :]
+        p_right, p_left = compose_probabilities_array(u, v)
+        assert p_right.shape == p_left.shape == (39, 41)
+        assert np.max(np.abs(p_right + p_left - 1.0)) <= 1e-15
+        assert np.all(p_right >= 0.0) and np.all(p_left >= 0.0)
 
 
 class TestVelocityAddition:
@@ -225,6 +238,12 @@ class TestProbabilityRoute:
         with pytest.raises(IndeterminateComposition):
             compose_velocity_via_probabilities_array(u, v)
 
+    def test_is_the_difference_of_the_composed_law(self):
+        grid = np.linspace(-1.0, 1.0, 41)
+        u, v = grid[1:-1, None], grid[None, :]
+        p_right, p_left = compose_probabilities_array(u, v)
+        assert np.array_equal(compose_velocity_via_probabilities_array(u, v), p_right - p_left)
+
     def test_agrees_with_closed_form_on_grid(self):
         grid = np.linspace(-0.98, 0.98, 99)
         u, v = grid[:, None], grid[None, :]
@@ -287,39 +306,50 @@ class TestArrayCalculus:
                 assert w[i, j] == velocity_addition_array(ui, vj)
 
     def test_scalar_api_returns_python_floats(self):
-        assert type(Beta(np.float64(0.25)).value) is float
-        assert type(direction_distribution_from_beta(np.float64(0.25)).p_right) is float
+        assert type(_beta(np.float64(0.25))) is float
+        assert type(SimConfig(beta=np.float64(0.25), ticks=1, seed=0).beta) is float
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: Beta([0.5]),
-            lambda: Beta(np.array([0.5, 0.2])),
-            lambda: direction_distribution_from_beta([0.5]),
-            lambda: direction_distribution_from_beta(np.array([0.5, 0.2])),
+            lambda: _beta([0.5]),
+            lambda: _beta(np.array([0.5, 0.2])),
+            lambda: SimConfig(beta=[0.5], ticks=1, seed=0),
+            lambda: observe_from_moving_frame(np.array([0.5, 0.2]), 0.0, ticks=1, seed=0),
         ],
     )
     def test_scalar_api_rejects_sequences(self, call):
         with pytest.raises(InvalidBeta, match=r"real number, got (\[0\.5\]|array)"):
             call()
 
-    def test_accepts_beta_instances_and_zero_dim_arrays(self):
-        w = velocity_addition_array(Beta(0.5), np.array(0.5))
+    def test_accepts_numpy_scalars_and_zero_dim_arrays(self):
+        w = velocity_addition_array(np.float64(0.5), np.array(0.5))
         assert w.ndim == 0 and w == velocity_addition_array(0.5, 0.5)
 
     @pytest.mark.parametrize(
-        "fn", [velocity_addition_array, compose_velocity_via_probabilities_array]
+        "fn",
+        [velocity_addition_array, compose_velocity_via_probabilities_array,
+         compose_probabilities_array],
     )
     def test_invalid_entry_named(self, fn):
         with pytest.raises(InvalidBeta, match=r"got 1\.5$"):
             fn(np.array([0.1, 1.5, -2.0]), 0.0)
         with pytest.raises(InvalidBeta, match=r"got nan$"):
             fn(0.0, [0.0, math.nan])
+        # malformed arrays are input errors too, not numpy's bare ValueError
+        with pytest.raises(InvalidBeta, match=r"got \[\[0\.1, 0\.2\], \[0\.3\]\]$"):
+            fn([[0.1, 0.2], [0.3]], 0.1)
+        with pytest.raises(InvalidBeta, match=r"shapes \(3,\) and \(4,\)$"):
+            fn(np.zeros(3), np.zeros(4))
 
-    @pytest.mark.parametrize("bad", [["0.5"], [True, False], "0.5", [0.5j]])
+    @pytest.mark.parametrize(
+        "bad", [["0.5"], [True, False], "0.5", [0.5j], [[0.1, 0.2], [0.3]]]
+    )
     def test_non_numbers_rejected(self, bad):
         with pytest.raises(InvalidBeta):
             velocity_addition_array(bad, 0.0)
+        with pytest.raises(InvalidBeta):
+            direction_probabilities_array(bad)
 
     @pytest.mark.parametrize(
         "fn", [velocity_addition_array, compose_velocity_via_probabilities_array]

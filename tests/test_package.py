@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import zittersim
@@ -29,3 +30,18 @@ def test_readme_library_example_runs():
     library = README.read_text().split("## Library", 1)[1]
     example = library.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(example, str(README), "exec"), {})
+
+
+def test_readme_names_every_formula():
+    # the README sentence that lists the array functions names exactly the
+    # public functions of kinematics and entropy, so a rename cannot leave it stale
+    text = " ".join(README.read_text().split())
+    sentence = re.search(r"Each formula has one numpy implementation: (.*?)\.\s", text).group(1)
+    named = set(re.findall(r"`(\w+)`", sentence))
+    public = {
+        name
+        for m in (kinematics, entropy)
+        for name in m.__all__
+        if callable(getattr(m, name)) and not isinstance(getattr(m, name), type)
+    }
+    assert named == public

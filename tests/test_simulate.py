@@ -54,7 +54,7 @@ class TestSimConfig:
         with pytest.raises(InvalidBeta):
             SimConfig(beta=1.5, ticks=10, seed=1)
 
-    @pytest.mark.parametrize("beta", ["0.5", True, None])
+    @pytest.mark.parametrize("beta", ["0.5", True, None, [[0.1], [0.2, 0.3]]])
     def test_rejects_non_number_beta(self, beta):
         with pytest.raises(InvalidBeta):
             SimConfig(beta=beta, ticks=10, seed=1)
