@@ -29,9 +29,9 @@ import numpy as np
 from . import __version__
 from . import entropy as ent
 from . import kinematics as kin
-from .errors import IndeterminateComposition, NoAcceptedTicks, ZitterError
+from .errors import IndeterminateComposition, InvalidConfig, NoAcceptedTicks, ZitterError
 from .scales import (
-    HBAR, SPEED_OF_LIGHT, ParticleScale, named_particles, scale_for_particle,
+    HBAR, SPEED_OF_LIGHT, ParticleScale, _positive_real, named_particles, scale_for_particle,
 )
 from .simulate import (
     _CSV_ROWS,
@@ -131,7 +131,13 @@ def cmd_compose(args: argparse.Namespace) -> dict:
 
 
 def _build_config(args: argparse.Namespace) -> SimConfig:
-    scale = scale_for_particle(args.particle) if args.particle else None
+    # The path CSV's step is c * tick: c in m/s and a tick of 1/omega seconds
+    # under --particle, else 1.0 each (natural units); --tick-duration sets the tick.
+    c = tick = 1.0
+    if args.particle:
+        c, tick = SPEED_OF_LIGHT, scale_for_particle(args.particle).tick_duration_s
+    if args.tick_duration is not None:
+        tick = _positive_real(args.tick_duration, InvalidConfig, "tick_duration must be positive")
     flip = tuple(args.flip_asymmetry) if args.flip_asymmetry else None
     return SimConfig(
         beta=args.beta,
@@ -139,8 +145,7 @@ def _build_config(args: argparse.Namespace) -> SimConfig:
         seed=args.seed,
         dynamics=args.dynamics,
         flip_asymmetry=flip,
-        tick_duration=args.tick_duration,
-        scale=scale,
+        step_length=c * tick,
     )
 
 

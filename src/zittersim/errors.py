@@ -48,7 +48,8 @@ class InvalidEntropy(ZitterError, ValueError):
 
 
 class NonPositiveMass(ZitterError, ValueError):
-    """Particle mass must be strictly positive."""
+    """Particle mass that is not a positive number, or so large (above
+    ~1.05e257 kg) that its tick frequency 2 m c^2 / hbar overflows."""
 
 
 class UnknownParticle(ZitterError, KeyError):

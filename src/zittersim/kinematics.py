@@ -44,8 +44,11 @@ def _first(values: np.ndarray, bad: np.ndarray) -> float:
 
 def _is_real(value: object) -> bool:
     """Whether ``value`` is one real number: a Python or numpy int or float,
-    not a bool, a string or an array."""
-    arr = np.asarray(value)
+    not a bool, a string, an array or a ragged sequence."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        return False
     return arr.ndim == 0 and arr.dtype.kind in "iuf"
 
 
@@ -95,11 +98,11 @@ def _reject_antipodal(u: np.ndarray, v: np.ndarray) -> None:
         )
 
 
-def _reject_light_speed(b: np.ndarray, error: type, message: str) -> None:
-    """Raise ``error`` at the first |beta| = 1 entry of validated ``b``."""
+def _reject_light_speed(b: np.ndarray, message: str) -> None:
+    """Raise LightSpeedSingularity at the first |beta| = 1 entry of validated ``b``."""
     at_c = np.abs(b) == 1.0
     if at_c.any():
-        raise error(f"{message} at beta = {_first(b, at_c):+g}")
+        raise LightSpeedSingularity(f"{message} at beta = {_first(b, at_c):+g}")
 
 
 def direction_probabilities_array(v: np.typing.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
@@ -158,5 +161,5 @@ def rapidity_from_beta_array(v: np.typing.ArrayLike) -> np.ndarray:
     """Elementwise rapidity atanh(v) = log(1+z); raises LightSpeedSingularity
     at |v| = 1."""
     b = _betas(v)
-    _reject_light_speed(b, LightSpeedSingularity, "rapidity diverges")
+    _reject_light_speed(b, "rapidity diverges")
     return np.arctanh(b)

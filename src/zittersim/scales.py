@@ -64,11 +64,10 @@ class ParticleScale:
         """Tick angular frequency 2 m c^2 / hbar in rad/s and characteristic
         length hbar / (2 m c) = c / omega in meters of the mass ``mass_kg``."""
         m = _positive_real(mass_kg, NonPositiveMass, "mass must be a positive number of kg")
-        return cls(
-            mass_kg=m,
-            omega_rad_per_s=2.0 * m * SPEED_OF_LIGHT**2 / HBAR,
-            length_m=HBAR / (2.0 * m * SPEED_OF_LIGHT),
-        )
+        omega = 2.0 * m * SPEED_OF_LIGHT**2 / HBAR
+        if not math.isfinite(omega):
+            raise NonPositiveMass(f"mass must be at most ~1.05e257 kg for a finite omega, got {m!r}")
+        return cls(mass_kg=m, omega_rad_per_s=omega, length_m=HBAR / (2.0 * m * SPEED_OF_LIGHT))
 
     @property
     def frequency_hz(self) -> float:

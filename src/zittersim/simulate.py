@@ -15,10 +15,15 @@ reversal is deliberately left unmodeled, so the dynamics choice is a knob.
 Telegraph ticks are correlated (lag-1 correlation 1 - a - b); their standard
 errors are the exact ones for a correlated mean.
 
+The sampler is unitless: a drift is a dimensionless mean of +/-1 ticks.  Units
+enter only through ``SimConfig.step_length``, the distance per tick of the
+positions that the path CSV writes.
+
 One private generator yields the directions as int8 blocks of ``_CHUNK``
 ticks; drift estimates, ensembles, frame observation and the CSV dump reduce
 the blocks as they arrive, so memory is O(chunk), not O(ticks).  Only
-``generate_path`` holds a whole path, one byte per tick.
+``generate_path`` holds a whole path, one byte per tick; it, ``estimate_drift``
+and ``write_path_csv`` are module attributes that the package does not export.
 
 ``observe_from_moving_frame`` realizes frame composition stochastically:
 particle and observer directions are drawn per tick and a tick is retained
@@ -39,7 +44,6 @@ on any platform and numpy version that keeps PCG64's raw stream.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -49,7 +53,7 @@ import numpy as np
 
 from .errors import InvalidConfig, NoAcceptedTicks
 from .kinematics import _beta, _is_real, _reject_antipodal
-from .scales import SPEED_OF_LIGHT, ParticleScale, _positive_real
+from .scales import _positive_real
 
 __all__ = [
     "SimConfig",
@@ -57,12 +61,9 @@ __all__ = [
     "FrameObservation",
     "EnsembleResult",
     "derive_seed",
-    "generate_path",
-    "estimate_drift",
     "simulate_drift",
     "observe_from_moving_frame",
     "run_ensemble",
-    "write_path_csv",
 ]
 
 DYNAMICS = ("iid", "telegraph")
@@ -126,10 +127,10 @@ def derive_seed(seed: int, index: int) -> int:
 class SimConfig:
     """Validated configuration of one tick-process simulation.
 
-    ``tick_duration`` defaults to 1/omega seconds when a ``scale`` is
-    attached, else to 1.0 (natural units).  ``flip_asymmetry`` overrides the
-    telegraph flip probabilities (from-right, from-left); it must keep the
-    stationary right-probability at (1 + beta)/2.
+    ``flip_asymmetry`` overrides the telegraph flip probabilities (from-right,
+    from-left); it must keep the stationary right-probability at (1 + beta)/2.
+    ``step_length`` is the distance one tick covers in the path CSV; the
+    sampler itself is unitless.
     """
 
     beta: float
@@ -137,8 +138,7 @@ class SimConfig:
     seed: int
     dynamics: str = "iid"
     flip_asymmetry: Optional[tuple[float, float]] = None
-    tick_duration: Optional[float] = None
-    scale: Optional[ParticleScale] = None
+    step_length: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", _beta(self.beta))
@@ -146,10 +146,8 @@ class SimConfig:
         object.__setattr__(self, "seed", _validate_int("seed", self.seed, 0, _MAX_SEED))
         if self.dynamics not in DYNAMICS:
             raise InvalidConfig(f"dynamics must be one of {DYNAMICS}, got {self.dynamics!r}")
-        if self.tick_duration is not None:
-            _positive_real(self.tick_duration, InvalidConfig, "tick_duration must be positive")
-        if self.scale is not None and not isinstance(self.scale, ParticleScale):
-            raise InvalidConfig(f"scale must be a ParticleScale, got {self.scale!r}")
+        step = _positive_real(self.step_length, InvalidConfig, "step_length must be finite and > 0")
+        object.__setattr__(self, "step_length", step)
         # Positions reach ticks * step_length, which must be a finite number.
         if not math.isfinite(self.ticks * self.step_length):
             raise InvalidConfig(
@@ -194,13 +192,6 @@ class SimConfig:
             return self.flip_asymmetry
         p = self.p_right
         return (_DEFAULT_FLIP_SCALE * (1.0 - p), _DEFAULT_FLIP_SCALE * p)
-
-    @property
-    def step_length(self) -> float:
-        """Distance covered per tick: c * tick_duration, meters when a
-        physical scale is attached, else natural units (c = 1)."""
-        c, tick = (SPEED_OF_LIGHT, self.scale.tick_duration_s) if self.scale else (1.0, 1.0)
-        return c * (tick if self.tick_duration is None else self.tick_duration)
 
 
 @dataclass(frozen=True)
@@ -283,8 +274,6 @@ class _Streams:
         return self._ties.random_raw(n)
 
 
-# Cached: an ensemble of short paths would otherwise pay for it per path.
-@functools.lru_cache(maxsize=64)
 def _threshold(q: float) -> tuple[int, int]:
     """(head, tail) with head * 2**64 + tail = floor(q * 2**80): q's leading
     16-bit digit (65536 at q = 1) and the 64 bits below.  1 + beta rounds to

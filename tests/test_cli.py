@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -246,6 +247,36 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("particle", [[], ["--particle", "electron"]], ids=["units", "electron"])
+    @pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf"])
+    def test_bad_tick_duration_is_named(self, capsys, particle, duration):
+        code, out, err = run_cli(
+            capsys, "simulate", "--beta", "0", "--ticks", "10", "--seed", "1",
+            "--tick-duration", duration, *particle,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: tick_duration must be positive, got {float(duration)!r}\n"
+
+    @pytest.mark.parametrize(
+        "options, sha256",
+        [
+            (["--beta", "0.3", "--seed", "3", "--particle", "electron"],
+             "8268723330b86abfb44e1a1bd0d82339722e556b0fe4d2fe2aa9dfe6d70a75ca"),
+            (["--beta", "-0.2", "--seed", "4", "--particle", "muon", "--tick-duration", "2.5"],
+             "a00f94ae75becec118b03a47b3edc1fcd5a50829dbdccf7b5e368d9633a0a93e"),
+            (["--beta", "0.1", "--seed", "5", "--tick-duration", "0.5"],
+             "c812b414749c9abb2b32890932b06d567e2c505f8a53e57657503007c71036ad"),
+            (["--beta", "0.4", "--seed", "6", "--dynamics", "telegraph", "--particle", "proton"],
+             "f3a36960ed1139d64a7f49a960a7044531fe8bd1ab89f57468505e44a31d487e"),
+        ],
+        ids=["electron", "muon-tick-duration", "tick-duration", "telegraph-proton"],
+    )
+    def test_unit_scaled_path_csv_is_golden(self, capsys, tmp_path, options, sha256):
+        # the c * tick step lengths' positions, byte for byte, as stream layout 4 writes them
+        out = tmp_path / "p.csv"
+        run_json(capsys, "simulate", "--ticks", "1000", *options, "--path", str(out))
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
     @pytest.mark.parametrize("command", ["simulate", "observe"])
     @pytest.mark.parametrize("ticks", [str(2**63), str(10**400)])
     def test_huge_ticks_exit_2(self, capsys, command, ticks):
@@ -457,10 +488,10 @@ class TestScales:
         assert err == "error: unknown particle 'tau'; known: electron, muon, proton\n"
 
     def test_overflowing_mass_exits_2(self, capsys):
-        # omega = 2 m c^2 / hbar overflows to inf, which is not JSON
+        # omega = 2 m c^2 / hbar would overflow to inf
         code, out, err = run_cli(capsys, "scales", "--mass-kg", "1e300")
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == "error: mass must be at most ~1.05e257 kg for a finite omega, got 1e+300\n"
 
     def test_requires_exactly_one_selector(self, capsys):
         code, _, _ = run_cli(capsys, "scales")

@@ -62,6 +62,15 @@ class TestLength:
         with pytest.raises(NonPositiveMass):
             length(mass)
 
+    def test_largest_mass_has_finite_scales(self):
+        # 2 m c^2 / hbar overflows a float above ~1.0547e257 kg
+        scale = ParticleScale.from_mass(1.05e257)
+        fields = (scale.omega_rad_per_s, scale.length_m, scale.frequency_hz, scale.tick_duration_s)
+        assert all(0.0 < x < math.inf for x in fields)
+        for mass in (1.06e257, 1e300):
+            with pytest.raises(NonPositiveMass, match="at most ~1.05e257 kg"):
+                ParticleScale.from_mass(mass)
+
     @given(mass=MASSES)
     def test_length_times_frequency_is_c(self, mass):
         product = length(mass) * omega(mass)
@@ -70,7 +79,10 @@ class TestLength:
 
 @pytest.mark.parametrize(
     "fn,mass",
-    [(ParticleScale.from_mass, mass) for mass in ("x", "1e-30", True, None, [1e-30])],
+    [
+        (ParticleScale.from_mass, mass)
+        for mass in ("x", "1e-30", True, None, [1e-30], [[1e-30], [1e-30, 2e-30]])
+    ],
 )
 def test_non_number_mass_raises_non_positive_mass(fn, mass):
     with pytest.raises(NonPositiveMass):

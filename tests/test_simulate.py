@@ -19,18 +19,28 @@ from zittersim import (
     InvalidConfig,
     NoAcceptedTicks,
     SimConfig,
+    cli,
     derive_seed,
-    estimate_drift,
-    generate_path,
     observe_from_moving_frame,
     run_ensemble,
     scale_for_particle,
     simulate,
     simulate_drift,
     velocity_addition_array,
-    write_path_csv,
 )
 from zittersim.scales import SPEED_OF_LIGHT
+from zittersim.simulate import estimate_drift, generate_path, write_path_csv
+
+
+def _cli_config(*options: str) -> SimConfig:
+    """The config ``simulate --beta 0 --ticks 10 --seed 1 *options`` runs."""
+    argv = ["simulate", "--beta", "0", "--ticks", "10", "--seed", "1", *options]
+    return cli._build_config(cli.build_parser().parse_args(argv))
+
+
+def _unit_step(particle: str) -> float:
+    """The step length ``simulate --particle`` uses: c times a tick of 1/omega."""
+    return SPEED_OF_LIGHT * scale_for_particle(particle).tick_duration_s
 
 
 class TestSimConfig:
@@ -62,14 +72,13 @@ class TestSimConfig:
             observe_from_moving_frame(beta, 0.1, ticks=10, seed=1)
 
     def test_rejects_overflowing_positions(self):
-        electron = scale_for_particle("electron")
         # c * 1e300 s is not a finite step length
-        with pytest.raises(InvalidConfig, match="step length inf"):
-            SimConfig(beta=0.5, ticks=3, seed=1, scale=electron, tick_duration=1e300)
+        with pytest.raises(InvalidConfig, match="step_length must be finite and > 0, got inf"):
+            SimConfig(beta=0.5, ticks=3, seed=1, step_length=SPEED_OF_LIGHT * 1e300)
         # a finite step whose multiple overflows by the last tick
         with pytest.raises(InvalidConfig, match="overflow"):
-            SimConfig(beta=0.5, ticks=3, seed=1, tick_duration=1e308)
-        assert SimConfig(beta=0.5, ticks=1, seed=1, tick_duration=1e308).step_length == 1e308
+            SimConfig(beta=0.5, ticks=3, seed=1, step_length=1e308)
+        assert SimConfig(beta=0.5, ticks=1, seed=1, step_length=1e308).step_length == 1e308
 
     def test_rejects_unknown_dynamics(self):
         with pytest.raises(InvalidConfig):
@@ -114,8 +123,10 @@ class TestSimConfig:
         assert explicit.flip_probabilities == (0.05, 0.2)
 
     def test_scale_sets_tick_duration(self):
+        # --particle makes a tick last 1/omega seconds
         scale = scale_for_particle("electron")
-        cfg = SimConfig(beta=0.0, ticks=10, seed=1, scale=scale)
+        cfg = _cli_config("--particle", "electron")
+        assert cfg.step_length == SPEED_OF_LIGHT * scale.tick_duration_s
         assert cfg.step_length == pytest.approx(
             SPEED_OF_LIGHT / scale.omega_rad_per_s, rel=1e-15
         )
@@ -133,11 +144,16 @@ class TestSimConfig:
             SimConfig(**{"beta": 0.0, "ticks": 10, "seed": 1, field: True})
 
     def test_explicit_tick_duration_wins(self):
-        cfg = SimConfig(
-            beta=0.0, ticks=10, seed=1, scale=scale_for_particle("electron"),
-            tick_duration=2.0,
-        )
+        cfg = _cli_config("--particle", "electron", "--tick-duration", "2.0")
         assert cfg.step_length == SPEED_OF_LIGHT * 2.0
+        # without a particle the tick duration is the step in natural units (c = 1)
+        assert _cli_config("--tick-duration", "2.0").step_length == 2.0
+        assert _cli_config().step_length == 1.0
+
+    def test_step_length_is_a_float(self):
+        cfg = SimConfig(beta=1.0, ticks=2, seed=1, step_length=np.int64(3))
+        assert type(cfg.step_length) is float
+        assert _csv_positions(cfg) == [3.0, 6.0]
 
 
 class TestGeneratePath:
@@ -199,12 +215,12 @@ class TestGeneratePath:
         assert flips < 200
 
     def test_positions_are_scaled_cumulative_sums(self):
-        cfg = SimConfig(beta=1.0, ticks=4, seed=1, tick_duration=0.5)
+        cfg = SimConfig(beta=1.0, ticks=4, seed=1, step_length=0.5)
         assert _csv_positions(cfg) == [0.5, 1.0, 1.5, 2.0]
 
     def test_physical_positions_in_meters(self):
         scale = scale_for_particle("electron")
-        cfg = SimConfig(beta=1.0, ticks=3, seed=1, scale=scale)
+        cfg = SimConfig(beta=1.0, ticks=3, seed=1, step_length=_unit_step("electron"))
         assert _csv_positions(cfg)[-1] == pytest.approx(3.0 * scale.length_m, rel=1e-12)
 
     def test_path_carries_seed(self):
@@ -353,9 +369,10 @@ TELEGRAPH = {"beta": 0.0, "ticks": 10, "seed": 1, "dynamics": "telegraph"}
         pytest.param(lambda: SimConfig(**TELEGRAPH, flip_asymmetry=("x", 0.1)), id="flips-str"),
         pytest.param(lambda: SimConfig(**TELEGRAPH, flip_asymmetry=0.5), id="flips-scalar"),
         pytest.param(lambda: SimConfig(**TELEGRAPH, flip_asymmetry=(True, True)), id="flips-bool"),
-        pytest.param(lambda: SimConfig(**TELEGRAPH, tick_duration="1"), id="duration-str"),
-        pytest.param(lambda: SimConfig(**TELEGRAPH, tick_duration=True), id="duration-bool"),
-        pytest.param(lambda: SimConfig(**TELEGRAPH, scale="electron"), id="scale-name"),
+        pytest.param(lambda: SimConfig(**TELEGRAPH, step_length="1"), id="duration-str"),
+        pytest.param(lambda: SimConfig(**TELEGRAPH, step_length=True), id="duration-bool"),
+        pytest.param(lambda: SimConfig(**TELEGRAPH, step_length=[[1.0], [1.0, 2.0]]),
+                     id="duration-ragged"),
         pytest.param(lambda: derive_seed(1, 1.5), id="index-float"),
         pytest.param(lambda: derive_seed(1, "2"), id="index-str"),
         pytest.param(lambda: derive_seed(1, True), id="index-bool"),
@@ -765,7 +782,7 @@ class TestBlockCsvWriter:
         [
             SimConfig(beta=0.2, ticks=10_000, seed=4),
             SimConfig(beta=-0.3, ticks=9_001, seed=5, dynamics="telegraph"),
-            SimConfig(beta=0.3, ticks=10_000, seed=6, scale=scale_for_particle("electron")),
+            SimConfig(beta=0.3, ticks=10_000, seed=6, step_length=_unit_step("electron")),
         ],
         ids=["unit-steps", "telegraph", "electron"],
     )
@@ -777,7 +794,7 @@ class TestBlockCsvWriter:
     @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
     def test_streamed_dump_matches_path_dump(self, monkeypatch, chunk):
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
-        cfg = SimConfig(beta=0.1, ticks=10_000, seed=9, scale=scale_for_particle("muon"))
+        cfg = SimConfig(beta=0.1, ticks=10_000, seed=9, step_length=_unit_step("muon"))
         buf = io.StringIO()
         assert simulate_drift(cfg, buf) == simulate_drift(cfg)
         _assert_same_text(buf.getvalue(), _reference_csv(cfg))
