@@ -129,6 +129,9 @@ def compose_probabilities_array(
     p_right, p_left = direction_probabilities_array(v)
     q_right, q_left = direction_probabilities_array(u)
     num_right, num_left = p_right * q_right, p_left * q_left
+    # Both products are also 0 where one input is -1 and the other's Pr(L)
+    # rounds to 0 (it is 1 - 2**-53): the composed law there is (0, 1), w = -1.
+    num_left = num_left + (num_right + num_left == 0.0)
     z = num_right + num_left
     return num_right / z, num_left / z
 

@@ -21,9 +21,11 @@ positions that the path CSV writes.
 
 One private generator yields the directions as int8 blocks of ``_CHUNK``
 ticks; drift estimates, ensembles, frame observation and the CSV dump reduce
-the blocks as they arrive, so memory is O(chunk), not O(ticks).  Only
-``generate_path`` holds a whole path, one byte per tick; it, ``estimate_drift``
-and ``write_path_csv`` are module attributes that the package does not export.
+the blocks as they arrive, so memory is O(chunk), not O(ticks), and no path
+is ever held whole.  ``generate_path``, ``estimate_drift`` and
+``write_path_csv`` are one-line handles on ``simulate_drift``, kept as module
+attributes for the benchmark harness in ``perfbench/``; the package does not
+export them.
 
 ``observe_from_moving_frame`` realizes frame composition stochastically:
 particle and observer directions are drawn per tick and a tick is retained
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Optional
+from typing import IO, Iterator, Optional
 
 import numpy as np
 
@@ -144,7 +146,7 @@ class SimConfig:
         object.__setattr__(self, "beta", _beta(self.beta))
         object.__setattr__(self, "ticks", _validate_int("ticks", self.ticks, 1, _MAX_TICKS))
         object.__setattr__(self, "seed", _validate_int("seed", self.seed, 0, _MAX_SEED))
-        if self.dynamics not in DYNAMICS:
+        if not isinstance(self.dynamics, str) or self.dynamics not in DYNAMICS:
             raise InvalidConfig(f"dynamics must be one of {DYNAMICS}, got {self.dynamics!r}")
         step = _positive_real(self.step_length, InvalidConfig, "step_length must be finite and > 0")
         object.__setattr__(self, "step_length", step)
@@ -192,17 +194,6 @@ class SimConfig:
             return self.flip_asymmetry
         p = self.p_right
         return (_DEFAULT_FLIP_SCALE * (1.0 - p), _DEFAULT_FLIP_SCALE * p)
-
-
-@dataclass(frozen=True)
-class _Path:
-    """The int8 directions ``generate_path`` drew and the config it drew them for."""
-
-    directions: np.ndarray
-    config: SimConfig
-
-    def __len__(self) -> int:
-        return int(self.directions.size)
 
 
 @dataclass(frozen=True)
@@ -335,35 +326,19 @@ def _direction_blocks(
 def _path_sum(cfg: SimConfig, seed: int, stream: Optional[IO[str]] = None) -> int:
     """Direction sum of ``cfg``'s path from ``seed``; with ``stream`` also its CSV."""
     blocks = _direction_blocks(_Streams(seed), cfg.ticks, cfg.p_right, cfg.flip_probabilities)
-    return _sum_blocks(blocks, stream, cfg.step_length)
-
-
-def _sum_blocks(blocks: Iterable[np.ndarray], stream: Optional[IO], step_length: float) -> int:
-    """Direction sum of ``blocks``, written as path CSV when ``stream`` is given."""
     total = tick = 0
     if stream is not None:
         stream.write("tick,direction,position\n")
         blocks = (b[i : i + _CSV_ROWS] for b in blocks for i in range(0, b.size, _CSV_ROWS))
     for block in blocks:
         if stream is not None:
-            positions = (total + np.cumsum(block, dtype=np.int64)) * step_length
+            positions = (total + np.cumsum(block, dtype=np.int64)) * cfg.step_length
             signs = np.where(block > 0, "+1", "-1").tolist()
             rows = zip(range(tick, tick + block.size), signs, positions.tolist())
             stream.write("".join([f"{t},{d},{x!r}\n" for t, d, x in rows]))
         total += 2 * int(np.count_nonzero(block > 0)) - block.size
         tick += block.size
     return total
-
-
-def generate_path(cfg: SimConfig) -> _Path:
-    """The whole path ``simulate_drift(cfg)`` reduces, one byte per tick."""
-    directions = np.empty(cfg.ticks, np.int8)
-    start = 0
-    blocks = _direction_blocks(_Streams(cfg.seed), cfg.ticks, cfg.p_right, cfg.flip_probabilities)
-    for block in blocks:
-        directions[start : start + block.size] = block
-        start += block.size
-    return _Path(directions, cfg)
 
 
 def _variance_inflation(flips: Optional[tuple[float, float]], n: int) -> float:
@@ -393,22 +368,13 @@ def _estimate_from_sum(total: int, n: int, seed: Optional[int], inflation: float
     return DriftEstimate(mean=mean, std_error=std_error, n=n, seed=seed)
 
 
-def _estimate(total: int, cfg: SimConfig) -> DriftEstimate:
-    """Drift estimate of ``cfg``'s path from the sum of its directions."""
-    inflation = _variance_inflation(cfg.flip_probabilities, cfg.ticks)
-    return _estimate_from_sum(total, cfg.ticks, cfg.seed, inflation)
-
-
-def estimate_drift(path: _Path) -> DriftEstimate:
-    """``simulate_drift`` of the config ``generate_path`` drew ``path`` for."""
-    return _estimate(int(np.sum(path.directions, dtype=np.int64)), path.config)
-
-
 def simulate_drift(cfg: SimConfig, stream: Optional[IO[str]] = None) -> DriftEstimate:
     """Sample mean of ``cfg``'s tick directions with its standard error, in
     bounded memory: the path is reduced block by block and, with ``stream``,
-    written as ``write_path_csv`` writes it in the same pass."""
-    return _estimate(_path_sum(cfg, cfg.seed, stream), cfg)
+    written in the same pass as CSV rows ``tick,direction,position``:
+    direction +1/-1, position the running direction sum times ``cfg.step_length``."""
+    inflation = _variance_inflation(cfg.flip_probabilities, cfg.ticks)
+    return _estimate_from_sum(_path_sum(cfg, cfg.seed, stream), cfg.ticks, cfg.seed, inflation)
 
 
 def observe_from_moving_frame(
@@ -444,7 +410,7 @@ def observe_from_moving_frame(
         total += 2 * int(np.count_nonzero(both == 2)) - retained
     if n_retained == 0:
         raise NoAcceptedTicks(
-            f"0 of {ticks} ticks retained for u = {uf:+g}, v = {vf:+g}; "
+            f"0 of {ticks} ticks retained for u = {uf!r}, v = {vf!r}; "
             "increase ticks to estimate this composition"
         )
     return FrameObservation(
@@ -474,6 +440,29 @@ def run_ensemble(cfg: SimConfig, replicates: int) -> EnsembleResult:
     return EnsembleResult(replicates=estimates, pooled=pooled)
 
 
+# Handles on ``simulate_drift`` that the benchmark harness reaches by name.
+
+
+@dataclass(frozen=True)
+class _Path:
+    """The config of a path that ``generate_path`` names but does not draw."""
+
+    config: SimConfig
+
+    def __len__(self) -> int:
+        return self.config.ticks
+
+
+def generate_path(cfg: SimConfig) -> _Path:
+    """A handle on ``cfg``'s path; it draws nothing."""
+    return _Path(cfg)
+
+
+def estimate_drift(path: _Path) -> DriftEstimate:
+    """``simulate_drift`` of the path's config."""
+    return simulate_drift(path.config)
+
+
 def write_path_csv(path: _Path, stream: IO[str]) -> None:
-    """Dump a path as CSV rows ``tick,direction,position`` (direction +1/-1)."""
-    _sum_blocks([path.directions], stream, path.config.step_length)
+    """Write the path's CSV to ``stream`` as ``simulate_drift`` does."""
+    simulate_drift(path.config, stream)

@@ -47,6 +47,17 @@ class TestCompose:
         payload = run_json(capsys, "compose", "--u", "0", "--v", "0.25")
         assert payload["w"] == 0.25
 
+    @pytest.mark.parametrize(
+        "u,v", [("0.9999999999999999", "-1"), ("-1", "0.9999999999999999")]
+    )
+    def test_light_speed_beside_a_rounded_opposite(self, capsys, u, v):
+        # the near-c input's Pr(L) rounds to 0, so the composed law has no 0/0
+        code, out, err = run_cli(capsys, "compose", "--u", u, "--v", v)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["w"] == payload["composed"]["beta"] == -1.0
+        assert payload["composed"]["distribution"] == {"p_right": 0.0, "p_left": 1.0}
+
     def test_antipodal_exits_3(self, capsys):
         code, out, err = run_cli(capsys, "compose", "--u", "1", "--v", "-1")
         assert code == 3
@@ -325,6 +336,18 @@ class TestObserve:
             capsys, "observe", "--u", "-1", "--v", "1", "--ticks", "100", "--seed", "1"
         )
         assert code == 3
+
+    def test_no_retained_tick_names_the_exact_pair(self, capsys):
+        # u is one ulp below +1, so no tick is retained, but the pair is not antipodal
+        code, out, err = run_cli(
+            capsys, "observe", "--u", "0.9999999999999999", "--v", "-1",
+            "--ticks", "1000", "--seed", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: 0 of 1000 ticks retained for u = 0.9999999999999999, v = -1.0; "
+            "increase ticks to estimate this composition\n"
+        )
 
 
 class TestEntropy:

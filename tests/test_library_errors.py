@@ -102,11 +102,17 @@ def test_every_array_function_is_covered():
     assert len(arrays) == 10
 
 
-# Inputs that once escaped as numpy's bare ValueError or as an infinite scale;
-# every run tries them first.
+# Inputs that once escaped as numpy's bare ValueError, as an infinite scale or
+# as a 0/0 warning; every run tries them first.
+NEAR_C = 1.0 - 2.0**-53  # its Pr(L) rounds to 0
 KNOWN = {
-    "SimConfig": [(0.0, 10, 1, "iid", None, [[1.0], [1.0, 2.0]])],
+    "SimConfig": [
+        (0.0, 10, 1, "iid", None, [[1.0], [1.0, 2.0]]),
+        (-1.0, 1, 1, np.array([0.5, 0.5]), None, 1),
+    ],
     "ParticleScale.from_mass": [([[1e-30], [1e-30, 2e-30]],), (1e300,)],
+    "compose_probabilities_array": [(NEAR_C, -1.0), (-1.0, NEAR_C)],
+    "compose_velocity_via_probabilities_array": [(NEAR_C, -1.0), (-1.0, NEAR_C)],
 }
 
 

@@ -159,44 +159,38 @@ class TestSimConfig:
 class TestGeneratePath:
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
     def test_light_speed_never_reverses(self, dynamics):
-        path = generate_path(SimConfig(beta=1.0, ticks=500, seed=3, dynamics=dynamics))
-        assert np.all(path.directions == 1)
-        path = generate_path(SimConfig(beta=-1.0, ticks=500, seed=3, dynamics=dynamics))
-        assert np.all(path.directions == -1)
+        assert np.all(_directions(SimConfig(beta=1.0, ticks=500, seed=3, dynamics=dynamics)) == 1)
+        assert np.all(_directions(SimConfig(beta=-1.0, ticks=500, seed=3, dynamics=dynamics)) == -1)
 
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_speed_is_always_c(self, dynamics, seed):
-        path = generate_path(SimConfig(beta=0.3, ticks=2000, seed=seed, dynamics=dynamics))
-        assert np.all(np.abs(path.directions) == 1)
+        path = _directions(SimConfig(beta=0.3, ticks=2000, seed=seed, dynamics=dynamics))
+        assert np.all(np.abs(path) == 1)
 
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
     def test_deterministic_for_fixed_seed(self, dynamics):
         cfg = SimConfig(beta=0.2, ticks=5000, seed=99, dynamics=dynamics)
-        first = generate_path(cfg)
-        second = generate_path(cfg)
-        assert np.array_equal(first.directions, second.directions)
+        assert np.array_equal(_directions(cfg), _directions(cfg))
 
     def test_different_seeds_differ(self):
-        a = generate_path(SimConfig(beta=0.0, ticks=5000, seed=1))
-        b = generate_path(SimConfig(beta=0.0, ticks=5000, seed=2))
-        assert not np.array_equal(a.directions, b.directions)
+        a = _directions(SimConfig(beta=0.0, ticks=5000, seed=1))
+        b = _directions(SimConfig(beta=0.0, ticks=5000, seed=2))
+        assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize(
         "beta,seed", [(0.0, 11), (0.6, 12), (-0.35, 13)]
     )
     def test_iid_drift_within_five_sigma(self, beta, seed):
         n = 1_000_000
-        path = generate_path(SimConfig(beta=beta, ticks=n, seed=seed))
-        mean = float(np.mean(path.directions))
+        mean = float(np.mean(_directions(SimConfig(beta=beta, ticks=n, seed=seed))))
         assert abs(mean - beta) <= 5.0 * math.sqrt((1.0 - beta * beta) / n)
 
     @pytest.mark.parametrize("beta,seed", [(0.0, 21), (0.6, 22), (-0.35, 23)])
     def test_telegraph_drift_within_inflated_five_sigma(self, beta, seed):
         n = 500_000
         cfg = SimConfig(beta=beta, ticks=n, seed=seed, dynamics="telegraph")
-        path = generate_path(cfg)
-        mean = float(np.mean(path.directions))
+        mean = float(np.mean(_directions(cfg)))
         # persistent chain: variance of the mean inflates by (1+rho)/(1-rho)
         a, b = cfg.flip_probabilities
         rho = 1.0 - (a + b)
@@ -209,8 +203,8 @@ class TestGeneratePath:
             beta=0.0, ticks=20_000, seed=5, dynamics="telegraph",
             flip_asymmetry=(0.001, 0.001),
         )
-        path = generate_path(cfg)
-        flips = int(np.sum(path.directions[1:] != path.directions[:-1]))
+        path = _directions(cfg)
+        flips = int(np.sum(path[1:] != path[:-1]))
         # ~20 expected; the iid chain would give ~10000
         assert flips < 200
 
@@ -225,7 +219,6 @@ class TestGeneratePath:
 
     def test_path_carries_seed(self):
         cfg = SimConfig(beta=0.0, ticks=5, seed=77)
-        assert estimate_drift(generate_path(cfg)).seed == 77
         assert simulate_drift(cfg).seed == 77
 
 
@@ -237,33 +230,47 @@ def _csv_positions(cfg: SimConfig) -> list[float]:
 
 
 class TestZitterPath:
-    """The whole path that ``generate_path`` returns."""
+    """The handles on ``simulate_drift`` that the benchmark harness calls."""
 
     def test_length(self):
         assert len(generate_path(SimConfig(beta=0.0, ticks=3, seed=1))) == 3
 
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
-    def test_generate_path_holds_one_byte_per_tick(self, dynamics):
-        ticks = 4_000_000
-        cfg = SimConfig(beta=0.3, ticks=ticks, seed=12, dynamics=dynamics)
-        tracemalloc.start()
-        try:
-            generate_path(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the int8 path plus one block's sampling temporaries; concatenating
-        # the blocks would hold the path twice
-        assert peak < ticks + 40 * simulate._CHUNK
+    def test_handles_are_simulate_drift(self, monkeypatch, dynamics):
+        cfg = SimConfig(beta=0.3, ticks=1_000, seed=12, dynamics=dynamics)
+        want = io.StringIO()
+        expected = simulate_drift(cfg, want)
+        # generate_path draws nothing
+        monkeypatch.setattr(simulate, "_Streams", None)
+        path = generate_path(cfg)
+        monkeypatch.undo()
+        assert path.config == cfg
+        assert estimate_drift(path) == expected
+        got = io.StringIO()
+        assert write_path_csv(path, got) is None
+        assert got.getvalue() == want.getvalue()
+
+
+def _directions(cfg: SimConfig) -> np.ndarray:
+    """``cfg``'s whole path: the blocks of ``simulate._direction_blocks`` joined."""
+    streams = simulate._Streams(cfg.seed)
+    blocks = simulate._direction_blocks(streams, cfg.ticks, cfg.p_right, cfg.flip_probabilities)
+    return np.concatenate(list(blocks))
+
+
+def _whole_path_estimate(cfg: SimConfig):
+    """The drift estimate of ``cfg``'s path reduced as one array."""
+    total = int(np.sum(_directions(cfg), dtype=np.int64))
+    inflation = simulate._variance_inflation(cfg.flip_probabilities, cfg.ticks)
+    return simulate._estimate_from_sum(total, cfg.ticks, cfg.seed, inflation)
 
 
 def _estimate_of(cfg: SimConfig, directions: list[int]):
-    """``estimate_drift`` of ``cfg``'s path, which must draw ``directions``;
-    ``simulate_drift`` must agree with it."""
-    path = generate_path(cfg)
-    assert path.directions.tolist() == directions
-    est = estimate_drift(path)
-    assert simulate_drift(cfg) == est
+    """``simulate_drift`` of ``cfg``'s path, which must draw ``directions``;
+    the whole-array reduction must agree with it."""
+    assert _directions(cfg).tolist() == directions
+    est = simulate_drift(cfg)
+    assert _whole_path_estimate(cfg) == est
     return est
 
 
@@ -279,7 +286,7 @@ class TestEstimateDrift:
         assert est.mean == 0.0
         # flips (1, 1) alternate every tick, so the mean of 4 ticks is exact
         cfg = SimConfig(beta=0.0, ticks=4, seed=1, dynamics="telegraph", flip_asymmetry=(1, 1))
-        est = estimate_drift(generate_path(cfg))
+        est = simulate_drift(cfg)
         assert (est.mean, est.std_error) == (0.0, 0.0)
 
     def test_three_quarters(self):
@@ -409,7 +416,7 @@ class TestRunEnsemble:
         cfg = SimConfig(beta=0.3, ticks=5_000, seed=123)
         result = run_ensemble(cfg, 1)
         derived = SimConfig(beta=0.3, ticks=5_000, seed=derive_seed(123, 0))
-        direct = estimate_drift(generate_path(derived))
+        direct = _whole_path_estimate(derived)
         assert result.replicates[0] == direct
         assert result.pooled.mean == direct.mean
         assert result.pooled.n == direct.n
@@ -446,9 +453,8 @@ class TestRunEnsemble:
 
 class TestPathCsv:
     def test_format(self):
-        path = generate_path(SimConfig(beta=1.0, ticks=3, seed=1))
         buf = io.StringIO()
-        write_path_csv(path, buf)
+        simulate_drift(SimConfig(beta=1.0, ticks=3, seed=1), buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "tick,direction,position"
         assert lines[1] == "0,+1,1.0"
@@ -457,9 +463,8 @@ class TestPathCsv:
 
     def test_directions_signed(self):
         # seed 41 draws [-1, -1, 1, -1]
-        path = generate_path(SimConfig(beta=0.0, ticks=4, seed=41))
         buf = io.StringIO()
-        write_path_csv(path, buf)
+        simulate_drift(SimConfig(beta=0.0, ticks=4, seed=41), buf)
         rows = buf.getvalue().strip().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["-1", "-1", "+1", "-1"]
 
@@ -467,7 +472,7 @@ class TestPathCsv:
 def _reference_csv(cfg: SimConfig) -> str:
     """The per-row csv.writer dump of ``cfg``'s path that the block writer
     replaced, kept as the byte-for-byte reference."""
-    directions = generate_path(cfg).directions
+    directions = _directions(cfg)
     positions = np.cumsum(directions, dtype=np.int64) * cfg.step_length
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -577,7 +582,7 @@ class TestChunkedSampler:
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
         for beta in (0.3, 1.0, -1.0, 0.0, -1.0 + 2.0**-52):
             cfg = SimConfig(beta=beta, ticks=ticks, seed=17)
-            directions = generate_path(cfg).directions
+            directions = _directions(cfg)
             assert np.array_equal(directions, _layout3_ticks(beta, ticks, 17)), beta
         assert simulate_drift(small) == reference[0]
         assert run_ensemble(small, 3) == reference[1]
@@ -634,7 +639,7 @@ class TestChunkedSampler:
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
         cfg = SimConfig(beta=beta, ticks=2 * chunk + 8_000, seed=31, dynamics="telegraph",
                         flip_asymmetry=flips)
-        path = generate_path(cfg).directions
+        path = _directions(cfg)
         assert path.tolist() == _layout4_ticks(cfg, chunk)
         if flips == (2.0**-20, 2.0**-20) and chunk > 8_000:
             # a 2**-20 flip is a 0 digit (odds 2**-16) and then a tie word
@@ -682,7 +687,7 @@ class TestChunkedSampler:
     def test_simulate_drift_is_estimate_of_generated_path(self, monkeypatch, dynamics, chunk):
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
         cfg = SimConfig(beta=-0.4, ticks=5_000, seed=8, dynamics=dynamics)
-        assert simulate_drift(cfg) == estimate_drift(generate_path(cfg))
+        assert simulate_drift(cfg) == _whole_path_estimate(cfg)
 
     @pytest.mark.parametrize(
         "beta,flips,seed", [(0.3, None, 31), (-0.6, (0.4, 0.1), 32), (0.0, (0.9, 0.9), 33)]
@@ -693,7 +698,7 @@ class TestChunkedSampler:
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
         n = 200_000
         cfg = SimConfig(beta=beta, ticks=n, seed=seed, dynamics="telegraph", flip_asymmetry=flips)
-        x = generate_path(cfg).directions
+        x = _directions(cfg)
         a, b = cfg.flip_probabilities
         sigma_mean = math.sqrt(
             (1.0 - beta * beta) / n * simulate._variance_inflation((a, b), n)
@@ -712,7 +717,7 @@ class TestChunkedSampler:
     def test_light_speed_telegraph_across_blocks(self, monkeypatch, beta, flips):
         monkeypatch.setattr(simulate, "_CHUNK", 7)
         cfg = SimConfig(beta=beta, ticks=100, seed=2, dynamics="telegraph", flip_asymmetry=flips)
-        assert np.all(generate_path(cfg).directions == int(beta))
+        assert np.all(_directions(cfg) == int(beta))
         assert simulate_drift(cfg).mean == beta
 
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
@@ -728,7 +733,7 @@ class TestChunkedSampler:
 
     def test_telegraph_std_error_is_exact_formula(self):
         cfg = SimConfig(beta=0.2, ticks=1_000, seed=3, dynamics="telegraph")
-        est = estimate_drift(generate_path(cfg))
+        est = simulate_drift(cfg)
         rho = 1.0 - sum(cfg.flip_probabilities)
         factor = (1 + rho) / (1 - rho) - 2 * rho * (1 - rho**1_000) / (1_000 * (1 - rho) ** 2)
         assert est.std_error == pytest.approx(
@@ -762,8 +767,12 @@ class TestChunkedSampler:
                 SimConfig(beta=0.3, ticks=4_000_000, seed=1, dynamics="telegraph")
             ),
             lambda: observe_from_moving_frame(0.4, 0.5, ticks=4_000_000, seed=1),
+            lambda: estimate_drift(generate_path(SimConfig(beta=0.3, ticks=4_000_000, seed=1))),
+            lambda: estimate_drift(
+                generate_path(SimConfig(beta=0.3, ticks=4_000_000, seed=1, dynamics="telegraph"))
+            ),
         ],
-        ids=["iid", "telegraph", "observe"],
+        ids=["iid", "telegraph", "observe", "handle-iid", "handle-telegraph"],
     )
     def test_reducers_hold_one_block_at_a_time(self, reduce):
         tracemalloc.start()
@@ -788,7 +797,7 @@ class TestBlockCsvWriter:
     )
     def test_byte_identical_to_csv_writer(self, cfg):
         buf = io.StringIO()
-        write_path_csv(generate_path(cfg), buf)
+        simulate_drift(cfg, buf)
         _assert_same_text(buf.getvalue(), _reference_csv(cfg))
 
     @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
