@@ -7,14 +7,15 @@ stream provenance, so a run can be replayed from its own output.  Each
 ``cmd_*`` returns its payload, or None when it wrote its result to stdout
 itself (``entropy --grid``); ``main`` adds the manifest and writes the JSON.
 Exit codes: 0 success, 1 verification/run failure or an output file
-(``--path``, ``--csv``) that cannot be written, 2 invalid input,
-3 indeterminate composition.
+(``--path``, ``--csv``, stdout) that cannot be written, 2 invalid input,
+3 indeterminate composition; a reader that closed stdout early is not an error.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import os
@@ -34,7 +35,6 @@ from .scales import (
     HBAR, SPEED_OF_LIGHT, ParticleScale, _positive_real, named_particles, scale_for_particle,
 )
 from .simulate import (
-    _CSV_ROWS,
     DYNAMICS,
     STREAM_LAYOUT,
     SimConfig,
@@ -82,14 +82,17 @@ def _parse_grid(raw: str) -> tuple[float, float, int]:
     return kin._beta(start), kin._beta(stop), count
 
 
-def _grid_slices(start: float, stop: float, count: int) -> Iterator[np.ndarray]:
-    """``np.linspace(start, stop, count)`` bit for bit, in slices of
-    ``_CSV_ROWS`` points: index * step + start, the last point set to stop."""
+def _grid_slices(
+    start: float, stop: float, count: int, rows: int = 1 << 12
+) -> Iterator[np.ndarray]:
+    """``np.linspace(start, stop, count)`` bit for bit, in slices of ``rows``
+    points (as many as the path CSV formats per write): index * step + start,
+    the last point set to stop."""
     div = count - 1
     delta = stop - start
     step = delta / div if div else 0.0
-    for lo in range(0, count, _CSV_ROWS):
-        y = np.arange(lo, min(lo + _CSV_ROWS, count), dtype=np.float64)
+    for lo in range(0, count, rows):
+        y = np.arange(lo, min(lo + rows, count), dtype=np.float64)
         # linspace scales by delta / div, or, for one point or a step that
         # underflows to 0, divides by div before multiplying by delta.
         y = y * step if step else y / max(div, 1) * delta
@@ -297,28 +300,53 @@ def _join_dash_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _settle_stdout() -> None:
+    """Flush stdout; if fd 1 takes no more bytes, point it at devnull, so that
+    the flush at interpreter shutdown cannot fail a second time."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; return its exit code.
+
+    Called with ``argv=None``, as ``python -m zittersim.cli`` and the
+    ``zittersim`` script do, ``main`` is the process entry and reads
+    ``sys.argv``.  It then moves every object alive before the command runs,
+    the imported modules and the parser, into gc's permanent generation
+    (``gc.freeze()``), so neither the run's nor shutdown's collections
+    traverse that heap; what the command allocates is collected as usual.  A
+    caller that passes ``argv`` keeps its own gc state.  No option or
+    environment variable changes either route.
+    """
     parser = build_parser()
     if argv is None:
+        gc.freeze()
         argv = sys.argv[1:]
     args = parser.parse_args(_join_dash_values(argv))
     try:
         payload = args.func(args)
-        if payload is None:
-            return EXIT_OK
-        payload["manifest"] = _manifest(args)
-        # A result that overflowed to inf or nan raises ValueError, not "Infinity".
-        sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        if payload is not None:
+            payload["manifest"] = _manifest(args)
+            # A result that overflowed to inf or nan raises ValueError, not "Infinity".
+            sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        # Fail here, where the handlers below see it, not at shutdown.
+        sys.stdout.flush()
         return EXIT_FAILURE if args.command == "verify" and not payload["passed"] else EXIT_OK
     except BrokenPipeError:
         # downstream consumer (head, etc.) closed the pipe; not an error
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _settle_stdout()
         return EXIT_OK
     except IndeterminateComposition as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except (NoAcceptedTicks, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        _settle_stdout()
         return EXIT_FAILURE
     except (ZitterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -288,9 +288,10 @@ def _bernoulli(streams: _Streams, k: int, q: float) -> np.ndarray:
 
 
 def _direction_blocks(
-    streams: _Streams, ticks: int, p_right: float, flips: Optional[tuple] = None
+    streams: _Streams, ticks: int, p_right: float, flips: Optional[tuple] = None,
+    chunk: int = _CHUNK,
 ) -> Iterator[np.ndarray]:
-    """Yield ``ticks`` +/-1 directions as int8 blocks of at most ``_CHUNK``.
+    """Yield ``ticks`` +/-1 directions as int8 blocks of at most ``chunk``.
 
     iid tick i is right iff the i-th ``_bernoulli`` draw of p_right is true,
     whatever the block size.  A telegraph chain with ``flips`` = (a, b) starts
@@ -301,7 +302,7 @@ def _direction_blocks(
     """
     if flips is not None:
         state = _bernoulli(streams, 1, p_right)
-    for k in (min(_CHUNK, ticks - start) for start in range(0, ticks, _CHUNK)):
+    for k in (min(chunk, ticks - start) for start in range(0, ticks, chunk)):
         if flips is None:
             right = _bernoulli(streams, k, p_right)
         else:
@@ -323,9 +324,14 @@ def _direction_blocks(
         yield block
 
 
-def _path_sum(cfg: SimConfig, seed: int, stream: Optional[IO[str]] = None) -> int:
-    """Direction sum of ``cfg``'s path from ``seed``; with ``stream`` also its CSV."""
-    blocks = _direction_blocks(_Streams(seed), cfg.ticks, cfg.p_right, cfg.flip_probabilities)
+def _path_sum(
+    cfg: SimConfig, seed: int, stream: Optional[IO[str]] = None, chunk: int = _CHUNK
+) -> int:
+    """Direction sum of ``cfg``'s path from ``seed``, drawn in ``chunk``-tick
+    blocks; with ``stream`` also its CSV."""
+    blocks = _direction_blocks(
+        _Streams(seed), cfg.ticks, cfg.p_right, cfg.flip_probabilities, chunk
+    )
     total = tick = 0
     if stream is not None:
         stream.write("tick,direction,position\n")

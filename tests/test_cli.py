@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -211,7 +212,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
     def test_json_identical_with_and_without_path(self, capsys, tmp_path, monkeypatch, dynamics):
-        monkeypatch.setattr(simulate, "_CHUNK", 1000)
+        # the run goes through main, so the 1000-tick blocks are patched in
+        monkeypatch.setattr(simulate, "_path_sum", functools.partial(simulate._path_sum, chunk=1000))
         argv = ("simulate", "--beta", "0.3", "--ticks", "5000", "--seed", "12",
                 "--dynamics", dynamics)
         plain = run_json(capsys, *argv)
@@ -450,16 +452,17 @@ class TestEntropy:
     @pytest.mark.parametrize("count", [1, 2, 4095, 4097, 10_000])
     @pytest.mark.parametrize("start,stop", [(-0.99, 0.99), (0.7, -0.2), (0.3, 0.3), (0.0, 1e-320)])
     def test_grid_slices_are_linspace(self, count, start, stop):
-        slices = list(cli._grid_slices(start, stop, count))
-        assert max(len(s) for s in slices) <= cli._CSV_ROWS
-        got = np.concatenate(slices)
         want = np.linspace(start, stop, count)
-        assert got.tobytes() == want.tobytes()
+        for rows in (7, 4096):
+            slices = list(cli._grid_slices(start, stop, count, rows=rows))
+            assert max(len(s) for s in slices) <= rows
+            assert np.concatenate(slices).tobytes() == want.tobytes()
 
     def test_grid_memory_does_not_grow_with_count(self, monkeypatch):
         # 256-row slices keep the traced formatting short; both grids span
-        # many slices, as 2e4 and 2e5 rows do at the default slice size
-        monkeypatch.setattr(cli, "_CSV_ROWS", 256)
+        # many slices, as 2e4 and 2e5 rows do at the default slice size.
+        # The sweep goes through main, so the slicer is patched.
+        monkeypatch.setattr(cli, "_grid_slices", functools.partial(cli._grid_slices, rows=256))
 
         def peak(count):
             tracemalloc.start()

@@ -1,0 +1,107 @@
+"""The real process entry: ``python -m zittersim.cli`` in a child process.
+
+Each child runs with ``src/`` on its path and ``PYTHONUNBUFFERED`` removed,
+so stdout is block-buffered as it is under a pipe or a file redirect, and a
+result that cannot be written fails inside ``main``, not at shutdown.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from zittersim.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _env() -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def _run(args: list[str], stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=_env(),
+        text=True, timeout=120,
+    )
+
+
+def _cli(*argv: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    return _run(["-m", "zittersim.cli", *argv], stdout)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (("compose", "--u", "0.5", "--v", "0.5"), 0),
+        (("observe", "--u", "0.9999999999999999", "--v", "-1", "--ticks", "1000", "--seed", "1"),
+         1),
+        (("compose", "--u", "2", "--v", "0"), 2),
+        (("compose", "--u", "1", "--v", "-1"), 3),
+    ],
+    ids=["ok", "run-failure", "invalid-input", "indeterminate"],
+)
+def test_exit_codes(argv, code):
+    done = _cli(*argv)
+    assert done.returncode == code
+    if code == 0:
+        assert json.loads(done.stdout)["manifest"]["command"] == argv[0]
+        assert done.stderr == ""
+    else:
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+# A JSON result, and a bare CSV sweep that main does not write itself.
+SMALL_OUTPUTS = [("compose", "--u", "0.5", "--v", "0.5"), ("entropy", "--grid", "0:0.5:3")]
+
+
+@pytest.mark.parametrize("argv", SMALL_OUTPUTS, ids=["json", "grid"])
+def test_closed_pipe_exits_0_silently(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _cli(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", SMALL_OUTPUTS, ids=["json", "grid"])
+def test_full_disk_exits_1_with_one_error_line(argv):
+    with open("/dev/full", "w") as full:
+        done = _cli(*argv, stdout=full)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: [Errno 28]") and done.stderr.count("\n") == 1
+
+
+def test_main_with_argv_leaves_gc_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert main(["compose", "--u", "0.5", "--v", "0.5"]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_bare_main_freezes_the_import_heap():
+    code = (
+        "import gc, sys\n"
+        "from zittersim import cli\n"
+        "sys.argv = ['zittersim', 'compose', '--u', '0.5', '--v', '0.5']\n"
+        "assert gc.get_freeze_count() == 0\n"
+        "code = cli.main()\n"
+        "print(gc.get_freeze_count(), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    done = _run(["-c", code])
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["w"] == 0.8
+    assert int(done.stderr) > 0

@@ -251,11 +251,23 @@ class TestZitterPath:
         assert got.getvalue() == want.getvalue()
 
 
-def _directions(cfg: SimConfig) -> np.ndarray:
-    """``cfg``'s whole path: the blocks of ``simulate._direction_blocks`` joined."""
+def _directions(cfg: SimConfig, chunk: int = simulate._CHUNK) -> np.ndarray:
+    """``cfg``'s whole path: the ``chunk``-tick blocks of
+    ``simulate._direction_blocks`` joined."""
     streams = simulate._Streams(cfg.seed)
-    blocks = simulate._direction_blocks(streams, cfg.ticks, cfg.p_right, cfg.flip_probabilities)
+    blocks = simulate._direction_blocks(
+        streams, cfg.ticks, cfg.p_right, cfg.flip_probabilities, chunk
+    )
     return np.concatenate(list(blocks))
+
+
+def _right_counts(cfg: SimConfig, replicates: int, chunk: int) -> list[int]:
+    """Right-tick counts of ``run_ensemble(cfg, replicates)``'s replicates,
+    each drawn in ``chunk``-tick blocks."""
+    sums = (
+        simulate._path_sum(cfg, derive_seed(cfg.seed, r), chunk=chunk) for r in range(replicates)
+    )
+    return [(total + cfg.ticks) // 2 for total in sums]
 
 
 def _whole_path_estimate(cfg: SimConfig):
@@ -572,20 +584,19 @@ def _right_counts_chi2(counts: list[int], pmf) -> tuple[float, int]:
 
 class TestChunkedSampler:
     @pytest.mark.parametrize("chunk", [1, 7, 4096, simulate._CHUNK])
-    def test_iid_stream_independent_of_chunk_size(self, monkeypatch, chunk):
+    def test_iid_stream_independent_of_chunk_size(self, chunk):
         # 3e5 ticks hold ~5 ties per path, and chunks 1 and 7 carry digits
         # across most block edges; -1 + 2**-52 has head 0, so only tie words
         # can draw right
         ticks = 300_000
-        small = SimConfig(beta=0.3, ticks=10_000, seed=17)
-        reference = (simulate_drift(small), run_ensemble(small, 3))
-        monkeypatch.setattr(simulate, "_CHUNK", chunk)
         for beta in (0.3, 1.0, -1.0, 0.0, -1.0 + 2.0**-52):
             cfg = SimConfig(beta=beta, ticks=ticks, seed=17)
-            directions = _directions(cfg)
+            directions = _directions(cfg, chunk)
             assert np.array_equal(directions, _layout3_ticks(beta, ticks, 17)), beta
-        assert simulate_drift(small) == reference[0]
-        assert run_ensemble(small, 3) == reference[1]
+        # the sums behind simulate_drift and run_ensemble
+        small = SimConfig(beta=0.3, ticks=10_000, seed=17)
+        for est in (simulate_drift(small), *run_ensemble(small, 3).replicates):
+            assert simulate._path_sum(small, est.seed, chunk=chunk) == round(est.mean * small.ticks)
 
     @given(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
     def test_threshold_is_p_in_80_bits(self, beta, q):
@@ -600,12 +611,10 @@ class TestChunkedSampler:
             assert head * 2**64 + tail == Fraction(exact) * 2**80
 
     @pytest.mark.parametrize("beta,seed", [(-0.6, 61), (0.3, 62)])
-    def test_iid_right_counts_are_binomial(self, monkeypatch, beta, seed):
+    def test_iid_right_counts_are_binomial(self, beta, seed):
         # 7-tick blocks carry digits across 7 of the 9 block edges
-        monkeypatch.setattr(simulate, "_CHUNK", 7)
         n = 64
-        result = run_ensemble(SimConfig(beta=beta, ticks=n, seed=seed), 5_000)
-        counts = [round((e.mean + 1.0) * n / 2) for e in result.replicates]
+        counts = _right_counts(SimConfig(beta=beta, ticks=n, seed=seed), 5_000, chunk=7)
         chi2, df = _right_counts_chi2(counts, _binomial_pmf(n, 0.5 * (1.0 + beta)))
         assert (chi2 - df) / math.sqrt(2.0 * df) < 5.0
 
@@ -613,13 +622,11 @@ class TestChunkedSampler:
         "beta,flips,seed", [(0.3, None, 63), (-0.4, (0.035, 0.015), 64)],
         ids=["default-flips", "slow-flips"],
     )
-    def test_telegraph_right_counts_follow_exact_law(self, monkeypatch, beta, flips, seed):
+    def test_telegraph_right_counts_follow_exact_law(self, beta, flips, seed):
         # 64 ticks in 7-tick blocks carry the chain's state across 9 block edges
-        monkeypatch.setattr(simulate, "_CHUNK", 7)
         n = 64
         cfg = SimConfig(beta=beta, ticks=n, seed=seed, dynamics="telegraph", flip_asymmetry=flips)
-        result = run_ensemble(cfg, 3_000)
-        counts = [round((e.mean + 1.0) * n / 2) for e in result.replicates]
+        counts = _right_counts(cfg, 3_000, chunk=7)
         pmf = _telegraph_pmf(n, cfg.p_right, *cfg.flip_probabilities)
         assert sum(pmf) == pytest.approx(1.0, abs=1e-12)
         chi2, df = _right_counts_chi2(counts, pmf)
@@ -632,14 +639,11 @@ class TestChunkedSampler:
         ids=["default-flips", "flips-0.4-0.1", "flips-0.9-0.9", "never-left-flip", "tie-words"],
     )
     @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
-    def test_telegraph_stream_matches_tick_by_tick_reference(
-        self, monkeypatch, beta, flips, chunk
-    ):
+    def test_telegraph_stream_matches_tick_by_tick_reference(self, beta, flips, chunk):
         # two whole blocks and a partial one
-        monkeypatch.setattr(simulate, "_CHUNK", chunk)
         cfg = SimConfig(beta=beta, ticks=2 * chunk + 8_000, seed=31, dynamics="telegraph",
                         flip_asymmetry=flips)
-        path = _directions(cfg)
+        path = _directions(cfg, chunk)
         assert path.tolist() == _layout4_ticks(cfg, chunk)
         if flips == (2.0**-20, 2.0**-20) and chunk > 8_000:
             # a 2**-20 flip is a 0 digit (odds 2**-16) and then a tie word
@@ -684,21 +688,21 @@ class TestChunkedSampler:
 
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
     @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
-    def test_simulate_drift_is_estimate_of_generated_path(self, monkeypatch, dynamics, chunk):
-        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    def test_simulate_drift_is_estimate_of_generated_path(self, dynamics, chunk):
         cfg = SimConfig(beta=-0.4, ticks=5_000, seed=8, dynamics=dynamics)
+        whole = int(np.sum(_directions(cfg, chunk), dtype=np.int64))
+        assert simulate._path_sum(cfg, cfg.seed, chunk=chunk) == whole
         assert simulate_drift(cfg) == _whole_path_estimate(cfg)
 
     @pytest.mark.parametrize(
         "beta,flips,seed", [(0.3, None, 31), (-0.6, (0.4, 0.1), 32), (0.0, (0.9, 0.9), 33)]
     )
     @pytest.mark.parametrize("chunk", [64, simulate._CHUNK])
-    def test_telegraph_mean_and_lag1_correlation(self, monkeypatch, beta, flips, seed, chunk):
+    def test_telegraph_mean_and_lag1_correlation(self, beta, flips, seed, chunk):
         # small chunks put thousands of block edges inside the path
-        monkeypatch.setattr(simulate, "_CHUNK", chunk)
         n = 200_000
         cfg = SimConfig(beta=beta, ticks=n, seed=seed, dynamics="telegraph", flip_asymmetry=flips)
-        x = _directions(cfg)
+        x = _directions(cfg, chunk)
         a, b = cfg.flip_probabilities
         sigma_mean = math.sqrt(
             (1.0 - beta * beta) / n * simulate._variance_inflation((a, b), n)
@@ -714,10 +718,10 @@ class TestChunkedSampler:
         assert abs((1.0 - a_hat - b_hat) - (1.0 - a - b)) <= 5.0 * sigma_rho
 
     @pytest.mark.parametrize("beta,flips", [(1.0, None), (1.0, (0.0, 0.3)), (-1.0, (0.3, 0.0))])
-    def test_light_speed_telegraph_across_blocks(self, monkeypatch, beta, flips):
-        monkeypatch.setattr(simulate, "_CHUNK", 7)
+    def test_light_speed_telegraph_across_blocks(self, beta, flips):
         cfg = SimConfig(beta=beta, ticks=100, seed=2, dynamics="telegraph", flip_asymmetry=flips)
-        assert np.all(_directions(cfg) == int(beta))
+        assert np.all(_directions(cfg, 7) == int(beta))
+        assert simulate._path_sum(cfg, cfg.seed, chunk=7) == beta * cfg.ticks
         assert simulate_drift(cfg).mean == beta
 
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
@@ -801,9 +805,8 @@ class TestBlockCsvWriter:
         _assert_same_text(buf.getvalue(), _reference_csv(cfg))
 
     @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
-    def test_streamed_dump_matches_path_dump(self, monkeypatch, chunk):
-        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    def test_streamed_dump_matches_path_dump(self, chunk):
         cfg = SimConfig(beta=0.1, ticks=10_000, seed=9, step_length=_unit_step("muon"))
         buf = io.StringIO()
-        assert simulate_drift(cfg, buf) == simulate_drift(cfg)
+        assert simulate._path_sum(cfg, cfg.seed, buf, chunk) == simulate._path_sum(cfg, cfg.seed)
         _assert_same_text(buf.getvalue(), _reference_csv(cfg))
