@@ -4,8 +4,7 @@ Results are JSON on stdout (full float precision, as Python's repr emits);
 bulk series go to CSV.  Every result embeds a run manifest with the command's
 options as parsed (null where not given), seed, constants, version and RNG
 stream provenance, so a run can be replayed from its own output.  Each
-``cmd_*`` returns its payload, or None when it wrote its result to stdout
-itself (``entropy --grid``); ``main`` adds the manifest and writes the JSON.
+``cmd_*`` returns its payload; ``main`` adds the manifest and writes the JSON.
 Exit codes: 0 success, 1 verification/run failure or an output file
 (``--path``, ``--csv``, stdout) that cannot be written, 2 invalid input,
 3 indeterminate composition; a reader that closed stdout early is not an error.
@@ -14,7 +13,6 @@ Exit codes: 0 success, 1 verification/run failure or an output file
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import json
 import math
@@ -157,11 +155,12 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     # A bad count is the error to report, whatever else the command asks for.
     _validate_replicates(cfg, args.replicates)
     if args.replicates != 1:
-        if args.path:
+        if args.path is not None:
             raise ValueError("--path dumps a single path; drop --replicates")
         return asdict(run_ensemble(cfg, args.replicates))
-    csv_file = open(args.path, "w", newline="") if args.path else contextlib.nullcontext()
-    with csv_file as fh:
+    if args.path is None:
+        return asdict(simulate_drift(cfg))
+    with open(args.path, "w", newline="") as fh:
         return asdict(simulate_drift(cfg, fh))
 
 
@@ -171,21 +170,17 @@ def cmd_observe(args: argparse.Namespace) -> dict:
     return {**obs.pop("estimate"), **obs}
 
 
-def cmd_entropy(args: argparse.Namespace) -> Optional[dict]:
-    if (args.beta is None) == (args.grid is None):
-        raise ValueError("provide exactly one of --beta or --grid")
-    if args.csv is not None and args.grid is None:
-        raise ValueError("--csv writes the --grid sweep; use it with --grid")
+def cmd_entropy(args: argparse.Namespace) -> dict:
+    if (args.grid is None) != (args.csv is None):
+        raise ValueError("--grid writes its sweep to --csv PATH; give both or neither")
     if args.grid is not None:
         start, stop, count = _parse_grid(args.grid)
-        target = open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext(sys.stdout)
-        with target as fh:
+        with open(args.csv, "w", newline="") as fh:
             fh.write("beta,S_nats,S_bits,gamma,one_plus_z\n")
             for b in _grid_slices(start, stop, count):
                 columns = (c.tolist() for c in _entropy_columns(b))
                 fh.write("".join(map("{!r},{!r},{!r},{!r},{!r}\n".format, *columns)))
-        # A sweep written to a file reports on stdout, with its manifest.
-        return {"rows": count} if args.csv else None
+        return {"rows": count}
     # The --grid beta:beta:1 row, with JSON null where the row has nan.
     b = np.array([kin._beta(args.beta)])
     row = [None if math.isnan(x) else x for x in np.concatenate(_entropy_columns(b)).tolist()]
@@ -202,8 +197,6 @@ def cmd_entropy(args: argparse.Namespace) -> Optional[dict]:
 
 
 def cmd_scales(args: argparse.Namespace) -> dict:
-    if (args.particle is None) == (args.mass_kg is None):
-        raise ValueError("provide exactly one of --particle or --mass-kg")
     if args.particle is not None:
         scale = scale_for_particle(args.particle)
     else:
@@ -268,17 +261,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_observe)
 
     p = sub.add_parser("entropy", help="observer-dependent entropy of the motion")
-    p.add_argument("--beta", type=float, help="average velocity in [-1, 1]")
-    p.add_argument(
+    pick = p.add_mutually_exclusive_group(required=True)
+    pick.add_argument("--beta", type=float, help="average velocity in [-1, 1]")
+    pick.add_argument(
         "--grid", metavar="START:STOP:COUNT",
-        help="sweep an inclusive grid and emit CSV, with S in both nats and bits, instead of JSON",
+        help="sweep an inclusive grid to the --csv file, with S in both nats and bits",
     )
-    p.add_argument("--csv", metavar="PATH", help="write grid CSV to PATH (default stdout)")
+    p.add_argument("--csv", metavar="PATH", help="write the --grid sweep to PATH")
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("scales", help="tick frequency and length for a mass")
-    p.add_argument("--particle", help=f"named particle: {', '.join(named_particles())}")
-    p.add_argument("--mass-kg", type=float, help="mass in kilograms")
+    pick = p.add_mutually_exclusive_group(required=True)
+    pick.add_argument("--particle", help=f"named particle: {', '.join(named_particles())}")
+    pick.add_argument("--mass-kg", type=float, help="mass in kilograms")
     p.set_defaults(func=cmd_scales)
 
     p = sub.add_parser("verify", help="run the invariant suite and report")
@@ -327,13 +322,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         gc.freeze()
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_dash_values(argv))
     try:
+        try:
+            args = parser.parse_args(_join_dash_values(argv))
+        except SystemExit:
+            # --help or a usage error: argparse's own output fails here too.
+            sys.stdout.flush()
+            raise
         payload = args.func(args)
-        if payload is not None:
-            payload["manifest"] = _manifest(args)
-            # A result that overflowed to inf or nan raises ValueError, not "Infinity".
-            sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        payload["manifest"] = _manifest(args)
+        # A result that overflowed to inf or nan raises ValueError, not "Infinity".
+        sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         # Fail here, where the handlers below see it, not at shutdown.
         sys.stdout.flush()
         return EXIT_FAILURE if args.command == "verify" and not payload["passed"] else EXIT_OK

@@ -35,6 +35,18 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def run_rejected(capsys, *argv):
+    """argparse rejects the argv: SystemExit(2), nothing on stdout, and its
+    usage line, then its one error line, on stderr."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: ") and "error: " in lines[-1]
+    assert not any("error: " in line for line in lines[:-1])
+
+
 class TestCompose:
     def test_half_plus_half(self, capsys):
         payload = run_json(capsys, "compose", "--u", "0.5", "--v", "0.5")
@@ -372,10 +384,11 @@ class TestEntropy:
         assert payload["S_relativistic_nats"] is None
 
     @pytest.mark.parametrize("beta", ["-0.37", "0.0", "0.6", "1.0", "-1.0"])
-    def test_beta_reports_the_grid_row_in_every_unit(self, capsys, beta):
-        code, out, _ = run_cli(capsys, "entropy", "--grid", f"{beta}:{beta}:1")
+    def test_beta_reports_the_grid_row_in_every_unit(self, capsys, tmp_path, beta):
+        out = tmp_path / "row.csv"
+        code, _, _ = run_cli(capsys, "entropy", "--grid", f"{beta}:{beta}:1", "--csv", str(out))
         assert code == 0
-        row = out.splitlines()[1].split(",")
+        row = out.read_text().splitlines()[1].split(",")
         payload = run_json(capsys, "entropy", "--beta", beta)
         assert (payload["S_nats"], payload["S_bits"]) == (float(row[1]), float(row[2]))
         # gamma and 1+z are the row's, or null where the row has nan (|beta| = 1)
@@ -397,10 +410,8 @@ class TestEntropy:
         assert code == 2
 
     def test_requires_beta_or_grid(self, capsys):
-        code, _, _ = run_cli(capsys, "entropy")
-        assert code == 2
-        code, _, _ = run_cli(capsys, "entropy", "--beta", "0", "--grid", "0:1:5")
-        assert code == 2
+        run_rejected(capsys, "entropy")
+        run_rejected(capsys, "entropy", "--beta", "0", "--grid", "0:1:5")
 
     def test_csv_without_grid_exits_2(self, capsys, tmp_path):
         out = tmp_path / "e.csv"
@@ -408,6 +419,11 @@ class TestEntropy:
         assert code == 2 and stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_grid_without_csv_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "entropy", "--grid", "0:0.5:3")
+        assert code == 2 and out == ""
+        assert err == "error: --grid writes its sweep to --csv PATH; give both or neither\n"
 
     def test_grid_csv(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -435,19 +451,14 @@ class TestEntropy:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_grid_to_stdout(self, capsys):
-        code, out, _ = run_cli(capsys, "entropy", "--grid", "0:0.5:3")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "beta,S_nats,S_bits,gamma,one_plus_z"
-        assert len(lines) == 4
-
-    def test_bad_grid_exits_2(self, capsys):
+    def test_bad_grid_exits_2(self, capsys, tmp_path):
+        csv_path = tmp_path / "g.csv"
         for raw in ("0:0.5", "0:0.5:1e3", "a:0.5:3", "0:0.5:0"):
-            code, out, err = run_cli(capsys, "entropy", "--grid", raw)
+            code, out, err = run_cli(capsys, "entropy", "--grid", raw, "--csv", str(csv_path))
             assert code == 2 and out == ""
             assert err.startswith("error: grid must be start:stop:count")
             assert err.endswith(f"got {raw!r}\n") and err.count("\n") == 1
+            assert not csv_path.exists()
 
     @pytest.mark.parametrize("count", [1, 2, 4095, 4097, 10_000])
     @pytest.mark.parametrize("start,stop", [(-0.99, 0.99), (0.7, -0.2), (0.3, 0.3), (0.0, 1e-320)])
@@ -476,10 +487,11 @@ class TestEntropy:
         # a whole 2e4-point grid alone would take 144 kB more than 2e3 points
         assert large < small + 50_000
 
-    def test_grid_handles_light_speed_rows(self, capsys):
-        code, out, _ = run_cli(capsys, "entropy", "--grid", "-1:1:3")
+    def test_grid_handles_light_speed_rows(self, capsys, tmp_path):
+        out = tmp_path / "edge.csv"
+        code, _, _ = run_cli(capsys, "entropy", "--grid", "-1:1:3", "--csv", str(out))
         assert code == 0
-        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         # S is defined at the boundary, gamma and 1+z are not
         assert float(rows[0][1]) == 0.0 and float(rows[2][1]) == 0.0
         assert math.isnan(float(rows[0][3])) and math.isnan(float(rows[2][4]))
@@ -520,12 +532,27 @@ class TestScales:
         assert err == "error: mass must be at most ~1.05e257 kg for a finite omega, got 1e+300\n"
 
     def test_requires_exactly_one_selector(self, capsys):
-        code, _, _ = run_cli(capsys, "scales")
-        assert code == 2
-        code, _, _ = run_cli(
-            capsys, "scales", "--particle", "electron", "--mass-kg", "1e-30"
-        )
-        assert code == 2
+        run_rejected(capsys, "scales")
+        run_rejected(capsys, "scales", "--particle", "electron", "--mass-kg", "1e-30")
+
+
+class TestOutputPath:
+    SIMULATE = ("simulate", "--beta", "0.3", "--ticks", "10", "--seed", "1")
+
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            ((*SIMULATE, "--path", ""), 1),
+            ((*SIMULATE, "--path", "", "--replicates", "2"), 2),
+            (("entropy", "--grid", "0:1:2", "--csv", ""), 1),
+        ],
+        ids=["simulate-path", "simulate-path-replicates", "entropy-csv"],
+    )
+    def test_empty_path_is_a_path(self, capsys, argv, exit_code):
+        # "" names a file that cannot be opened; it does not mean "no file"
+        code, out, err = run_cli(capsys, *argv)
+        assert code == exit_code and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestParser:
@@ -551,7 +578,7 @@ class TestParser:
         [
             (["simulate", "--beta", "-1e-05", "--ticks", "10", "--seed", "1"], 0, ""),
             (["compose", "--u", "-1e-3", "--v", "-0.2"], 0, ""),
-            (["entropy", "--grid", "-1e-3:0.5:3"], 0, ""),
+            (["entropy", "--grid", "-1e-3:0.5:3", "--csv", os.devnull], 0, ""),
             (["simulate", "--beta", "0", "--ticks", "10", "--seed", "-1"], 2, "error: seed must be "),
         ],
         ids=["simulate-beta", "compose-u-v", "entropy-grid", "simulate-seed"],
@@ -741,7 +768,7 @@ _GRIDS = _mostly(
     st.tuples(_BETAS, _BETAS, st.integers(min_value=1, max_value=1_000).map(str)).map(":".join),
     st.sampled_from(["0:0.5", "::", "0:1:1e3", "0:1:0", "0:1:-1"]),
 )
-_OUTPUTS = _mostly(st.just("out.csv"), st.just("missing/out.csv"))
+_OUTPUTS = _mostly(st.just("out.csv"), st.sampled_from(["missing/out.csv", ""]))
 _PARTICLES = _mostly(st.sampled_from(["electron", "muon", "proton"]), st.sampled_from(["tau", ""]))
 
 # (required, optional) options of each subcommand and their values.
@@ -805,10 +832,7 @@ class TestNoTraceback:
         out, err = out.getvalue(), err.getvalue()
         if code == 0:
             assert err == ""
-            if "--grid" in argv and "--csv" not in argv:
-                assert out.startswith("beta,S_nats,")
-            else:
-                json.loads(out, parse_constant=_reject_constant)
+            assert "manifest" in json.loads(out, parse_constant=_reject_constant)
         else:
             assert code in (1, 2, 3)
             error_lines = [line for line in err.splitlines() if "error:" in line]

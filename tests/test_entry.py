@@ -60,11 +60,18 @@ def test_exit_codes(argv, code):
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
-# A JSON result, and a bare CSV sweep that main does not write itself.
-SMALL_OUTPUTS = [("compose", "--u", "0.5", "--v", "0.5"), ("entropy", "--grid", "0:0.5:3")]
+# A JSON result that fits stdout's 8 kB buffer, so the final flush fails; one
+# that does not (12.8 kB), so the write itself fails; and argparse's --help.
+OUTPUTS = {
+    "json": ("compose", "--u", "0.5", "--v", "0.5"),
+    "json-over-buffer": (
+        "simulate", "--beta", "0.3", "--ticks", "10", "--seed", "1", "--replicates", "100",
+    ),
+    "help": ("--help",),
+}
 
 
-@pytest.mark.parametrize("argv", SMALL_OUTPUTS, ids=["json", "grid"])
+@pytest.mark.parametrize("argv", list(OUTPUTS.values()), ids=list(OUTPUTS))
 def test_closed_pipe_exits_0_silently(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -76,12 +83,19 @@ def test_closed_pipe_exits_0_silently(argv):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", SMALL_OUTPUTS, ids=["json", "grid"])
+@pytest.mark.parametrize("argv", list(OUTPUTS.values()), ids=list(OUTPUTS))
 def test_full_disk_exits_1_with_one_error_line(argv):
     with open("/dev/full", "w") as full:
         done = _cli(*argv, stdout=full)
     assert done.returncode == 1
     assert done.stderr.startswith("error: [Errno 28]") and done.stderr.count("\n") == 1
+
+
+def test_help_in_process_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: zittersim")
 
 
 def test_main_with_argv_leaves_gc_unfrozen(capsys):
