@@ -451,6 +451,16 @@ class TestEntropy:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_grid_to_stdout(self, capsys, tmp_path):
+        # stdout carries one JSON document, never the sweep; the sweep is in --csv
+        csv_path = tmp_path / "g.csv"
+        code, out, _ = run_cli(capsys, "entropy", "--grid", "0:0.5:3", "--csv", str(csv_path))
+        assert code == 0
+        assert json.loads(out)["rows"] == 3 and "beta,S_nats" not in out
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[0] == "beta,S_nats,S_bits,gamma,one_plus_z"
+        assert len(lines) == 4
+
     def test_bad_grid_exits_2(self, capsys, tmp_path):
         csv_path = tmp_path / "g.csv"
         for raw in ("0:0.5", "0:0.5:1e3", "a:0.5:3", "0:0.5:0"):
