@@ -135,7 +135,7 @@ def _build_config(args: argparse.Namespace) -> SimConfig:
     # The path CSV's step is c * tick: c in m/s and a tick of 1/omega seconds
     # under --particle, else 1.0 each (natural units); --tick-duration sets the tick.
     c = tick = 1.0
-    if args.particle:
+    if args.particle is not None:
         c, tick = SPEED_OF_LIGHT, scale_for_particle(args.particle).tick_duration_s
     if args.tick_duration is not None:
         tick = _positive_real(args.tick_duration, InvalidConfig, "tick_duration must be positive")
@@ -246,8 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tick-duration", type=float, help="seconds per tick")
     p.add_argument(
-        "--particle", choices=named_particles(),
-        help="attach a physical scale (tick duration defaults to 1/omega)",
+        "--particle",
+        help=f"named particle: {', '.join(named_particles())}; attaches a physical "
+        "scale (tick duration defaults to 1/omega)",
     )
     p.add_argument("--path", metavar="CSV", help="also dump the path as tick CSV")
     p.add_argument("--replicates", type=int, default=1, help="independent replicates")

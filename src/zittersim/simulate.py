@@ -19,13 +19,13 @@ The sampler is unitless: a drift is a dimensionless mean of +/-1 ticks.  Units
 enter only through ``SimConfig.step_length``, the distance per tick of the
 positions that the path CSV writes.
 
-One private generator yields the directions as int8 blocks of ``_CHUNK``
-ticks; drift estimates, ensembles, frame observation and the CSV dump reduce
-the blocks as they arrive, so memory is O(chunk), not O(ticks), and no path
-is ever held whole.  ``generate_path``, ``estimate_drift`` and
-``write_path_csv`` are one-line handles on ``simulate_drift``, kept as module
-attributes for the benchmark harness in ``perfbench/``; the package does not
-export them.
+One private generator yields the directions as boolean blocks of ``_CHUNK``
+ticks, true where a tick is right; drift estimates, ensembles, frame
+observation and the CSV dump reduce the blocks as they arrive, so memory is
+O(chunk), not O(ticks), and no path is ever held whole.  ``generate_path``,
+``estimate_drift`` and ``write_path_csv`` are one-line handles on
+``simulate_drift``, kept as module attributes for the benchmark harness in
+``perfbench/``; the package does not export them.
 
 ``observe_from_moving_frame`` realizes frame composition stochastically:
 particle and observer directions are drawn per tick and a tick is retained
@@ -79,8 +79,8 @@ _MAX_SEED = 2**64
 # stationary law at p for any s in (0, 1]; s = 1 would degenerate to iid.
 _DEFAULT_FLIP_SCALE = 0.5
 
-# Ticks per sampled block: the samplers hold ~10 bytes per block tick at once.
-# 64k-tick blocks also measured faster than 4k or 1M ones.
+# Ticks per sampled block: the samplers hold 5 (iid) to 14 (telegraph) bytes per
+# block tick at once.  64k-tick blocks also measured faster than 4k or 1M ones.
 _CHUNK = 1 << 16
 
 # CSV rows formatted per write; a row holds ~100 bytes until it is written.
@@ -291,7 +291,8 @@ def _direction_blocks(
     streams: _Streams, ticks: int, p_right: float, flips: Optional[tuple] = None,
     chunk: int = _CHUNK,
 ) -> Iterator[np.ndarray]:
-    """Yield ``ticks`` +/-1 directions as int8 blocks of at most ``chunk``.
+    """Yield ``ticks`` directions as boolean blocks of at most ``chunk``:
+    entry t is true iff tick t is right.
 
     iid tick i is right iff the i-th ``_bernoulli`` draw of p_right is true,
     whatever the block size.  A telegraph chain with ``flips`` = (a, b) starts
@@ -304,7 +305,7 @@ def _direction_blocks(
         state = _bernoulli(streams, 1, p_right)
     for k in (min(chunk, ticks - start) for start in range(0, ticks, chunk)):
         if flips is None:
-            right = _bernoulli(streams, k, p_right)
+            yield _bernoulli(streams, k, p_right)
         else:
             flip_right = _bernoulli(streams, k, flips[0])
             flip_left = _bernoulli(streams, k, flips[1])
@@ -317,11 +318,7 @@ def _direction_blocks(
             toggle[known] = np.diff(verdict_xor_parity, prepend=state)
             right = np.concatenate((state, np.logical_xor.accumulate(toggle) ^ state))
             state = right[k:]
-        # 0/1 as int8, mapped to -1/+1: many times faster than np.where
-        block = right[:k].view(np.int8)
-        block += block
-        block -= 1
-        yield block
+            yield right[:k]
 
 
 def _path_sum(
@@ -336,14 +333,15 @@ def _path_sum(
     if stream is not None:
         stream.write("tick,direction,position\n")
         blocks = (b[i : i + _CSV_ROWS] for b in blocks for i in range(0, b.size, _CSV_ROWS))
-    for block in blocks:
+    for right in blocks:
         if stream is not None:
-            positions = (total + np.cumsum(block, dtype=np.int64)) * cfg.step_length
-            signs = np.where(block > 0, "+1", "-1").tolist()
-            rows = zip(range(tick, tick + block.size), signs, positions.tolist())
+            # The CSV is the one place where a tick is a +/-1 step.
+            positions = (total + np.cumsum(np.where(right, 1, -1), dtype=np.int64)) * cfg.step_length
+            signs = np.where(right, "+1", "-1").tolist()
+            rows = zip(range(tick, tick + right.size), signs, positions.tolist())
             stream.write("".join([f"{t},{d},{x!r}\n" for t, d, x in rows]))
-        total += 2 * int(np.count_nonzero(block > 0)) - block.size
-        tick += block.size
+        total += 2 * int(np.count_nonzero(right)) - right.size
+        tick += right.size
     return total
 
 
@@ -409,11 +407,9 @@ def observe_from_moving_frame(
     observer = _direction_blocks(streams, ticks, 0.5 * (1.0 + uf))
     n_retained = total = 0
     for d, e in zip(particle, observer):
-        # d + e is 2d on retained ticks (D = E) and 0 on the others.
-        both = d + e
-        retained = int(np.count_nonzero(both))
+        retained = int(np.count_nonzero(d == e))
         n_retained += retained
-        total += 2 * int(np.count_nonzero(both == 2)) - retained
+        total += 2 * int(np.count_nonzero(d & e)) - retained
     if n_retained == 0:
         raise NoAcceptedTicks(
             f"0 of {ticks} ticks retained for u = {uf!r}, v = {vf!r}; "

@@ -566,10 +566,22 @@ class TestOutputPath:
 
 
 class TestParser:
-    def test_particle_choices_are_the_named_particles(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [("simulate", "--beta", "0", "--ticks", "10", "--seed", "1"), ("scales",)],
+        ids=["simulate", "scales"],
+    )
+    def test_particle_names_resolve_through_one_route(self, capsys, argv):
+        # both commands read --particle through scale_for_particle
+        run_json(capsys, *argv, "--particle", "Electron")
+        known = ", ".join(named_particles())
+        for name in ("tau", ""):
+            code, out, err = run_cli(capsys, *argv, "--particle", name)
+            assert (code, out) == (2, "")
+            assert err == f"error: unknown particle {name!r}; known: {known}\n"
         sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
-        particle = next(a for a in sub.choices["simulate"]._actions if a.dest == "particle")
-        assert tuple(particle.choices) == named_particles()
+        help_text = sub.choices[argv[0]].format_help()
+        assert all(name in help_text for name in named_particles())
 
     def test_dynamics_choices_are_the_simulator_dynamics(self):
         sub = next(a for a in cli.build_parser()._actions if a.dest == "command")

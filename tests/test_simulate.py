@@ -252,13 +252,13 @@ class TestZitterPath:
 
 
 def _directions(cfg: SimConfig, chunk: int = simulate._CHUNK) -> np.ndarray:
-    """``cfg``'s whole path: the ``chunk``-tick blocks of
+    """``cfg``'s whole path as +/-1 ticks: the ``chunk``-tick right-masks of
     ``simulate._direction_blocks`` joined."""
     streams = simulate._Streams(cfg.seed)
     blocks = simulate._direction_blocks(
         streams, cfg.ticks, cfg.p_right, cfg.flip_probabilities, chunk
     )
-    return np.concatenate(list(blocks))
+    return np.where(np.concatenate(list(blocks)), 1, -1)
 
 
 def _right_counts(cfg: SimConfig, replicates: int, chunk: int) -> list[int]:
@@ -360,6 +360,24 @@ class TestObserveFromMovingFrame:
         a = observe_from_moving_frame(0.4, -0.2, ticks=10_000, seed=11)
         b = observe_from_moving_frame(0.4, -0.2, ticks=10_000, seed=11)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "u,v,ticks,seed,golden",
+        [
+            (0.4, -0.2, 150_000, 11,
+             (0.21852228189867906, 0.003717893499035018, 68890, 0.45926666666666666)),
+            (-0.7, 0.9, 200_003, 12,
+             (0.5436691942610877, 0.004383378126189953, 36662, 0.18330725039124413)),
+            (1.0, 0.3, 70_001, 13, (1.0, 0.0, 45520, 0.6502764246225053)),
+        ],
+    )
+    def test_stream_is_layout_4(self, u, v, ticks, seed, golden):
+        # golden values drawn under stream layout 4; more ticks than one block,
+        # so particle and observer blocks interleave on the one stream
+        assert ticks > simulate._CHUNK
+        obs = observe_from_moving_frame(u, v, ticks=ticks, seed=seed)
+        est = obs.estimate
+        assert (est.mean, est.std_error, est.n, obs.acceptance_rate) == golden
 
 
 class TestDeriveSeed:
@@ -583,6 +601,18 @@ def _right_counts_chi2(counts: list[int], pmf) -> tuple[float, int]:
 
 
 class TestChunkedSampler:
+    @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
+    @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
+    def test_blocks_are_right_masks(self, dynamics, chunk):
+        # two whole blocks and a partial one
+        cfg = SimConfig(beta=0.3, ticks=2 * chunk + 5, seed=9, dynamics=dynamics)
+        streams = simulate._Streams(cfg.seed)
+        blocks = list(simulate._direction_blocks(
+            streams, cfg.ticks, cfg.p_right, cfg.flip_probabilities, chunk
+        ))
+        assert all(b.dtype == np.bool_ and b.ndim == 1 and b.size <= chunk for b in blocks)
+        assert sum(b.size for b in blocks) == cfg.ticks
+
     @pytest.mark.parametrize("chunk", [1, 7, 4096, simulate._CHUNK])
     def test_iid_stream_independent_of_chunk_size(self, chunk):
         # 3e5 ticks hold ~5 ties per path, and chunks 1 and 7 carry digits
