@@ -8,22 +8,35 @@ seeded Monte Carlo simulator that reproduces those laws, and the physical
 tick scales for massive particles.
 
 The package exports exactly the public names of its modules, as listed in
-each module's ``__all__``.
+each module's ``__all__``.  Names resolve on first use: ``import zittersim``
+imports no module, and reading a module or a name it exports imports it.
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from . import entropy, errors, kinematics, scales, simulate, verification
-from .entropy import *  # noqa: F401,F403
-from .errors import *  # noqa: F401,F403
-from .kinematics import *  # noqa: F401,F403
-from .scales import *  # noqa: F401,F403
-from .simulate import *  # noqa: F401,F403
-from .verification import *  # noqa: F401,F403
+# Read by the CLI's parser and every run manifest before a command is known.
+DYNAMICS = ("iid", "telegraph")
+LEVELS = ("fast", "full")
+# Version of the order in which the samplers draw from the PCG64 stream;
+# 4 reads every iid tick and telegraph flip from a 16-bit digit of it.
+STREAM_LAYOUT = 4
 
-__all__ = ["__version__"]
-for _module in (errors, kinematics, entropy, simulate, scales, verification):
-    __all__ += _module.__all__
-del _module
+_MODULES = ("errors", "kinematics", "entropy", "scales", "simulate", "verification")  # import order
+
+
+def __getattr__(name: str) -> object:
+    if name in _MODULES:
+        __import__(f"{__name__}.{name}")  # binds the module here, as an import statement does
+        return globals()[name]
+    if name == "__all__":
+        return ["__version__", *(n for m in _MODULES for n in __getattr__(m).__all__)]
+    for module in map(__getattr__, () if name.startswith("_") else _MODULES):
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__getattr__("__all__")})

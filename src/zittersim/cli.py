@@ -5,6 +5,7 @@ bulk series go to CSV.  Every result embeds a run manifest with the command's
 options as parsed (null where not given), seed, constants, version and RNG
 stream provenance, so a run can be replayed from its own output.  Each
 ``cmd_*`` returns its payload; ``main`` adds the manifest and writes the JSON.
+Only the commands that sample or verify import the sampler or the verify suite.
 Exit codes: 0 success, 1 verification/run failure or an output file
 (``--path``, ``--csv``, stdout) that cannot be written, 2 invalid input,
 3 indeterminate composition; a reader that closed stdout early is not an error.
@@ -21,27 +22,20 @@ import re
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import DYNAMICS, LEVELS, STREAM_LAYOUT, __version__
 from . import entropy as ent
 from . import kinematics as kin
 from .errors import IndeterminateComposition, InvalidConfig, NoAcceptedTicks, ZitterError
 from .scales import (
     HBAR, SPEED_OF_LIGHT, ParticleScale, _positive_real, named_particles, scale_for_particle,
 )
-from .simulate import (
-    DYNAMICS,
-    STREAM_LAYOUT,
-    SimConfig,
-    _validate_replicates,
-    observe_from_moving_frame,
-    run_ensemble,
-    simulate_drift,
-)
-from .verification import LEVELS, run_verification
+
+if TYPE_CHECKING:
+    from .simulate import SimConfig
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -132,6 +126,7 @@ def cmd_compose(args: argparse.Namespace) -> dict:
 
 
 def _build_config(args: argparse.Namespace) -> SimConfig:
+    from .simulate import SimConfig
     # The path CSV's step is c * tick: c in m/s and a tick of 1/omega seconds
     # under --particle, else 1.0 each (natural units); --tick-duration sets the tick.
     c = tick = 1.0
@@ -139,6 +134,8 @@ def _build_config(args: argparse.Namespace) -> SimConfig:
         c, tick = SPEED_OF_LIGHT, scale_for_particle(args.particle).tick_duration_s
     if args.tick_duration is not None:
         tick = _positive_real(args.tick_duration, InvalidConfig, "tick_duration must be positive")
+    if not math.isfinite(c * tick):
+        raise InvalidConfig(f"--tick-duration {tick!r} overflows c * tick under --particle")
     flip = tuple(args.flip_asymmetry) if args.flip_asymmetry else None
     return SimConfig(
         beta=args.beta,
@@ -151,6 +148,7 @@ def _build_config(args: argparse.Namespace) -> SimConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
+    from .simulate import _validate_replicates, run_ensemble, simulate_drift
     cfg = _build_config(args)
     # A bad count is the error to report, whatever else the command asks for.
     _validate_replicates(cfg, args.replicates)
@@ -165,6 +163,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 
 
 def cmd_observe(args: argparse.Namespace) -> dict:
+    from .simulate import observe_from_moving_frame
     obs = asdict(observe_from_moving_frame(args.u, args.v, ticks=args.ticks, seed=args.seed))
     # The estimate's fields come first, then the frame's own.
     return {**obs.pop("estimate"), **obs}
@@ -212,6 +211,7 @@ def cmd_scales(args: argparse.Namespace) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> dict:
+    from .verification import run_verification
     return run_verification(args.level).to_dict()
 
 
@@ -287,9 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _join_dash_values(argv: Sequence[str]) -> list[str]:
     # argparse takes "-1e-05" or "-0.99:0.99:199" for an option.  Every option
     # is long, so a "-" token right after "--opt" is its value: "--opt=value".
+    # Not so for --flip-asymmetry (or a prefix): "=" cannot hold its two values.
     out: list[str] = []
     for token in argv:
-        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-(?!-)", token):
+        option = out[-1] if out and re.fullmatch(r"--[^=]+", out[-1]) else ""
+        if option and not "--flip-asymmetry".startswith(option) and re.match(r"-(?!-)", token):
             out[-1] += "=" + token
         else:
             out.append(token)

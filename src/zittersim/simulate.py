@@ -53,6 +53,7 @@ from typing import IO, Iterator, Optional
 
 import numpy as np
 
+from . import DYNAMICS, STREAM_LAYOUT
 from .errors import InvalidConfig, NoAcceptedTicks
 from .kinematics import _beta, _is_real, _reject_antipodal
 from .scales import _positive_real
@@ -67,8 +68,6 @@ __all__ = [
     "observe_from_moving_frame",
     "run_ensemble",
 ]
-
-DYNAMICS = ("iid", "telegraph")
 
 # Telegraph flip probabilities must reproduce Pr(R) = (1+beta)/2 this closely.
 STATIONARY_TOL = 1e-12
@@ -85,10 +84,6 @@ _CHUNK = 1 << 16
 
 # CSV rows formatted per write; a row holds ~100 bytes until it is written.
 _CSV_ROWS = 1 << 12
-
-# Version of the order in which the samplers draw from the PCG64 stream;
-# 4 reads every iid tick and telegraph flip from a 16-bit digit of it.
-STREAM_LAYOUT = 4
 
 # Ticks per path stay below 2**63: the CSV positions are int64 tick sums.
 _MAX_TICKS = 2**63

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import LEVELS
 from . import entropy as ent
 from . import kinematics as kin
 from .errors import InvalidConfig
@@ -21,8 +22,6 @@ from .scales import SPEED_OF_LIGHT, ParticleScale, scale_for_particle
 from .simulate import SimConfig, observe_from_moving_frame, simulate_drift
 
 __all__ = ["CheckResult", "VerificationReport", "run_verification", "LEVELS"]
-
-LEVELS = ("fast", "full")
 
 # Exact-arithmetic identities.
 COMMUTATIVITY_TOL = 0.0

@@ -64,6 +64,30 @@ def test_tracer_counts_the_whole_path_calls(perfbench):
     assert tracer.counts["simulate.csv.bytes"] == len(stream.getvalue().encode())
 
 
+@pytest.mark.parametrize(
+    "argv, span",
+    [
+        (["simulate", "--beta", "0.1", "--ticks", "64", "--seed", "3", "--replicates", "2"],
+         "simulate.ensemble"),
+        (["observe", "--u", "0.1", "--v", "0.2", "--ticks", "1000", "--seed", "3"], "simulate.observe"),
+        (["verify", "--level", "fast"], "verification"),
+    ],
+    ids=["ensemble", "observe", "verify"],
+)
+def test_tracer_sees_the_commands_call_time_imports(perfbench, capsys, argv, span):
+    # the CLI imports the sampler and the verify suite inside its commands,
+    # so it reaches the tracer's wrappers through those modules' attributes
+    spans, _ = perfbench
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.run_command(0, cli.main, argv) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert span in [s[3] for s in tracer.spans]
+
+
 def test_peak_bytes_per_tick_imports_resolve(perfbench):
     _, run = perfbench
     tree = ast.parse(inspect.getsource(run.peak_bytes_per_tick))

@@ -272,6 +272,15 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_overflowing_tick_duration_is_named(self, capsys):
+        # c * 1e308 s is inf: the error names the options, not SimConfig's step_length
+        code, out, err = run_cli(
+            capsys, "simulate", "--beta", "0.3", "--ticks", "10", "--seed", "1",
+            "--particle", "electron", "--tick-duration", "1e308",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --tick-duration 1e+308 overflows c * tick under --particle\n"
+
     @pytest.mark.parametrize("particle", [[], ["--particle", "electron"]], ids=["units", "electron"])
     @pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf"])
     def test_bad_tick_duration_is_named(self, capsys, particle, duration):
@@ -610,6 +619,31 @@ class TestParser:
         code, out, err = run_cli(capsys, *argv)
         assert code == exit_code and bool(out) == (exit_code == 0)
         assert err.startswith(error) and err.count("\n") == (exit_code != 0)
+
+    @pytest.mark.parametrize("option", ["--flip-asymmetry", "--flip"])
+    @pytest.mark.parametrize(
+        "flips, error",
+        [
+            (("-0.0", "0.5"), ""),
+            (("-0.1", "0.2"), "error: flip probabilities must lie in [0, 1], got (-0.1, 0.2)\n"),
+            (("0.2", "-0.1"), "error: flip probabilities must lie in [0, 1], got (0.2, -0.1)\n"),
+        ],
+        ids=["minus-zero", "negative-first", "negative-second"],
+    )
+    def test_dash_led_flip_asymmetry_keeps_both_values(self, capsys, option, flips, error):
+        # "--flip-asymmetry=-0.0 0.5" would leave argparse one value short
+        argv = ("simulate", "--beta", "1", "--ticks", "10", "--seed", "1", "--dynamics", "telegraph")
+        code, out, err = run_cli(capsys, *argv, option, *flips)
+        assert (code, err) == ((2, error) if error else (0, ""))
+        if not error:
+            parsed = json.loads(out)["manifest"]["parameters"]["flip_asymmetry"]
+            assert parsed == [float(f) for f in flips]
+
+    def test_only_single_value_options_take_a_joined_dash_value(self):
+        argv = ["--flip-asymmetry", "-0.1", "-0.2", "--beta", "-1e-05", "--grid", "-1:0:3"]
+        assert cli._join_dash_values(argv) == [
+            "--flip-asymmetry", "-0.1", "-0.2", "--beta=-1e-05", "--grid=-1:0:3"
+        ]
 
 
 class TestVerify:

@@ -6,10 +6,11 @@ import re
 from pathlib import Path
 
 import zittersim
-from zittersim import entropy, errors, kinematics, scales, simulate, verification
+from zittersim import cli, entropy, errors, kinematics, scales, simulate, verification
 
 MODULES = (errors, kinematics, entropy, simulate, scales, verification)
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(zittersim.__file__).resolve().parent
 
 
 def test_all_is_version_plus_the_modules_all():
@@ -23,6 +24,16 @@ def test_every_exported_name_resolves():
         value = getattr(zittersim, name)
         if name != "__version__":
             assert value is getattr(owner[name], name), name
+
+
+def test_shared_constants_are_assigned_once_in_the_package():
+    # the parser and the manifests read them without importing their users
+    for name, users in (("DYNAMICS", (cli, simulate)), ("STREAM_LAYOUT", (cli, simulate)),
+                        ("LEVELS", (cli, verification))):
+        assert all(getattr(m, name) is getattr(zittersim, name) for m in users), name
+        assigned = [p.name for p in sorted(SRC.glob("*.py"))
+                    if re.search(rf"^{name}\s*=", p.read_text(), re.MULTILINE)]
+        assert assigned == ["__init__.py"], name
 
 
 def test_readme_library_example_runs():
