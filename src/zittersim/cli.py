@@ -18,9 +18,8 @@ import gc
 import json
 import math
 import os
-import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
@@ -134,17 +133,16 @@ def _build_config(args: argparse.Namespace) -> SimConfig:
         c, tick = SPEED_OF_LIGHT, scale_for_particle(args.particle).tick_duration_s
     if args.tick_duration is not None:
         tick = _positive_real(args.tick_duration, InvalidConfig, "tick_duration must be positive")
-    if not math.isfinite(c * tick):
+    step = c * tick
+    if not math.isfinite(step):
         raise InvalidConfig(f"--tick-duration {tick!r} overflows c * tick under --particle")
     flip = tuple(args.flip_asymmetry) if args.flip_asymmetry else None
-    return SimConfig(
-        beta=args.beta,
-        ticks=args.ticks,
-        seed=args.seed,
-        dynamics=args.dynamics,
-        flip_asymmetry=flip,
-        step_length=c * tick,
-    )
+    cfg = SimConfig(args.beta, args.ticks, args.seed, args.dynamics, flip)
+    if not math.isfinite(cfg.ticks * step):  # in option terms, not as SimConfig's step_length
+        raise InvalidConfig(
+            f"--ticks {cfg.ticks} of --tick-duration {tick!r} overflow the positions"
+        )
+    return replace(cfg, step_length=step)
 
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
@@ -215,8 +213,23 @@ def cmd_verify(args: argparse.Namespace) -> dict:
     return run_verification(args.level).to_dict()
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with one rule for dash-led tokens.  Every option is long, so a
+    token of one dash and a non-dash (``-1e-05``, ``-0.99:0.99:199``, ``-inf``)
+    is a value, unless it is one of the parser's own option strings (``-h``);
+    plain argparse reads only ``-1`` and ``-.5`` shapes so.  The rule overrides
+    argparse's private ``_parse_optional``, whose ``None`` means "a value" on
+    every supported Python (CI runs each); subparsers inherit the class."""
+
+    def _parse_optional(self, arg_string: str):
+        dash_led = arg_string[:1] == "-" and arg_string[1:2] != "-"
+        if dash_led and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zittersim",
         description="Probability calculus and Monte Carlo simulator for "
         "light-speed tick motion in 1+1 dimensions.",
@@ -284,20 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_dash_values(argv: Sequence[str]) -> list[str]:
-    # argparse takes "-1e-05" or "-0.99:0.99:199" for an option.  Every option
-    # is long, so a "-" token right after "--opt" is its value: "--opt=value".
-    # Not so for --flip-asymmetry (or a prefix): "=" cannot hold its two values.
-    out: list[str] = []
-    for token in argv:
-        option = out[-1] if out and re.fullmatch(r"--[^=]+", out[-1]) else ""
-        if option and not "--flip-asymmetry".startswith(option) and re.match(r"-(?!-)", token):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
-
-
 def _settle_stdout() -> None:
     """Flush stdout; if fd 1 takes no more bytes, point it at devnull, so that
     the flush at interpreter shutdown cannot fail a second time."""
@@ -327,7 +326,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     try:
         try:
-            args = parser.parse_args(_join_dash_values(argv))
+            args = parser.parse_args(argv)
         except SystemExit:
             # --help or a usage error: argparse's own output fails here too.
             sys.stdout.flush()

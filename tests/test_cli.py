@@ -15,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from zittersim import cli, named_particles, simulate
 from zittersim.cli import main
@@ -280,6 +280,21 @@ class TestSimulate:
         )
         assert (code, out) == (2, "")
         assert err == "error: --tick-duration 1e+308 overflows c * tick under --particle\n"
+
+    @pytest.mark.parametrize(
+        "ticks, duration, particle",
+        [("1000", "1e306", []), ("1000000", "1e295", ["--particle", "electron"])],
+        ids=["units", "electron"],
+    )
+    def test_overflowing_positions_name_the_options(self, capsys, ticks, duration, particle):
+        # ticks * c * tick is inf, c * tick is not: the options, not SimConfig's step length
+        code, out, err = run_cli(
+            capsys, "simulate", "--beta", "0", "--ticks", ticks, "--seed", "1",
+            "--tick-duration", duration, *particle,
+        )
+        assert (code, out) == (2, "")
+        tick = float(duration)
+        assert err == f"error: --ticks {ticks} of --tick-duration {tick!r} overflow the positions\n"
 
     @pytest.mark.parametrize("particle", [[], ["--particle", "electron"]], ids=["units", "electron"])
     @pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf"])
@@ -611,8 +626,10 @@ class TestParser:
             (["compose", "--u", "-1e-3", "--v", "-0.2"], 0, ""),
             (["entropy", "--grid", "-1e-3:0.5:3", "--csv", os.devnull], 0, ""),
             (["simulate", "--beta", "0", "--ticks", "10", "--seed", "-1"], 2, "error: seed must be "),
+            (["simulate", "--beta", "-inf", "--ticks", "10", "--seed", "1"], 2,
+             "error: beta must lie in [-1, +1], got -inf\n"),
         ],
-        ids=["simulate-beta", "compose-u-v", "entropy-grid", "simulate-seed"],
+        ids=["simulate-beta", "compose-u-v", "entropy-grid", "simulate-seed", "simulate-beta-inf"],
     )
     def test_dash_token_is_the_value_of_its_option(self, capsys, argv, exit_code, error):
         # argparse alone takes "-1e-05" for an option and exits 2
@@ -627,23 +644,19 @@ class TestParser:
             (("-0.0", "0.5"), ""),
             (("-0.1", "0.2"), "error: flip probabilities must lie in [0, 1], got (-0.1, 0.2)\n"),
             (("0.2", "-0.1"), "error: flip probabilities must lie in [0, 1], got (0.2, -0.1)\n"),
+            (("-1e-05", "0.5"),
+             "error: flip probabilities must lie in [0, 1], got (-1e-05, 0.5)\n"),
         ],
-        ids=["minus-zero", "negative-first", "negative-second"],
+        ids=["minus-zero", "negative-first", "negative-second", "exponent-first"],
     )
     def test_dash_led_flip_asymmetry_keeps_both_values(self, capsys, option, flips, error):
-        # "--flip-asymmetry=-0.0 0.5" would leave argparse one value short
+        # both dash-led tokens are values of the two-value option
         argv = ("simulate", "--beta", "1", "--ticks", "10", "--seed", "1", "--dynamics", "telegraph")
         code, out, err = run_cli(capsys, *argv, option, *flips)
         assert (code, err) == ((2, error) if error else (0, ""))
         if not error:
             parsed = json.loads(out)["manifest"]["parameters"]["flip_asymmetry"]
             assert parsed == [float(f) for f in flips]
-
-    def test_only_single_value_options_take_a_joined_dash_value(self):
-        argv = ["--flip-asymmetry", "-0.1", "-0.2", "--beta", "-1e-05", "--grid", "-1:0:3"]
-        assert cli._join_dash_values(argv) == [
-            "--flip-asymmetry", "-0.1", "-0.2", "--beta=-1e-05", "--grid=-1:0:3"
-        ]
 
 
 class TestVerify:
@@ -810,7 +823,7 @@ _BETAS = _mostly(
 )
 _POSITIVE = _mostly(
     st.floats(min_value=1e-320, max_value=1e300).map(repr),
-    st.sampled_from(["0", "-1", "nan", "inf", "x"]),
+    st.sampled_from(["0", "-1", "nan", "inf", "1e306", "x"]),
 )
 _TICKS = _mostly(
     st.integers(min_value=1, max_value=10_000).map(str),
@@ -876,6 +889,7 @@ def _argv(draw) -> list[str]:
 class TestNoTraceback:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(argv=_argv())
+    @example(argv="simulate --beta 0 --ticks 1000 --seed 1 --tick-duration 1e306".split())
     def test_json_or_one_error_line(self, argv):
         with tempfile.TemporaryDirectory() as tmp:
             argv = [os.path.join(tmp, a) if a.endswith(".csv") else a for a in argv]
@@ -894,6 +908,8 @@ class TestNoTraceback:
             error_lines = [line for line in err.splitlines() if "error:" in line]
             assert error_lines == err.splitlines()[-1:], err
             assert "Traceback" not in err
+            # SimConfig's step_length is no option of the CLI
+            assert "step_length" not in err and "step length" not in err, err
 
 
 def _reject_constant(name: str) -> None:
