@@ -106,20 +106,20 @@ def _entropy_columns(b: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def cmd_compose(args: argparse.Namespace) -> dict:
-    unit = ent.EntropyUnit(args.unit)
     u, v = args.u, args.v
     w = kin.velocity_addition_array(u, v).item()
-    payload = {"w": w, "unit": unit.value}
+    payload = {"w": w}
     roles = (
         ("observer", u, kin.direction_probabilities_array(u)),
         ("particle", v, kin.direction_probabilities_array(v)),
         ("composed", w, kin.compose_probabilities_array(u, v)),
     )
-    for role, beta, (p_right, p_left) in roles:
+    for role, beta, law in roles:
         payload[role] = {
             "beta": beta,
-            "distribution": {"p_right": p_right.item(), "p_left": p_left.item()},
-            "entropy": ent.entropy_from_probabilities_array(p_right, p_left, unit).item(),
+            "distribution": {"p_right": law[0].item(), "p_left": law[1].item()},
+            "entropy": ent.entropy_from_probabilities_array(*law, ent.EntropyUnit.NATS).item(),
+            "entropy_bits": ent.entropy_from_probabilities_array(*law, ent.EntropyUnit.BITS).item(),
         }
     return payload
 
@@ -239,10 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="relativistic velocity addition, both routes")
     p.add_argument("--u", type=float, required=True, help="observer velocity in [-1, 1]")
     p.add_argument("--v", type=float, required=True, help="particle velocity in [-1, 1]")
-    p.add_argument(
-        "--unit", choices=[u.value for u in ent.EntropyUnit], default="nats",
-        help="entropy unit of the JSON result (default: nats)",
-    )
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("simulate", help="seeded +/-c tick process and drift estimate")
@@ -257,11 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--flip-asymmetry", type=float, nargs=2, metavar=("FROM_RIGHT", "FROM_LEFT"),
         help="telegraph flip probabilities; must keep Pr(R) = (1+beta)/2",
     )
-    p.add_argument("--tick-duration", type=float, help="seconds per tick")
+    p.add_argument("--tick-duration", type=float, help="seconds per tick; --path steps are c * tick")
     p.add_argument(
         "--particle",
-        help=f"named particle: {', '.join(named_particles())}; attaches a physical "
-        "scale (tick duration defaults to 1/omega)",
+        help=f"named particle: {', '.join(named_particles())}; the --path CSV step is "
+        "c * tick in meters, with a tick of 1/omega s unless --tick-duration sets it",
     )
     p.add_argument("--path", metavar="CSV", help="also dump the path as tick CSV")
     p.add_argument("--replicates", type=int, default=1, help="independent replicates")
@@ -291,7 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scales)
 
     p = sub.add_parser("verify", help="run the invariant suite and report")
-    p.add_argument("--level", choices=list(LEVELS), default="fast")
+    p.add_argument(
+        "--level", choices=list(LEVELS), default="fast",
+        help="each Monte Carlo check runs 1e5 ticks at fast, 1e6 ticks at full (default: fast)",
+    )
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from zittersim import cli, named_particles, simulate
+from zittersim import DYNAMICS, cli, named_particles, simulate
 from zittersim.cli import main
 
 LN2 = math.log(2.0)
@@ -37,7 +37,7 @@ def run_json(capsys, *argv):
 
 def run_rejected(capsys, *argv):
     """argparse rejects the argv: SystemExit(2), nothing on stdout, and its
-    usage line, then its one error line, on stderr."""
+    usage line, then its one error line, on stderr; returns the stderr lines."""
     with pytest.raises(SystemExit) as info:
         main(list(argv))
     captured = capsys.readouterr()
@@ -45,6 +45,7 @@ def run_rejected(capsys, *argv):
     lines = captured.err.splitlines()
     assert lines[0].startswith("usage: ") and "error: " in lines[-1]
     assert not any("error: " in line for line in lines[:-1])
+    return lines
 
 
 class TestCompose:
@@ -82,60 +83,64 @@ class TestCompose:
         assert "beta" in err
 
     def test_unit_flag(self, capsys):
-        nats = run_json(capsys, "compose", "--u", "0", "--v", "0")
-        bits = run_json(capsys, "compose", "--u", "0", "--v", "0", "--unit", "bits")
-        assert nats["observer"]["entropy"] == pytest.approx(LN2, abs=1e-15)
-        assert bits["observer"]["entropy"] == pytest.approx(1.0, abs=1e-15)
+        # no flag picks a unit: each role reports its entropy in nats and in bits
+        observer = run_json(capsys, "compose", "--u", "0", "--v", "0")["observer"]
+        assert observer["entropy"] == pytest.approx(LN2, abs=1e-15)
+        assert observer["entropy_bits"] == 1.0
 
 
-def _role(beta, p_right, p_left, entropy):
+def _role(beta, p_right, p_left, entropy, entropy_bits):
     return {"beta": beta, "distribution": {"p_right": p_right, "p_left": p_left},
-            "entropy": entropy}
+            "entropy": entropy, "entropy_bits": entropy_bits}
 
 
 # Golden payloads, without the manifest: an ulp of drift in the probability
 # route or in the entropy shows here, where a rounded comparison would pass.
 COMPOSE_GOLDEN = {
     "--u 0.5 --v 0.5": {
-        "w": 0.8, "unit": "nats",
-        "observer": _role(0.5, 0.75, 0.25, 0.5623351446188083),
-        "particle": _role(0.5, 0.75, 0.25, 0.5623351446188083),
-        "composed": _role(0.8, 0.9, 0.1, 0.3250829733914482),
+        "w": 0.8,
+        "observer": _role(0.5, 0.75, 0.25, 0.5623351446188083, 0.8112781244591328),
+        "particle": _role(0.5, 0.75, 0.25, 0.5623351446188083, 0.8112781244591328),
+        "composed": _role(0.8, 0.9, 0.1, 0.3250829733914482, 0.4689955935892812),
     },
     "--u -0.3 --v 0.8": {
-        "w": 0.6578947368421053, "unit": "nats",
-        "observer": _role(-0.3, 0.35, 0.65, 0.6474466390346325),
-        "particle": _role(0.8, 0.9, 0.09999999999999998, 0.3250829733914482),
+        "w": 0.6578947368421053,
+        "observer": _role(-0.3, 0.35, 0.65, 0.6474466390346325, 0.934068055375491),
+        "particle": _role(0.8, 0.9, 0.09999999999999998, 0.3250829733914482,
+                          0.4689955935892811),
         "composed": _role(0.6578947368421053, 0.8289473684210527, 0.17105263157894735,
-                          0.4575513743696661),
+                          0.4575513743696661, 0.6601070987550468),
     },
-    "--u 0.1 --v 0.2 --unit bits": {
-        "w": 0.2941176470588236, "unit": "bits",
-        "observer": _role(0.1, 0.55, 0.44999999999999996, 0.9927744539878083),
-        "particle": _role(0.2, 0.6, 0.4, 0.9709505944546686),
+    "--u 0.1 --v 0.2": {
+        "w": 0.2941176470588236,
+        "observer": _role(0.1, 0.55, 0.44999999999999996, 0.6881388137135884,
+                          0.9927744539878083),
+        "particle": _role(0.2, 0.6, 0.4, 0.6730116670092565, 0.9709505944546686),
         "composed": _role(0.2941176470588236, 0.6470588235294118, 0.3529411764705882,
-                          0.9366673818775626),
+                          0.649248354870898, 0.9366673818775626),
     },
     "--u 1 --v 0.3": {
-        "w": 1.0, "unit": "nats",
-        "observer": _role(1.0, 1.0, 0.0, 0.0),
-        "particle": _role(0.3, 0.65, 0.35, 0.6474466390346325),
-        "composed": _role(1.0, 1.0, 0.0, 0.0),
+        "w": 1.0,
+        "observer": _role(1.0, 1.0, 0.0, 0.0, 0.0),
+        "particle": _role(0.3, 0.65, 0.35, 0.6474466390346325, 0.934068055375491),
+        "composed": _role(1.0, 1.0, 0.0, 0.0, 0.0),
     },
     "--u 0.7 --v 1e-300": {
-        "w": 0.7, "unit": "nats",
-        "observer": _role(0.7, 0.85, 0.15000000000000002, 0.4227090878059909),
-        "particle": _role(1e-300, 0.5, 0.5, 0.6931471805599453),
-        "composed": _role(0.7, 0.85, 0.15000000000000002, 0.4227090878059909),
+        "w": 0.7,
+        "observer": _role(0.7, 0.85, 0.15000000000000002, 0.4227090878059909,
+                          0.6098403047164005),
+        "particle": _role(1e-300, 0.5, 0.5, 0.6931471805599453, 1.0),
+        "composed": _role(0.7, 0.85, 0.15000000000000002, 0.4227090878059909,
+                          0.6098403047164005),
     },
     "--u 0.999999 --v -0.999998": {
-        "w": 0.3333335555261161, "unit": "nats",
+        "w": 0.3333335555261161,
         "observer": _role(0.999999, 0.9999994999999999, 5.00000000069889e-07,
-                          7.754328745276084e-06),
+                          7.754328745276084e-06, 1.1187131626232544e-05),
         "particle": _role(-0.999998, 9.999999999732445e-07, 0.9999990000000001,
-                          1.4815510057538956e-05),
+                          1.4815510057538956e-05, 2.1374262888252012e-05),
         "composed": _role(0.3333335555261161, 0.6666667777408444, 0.3333332222591557,
-                          0.6365140913040319),
+                          0.6365140913040319, 0.9182957229802717),
     },
 }
 
@@ -326,6 +331,19 @@ class TestSimulate:
         run_json(capsys, "simulate", "--ticks", "1000", *options, "--path", str(out))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
+    @pytest.mark.parametrize("dynamics", DYNAMICS)
+    @pytest.mark.parametrize(
+        "scale", [["--particle", "electron"], ["--tick-duration", "2.5"]],
+        ids=["particle", "tick-duration"],
+    )
+    def test_scale_options_only_scale_the_path_csv(self, capsys, dynamics, scale):
+        # the drift is unitless: without --path, the result is the unscaled run's
+        argv = ["simulate", "--beta", "0.5", "--ticks", "100", "--seed", "1", "--dynamics", dynamics]
+        plain, scaled = (run_json(capsys, *argv, *extra) for extra in ([], scale))
+        for payload in (plain, scaled):
+            payload.pop("manifest")
+        assert scaled == plain
+
     @pytest.mark.parametrize("command", ["simulate", "observe"])
     @pytest.mark.parametrize("ticks", [str(2**63), str(10**400)])
     def test_huge_ticks_exit_2(self, capsys, command, ticks):
@@ -422,12 +440,15 @@ class TestEntropy:
         assert "S" not in payload and "unit" not in payload
         assert payload["manifest"]["parameters"] == {"beta": float(beta), "grid": None, "csv": None}
 
-    def test_unit_option_is_rejected(self, capsys):
-        # both units are always reported, so entropy takes no --unit
-        with pytest.raises(SystemExit) as info:
-            main(["entropy", "--beta", "0.6", "--unit", "bits"])
-        assert info.value.code == 2
-        assert "unrecognized arguments: --unit bits" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [["compose", "--u", "0.5", "--v", "0.5"], ["entropy", "--beta", "0.6"]],
+        ids=["compose", "entropy"],
+    )
+    def test_unit_option_is_rejected(self, capsys, argv):
+        # every entropy is reported in both units, so no command takes --unit
+        lines = run_rejected(capsys, *argv, "--unit", "bits")
+        assert lines[-1].endswith("error: unrecognized arguments: --unit bits")
 
     def test_superluminal_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "entropy", "--beta", "1.01")
@@ -689,16 +710,16 @@ class TestKeyOrder:
     SIMULATE = ["beta", "ticks", "dynamics", "flip_asymmetry", "tick_duration", "particle",
                 "path", "replicates"]
 
-    ROLE = ["beta", "distribution", "entropy"]
+    ROLE = ["beta", "distribution", "entropy", "entropy_bits"]
 
     def test_compose(self, capsys):
         payload = run_json(capsys, "compose", "--u", "0.5", "--v", "0.4")
-        assert list(payload) == ["w", "unit", "observer", "particle", "composed", "manifest"]
+        assert list(payload) == ["w", "observer", "particle", "composed", "manifest"]
         for role in ("observer", "particle", "composed"):
             assert list(payload[role]) == self.ROLE
             assert list(payload[role]["distribution"]) == ["p_right", "p_left"]
         assert list(payload["manifest"]) == self.MANIFEST
-        assert list(payload["manifest"]["parameters"]) == ["u", "v", "unit"]
+        assert list(payload["manifest"]["parameters"]) == ["u", "v"]
 
     @pytest.mark.parametrize("beta", ["0.6", "1"])
     def test_entropy_beta(self, capsys, beta):
@@ -771,7 +792,6 @@ class TestReplay:
         "argv",
         [
             ["compose", "--u", "0.5", "--v", "-0.4"],
-            ["compose", "--u", "-0.3", "--v", "0.7", "--unit", "bits"],
             ["entropy", "--beta", "-0.6"],
             ["entropy", "--grid", "-0.5:0.5:7", "--csv", "p.csv"],
             ["scales", "--particle", "electron"],
@@ -789,7 +809,7 @@ class TestReplay:
             ["simulate", "--beta", "-1e-05", "--ticks", "100", "--seed", "1"],
         ],
         ids=[
-            "compose-nats", "compose-bits", "entropy-beta", "entropy-grid-csv",
+            "compose-nats", "entropy-beta", "entropy-grid-csv",
             "scales-particle", "scales-mass",
             "verify", "observe", "simulate-iid", "simulate-telegraph-flips",
             "simulate-replicates", "simulate-particle", "simulate-tick-duration",
@@ -842,7 +862,7 @@ _PARTICLES = _mostly(st.sampled_from(["electron", "muon", "proton"]), st.sampled
 
 # (required, optional) options of each subcommand and their values.
 _OPTIONS = {
-    "compose": ({"--u": _BETAS, "--v": _BETAS}, {"--unit": st.sampled_from(["nats", "bits", "x"])}),
+    "compose": ({"--u": _BETAS, "--v": _BETAS}, {}),
     "simulate": (
         {"--beta": _BETAS, "--ticks": _TICKS, "--seed": _SEEDS},
         {

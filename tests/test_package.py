@@ -5,17 +5,28 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import pytest
+
 import zittersim
 from zittersim import cli, entropy, errors, kinematics, scales, simulate, verification
 
 MODULES = (errors, kinematics, entropy, simulate, scales, verification)
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 SRC = Path(zittersim.__file__).resolve().parent
 
 
 def test_all_is_version_plus_the_modules_all():
     names = {"__version__"}.union(*(m.__all__ for m in MODULES))
     assert sorted(zittersim.__all__) == sorted(names)
+
+
+def test_version_has_one_source():
+    # the package metadata reads __version__, which every manifest records
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads(PYPROJECT.read_text())
+    assert "version" not in pyproject["project"] and "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "zittersim.__version__"}
 
 
 def test_every_exported_name_resolves():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 import zittersim.verification as verification
@@ -33,6 +35,25 @@ def test_fast_suite_passes():
     assert report.level == "fast"
     for check in report.checks:
         assert check.observed <= check.tolerance, check.name
+
+
+def test_full_suite_passes():
+    report = verification.run_verification("full")
+    assert report.passed
+    assert report.level == "full"
+    for check in report.checks:
+        assert check.observed <= check.tolerance, check.name
+
+
+@pytest.mark.parametrize("level", ["fast", "full"])
+def test_level_help_names_the_monte_carlo_size(level):
+    # the --level help repeats run_verification's tick count for each level
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    action = sub.choices["verify"]._option_string_actions["--level"]
+    sizes = {lv: size for size, lv in re.findall(r"(1e\d+) ticks at (\w+)", action.help)}
+    check = next(c for c in verification.run_verification(level).checks
+                 if c.name == "monte_carlo_drift_within_5_sigma")
+    assert check.detail.endswith(f"at n = {int(float(sizes[level]))}")
 
 
 def test_report_shape():
