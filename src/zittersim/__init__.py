@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 # Read by the CLI's parser and every run manifest before a command is known.
 DYNAMICS = ("iid", "telegraph")
-LEVELS = ("fast", "full")
+LEVELS = {"fast": 10**5, "full": 10**6}  # verify's Monte Carlo ticks per check
 # Version of the order in which the samplers draw from the PCG64 stream;
 # 4 reads every iid tick and telegraph flip from a 16-bit digit of it.
 STREAM_LAYOUT = 4

@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="64-bit unsigned seed")
     p.add_argument(
         "--dynamics", choices=DYNAMICS, default="iid",
-        help="per-tick law (default: iid)",
+        help="per-tick law (default: %(default)s)",
     )
     p.add_argument(
         "--flip-asymmetry", type=float, nargs=2, metavar=("FROM_RIGHT", "FROM_LEFT"),
@@ -287,9 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scales)
 
     p = sub.add_parser("verify", help="run the invariant suite and report")
+    sizes = ", ".join(f"{n:.0e} ticks at {lv}".replace("e+0", "e") for lv, n in LEVELS.items())
     p.add_argument(
         "--level", choices=list(LEVELS), default="fast",
-        help="each Monte Carlo check runs 1e5 ticks at fast, 1e6 ticks at full (default: fast)",
+        help=f"each Monte Carlo check runs {sizes} (default: %(default)s)",
     )
     p.set_defaults(func=cmd_verify)
 

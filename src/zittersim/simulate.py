@@ -53,7 +53,7 @@ from typing import IO, Iterator, Optional
 
 import numpy as np
 
-from . import DYNAMICS, STREAM_LAYOUT
+from . import DYNAMICS
 from .errors import InvalidConfig, NoAcceptedTicks
 from .kinematics import _beta, _is_real, _reject_antipodal
 from .scales import _positive_real

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from zittersim import DYNAMICS, cli, named_particles, simulate
+from zittersim import DYNAMICS, STREAM_LAYOUT, cli, named_particles, simulate
 from zittersim.cli import main
 
 LN2 = math.log(2.0)
@@ -249,7 +249,7 @@ class TestSimulate:
         assert payload["manifest"]["rng"] == {
             "numpy": np.__version__,
             "bit_generator": "PCG64",
-            "stream_layout": simulate.STREAM_LAYOUT,
+            "stream_layout": STREAM_LAYOUT,
         }
         # layout 4: iid ticks and telegraph flips are 16-bit digits of the raw PCG64 stream
         assert payload["manifest"]["rng"]["stream_layout"] == 4

@@ -98,7 +98,7 @@ def test_unknown_level_rejected():
         verification.run_verification("paranoid")
 
 
-@pytest.mark.parametrize("level", ["x", None, 1])
+@pytest.mark.parametrize("level", ["x", None, 1, [], {}, "FAST"])
 def test_unknown_level_raises_invalid_config(level):
     with pytest.raises(InvalidConfig):
         verification.run_verification(level)
