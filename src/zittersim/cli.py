@@ -100,9 +100,7 @@ def _entropy_columns(b: np.ndarray) -> tuple[np.ndarray, ...]:
     gamma, one_plus_z = np.full((2, b.size), np.nan)
     gamma[inside] = ent.lorentz_gamma_array(b[inside])
     one_plus_z[inside] = ent.redshift_factor_array(b[inside])
-    s_nats = ent.entropy_from_beta_array(b, ent.EntropyUnit.NATS)
-    s_bits = ent.entropy_from_beta_array(b, ent.EntropyUnit.BITS)
-    return b, s_nats, s_bits, gamma, one_plus_z
+    return b, *ent.entropy_from_beta_array(b), gamma, one_plus_z
 
 
 def cmd_compose(args: argparse.Namespace) -> dict:
@@ -115,11 +113,12 @@ def cmd_compose(args: argparse.Namespace) -> dict:
         ("composed", w, kin.compose_probabilities_array(u, v)),
     )
     for role, beta, law in roles:
+        s_nats, s_bits = ent.entropy_from_probabilities_array(*law)
         payload[role] = {
             "beta": beta,
             "distribution": {"p_right": law[0].item(), "p_left": law[1].item()},
-            "entropy": ent.entropy_from_probabilities_array(*law, ent.EntropyUnit.NATS).item(),
-            "entropy_bits": ent.entropy_from_probabilities_array(*law, ent.EntropyUnit.BITS).item(),
+            "entropy": s_nats.item(),
+            "entropy_bits": s_bits.item(),
         }
     return payload
 

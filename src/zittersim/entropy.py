@@ -13,23 +13,22 @@ special-relativistic factors,
 
 with gamma = (1 - beta^2)^(-1/2) and 1 + z = sqrt((1+beta)/(1-beta)).
 
-Logarithm base only changes the unit; nats are the default, bits optional.
-As in ``kinematics``, each formula is one numpy expression behind an
-``*_array`` function; S is available from direction laws (Pr(R), Pr(L)) or
-from velocities.  All functions are pure and thread-safe.
+Logarithm base only changes the unit, so each entropy function returns the
+pair (S in nats, S in bits), as ``kinematics`` returns a direction law as the
+pair (Pr(R), Pr(L)); the relativistic form is in nats.  As in
+``kinematics``, each formula is one numpy expression behind an ``*_array``
+function; S is available from direction laws (Pr(R), Pr(L)) or from
+velocities.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
-from .errors import InvalidDistribution, InvalidEntropy
+from .errors import InvalidDistribution
 from .kinematics import _betas, _first, _reject_light_speed
 
 __all__ = [
-    "EntropyUnit",
     "entropy_from_probabilities_array",
     "entropy_from_beta_array",
     "lorentz_gamma_array",
@@ -41,41 +40,26 @@ __all__ = [
 DISTRIBUTION_SUM_TOL = 1e-12
 
 
-class EntropyUnit(enum.Enum):
-    NATS = "nats"
-    BITS = "bits"
-
-    @property
-    def log(self) -> np.ufunc:
-        return np.log if self is EntropyUnit.NATS else np.log2
-
-
-def _require_unit(unit: object) -> EntropyUnit:
-    """``unit`` if it is an ``EntropyUnit``; InvalidEntropy otherwise, for
-    the strings "nats" and "bits" too."""
-    if not isinstance(unit, EntropyUnit):
-        raise InvalidEntropy(f"unit must be an EntropyUnit, got {unit!r}")
-    return unit
-
-
-def _binary_entropy(p, q, unit: EntropyUnit) -> np.ndarray:
-    # 0 log 0 = 0 by convention: log is only taken where the probability is
-    # positive and is 0 elsewhere.  Each term is >= 0, so S >= 0 exactly.
-    log = _require_unit(unit).log
-    t_right = p * log(p, out=np.zeros_like(p), where=p > 0.0)
-    t_left = q * log(q, out=np.zeros_like(q), where=q > 0.0)
-    # "+ 0.0" normalizes -0.0 at the certainty boundary.
-    return -(t_right + t_left) + 0.0
+def _binary_entropy(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """(-p log p - q log q) in nats and in bits."""
+    def entropy(log: np.ufunc) -> np.ndarray:
+        # 0 log 0 = 0 by convention: log is only taken where the probability
+        # is positive and is 0 elsewhere.  Each term is >= 0, so S >= 0 exactly.
+        t_right = p * log(p, out=np.zeros_like(p), where=p > 0.0)
+        t_left = q * log(q, out=np.zeros_like(q), where=q > 0.0)
+        # "+ 0.0" normalizes -0.0 at the certainty boundary.
+        return -(t_right + t_left) + 0.0
+    return entropy(np.log), entropy(np.log2)
 
 
 def entropy_from_probabilities_array(
-    p_right: np.typing.ArrayLike, p_left: np.typing.ArrayLike,
-    unit: EntropyUnit = EntropyUnit.NATS,
-) -> np.ndarray:
+    p_right: np.typing.ArrayLike, p_left: np.typing.ArrayLike
+) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise Shannon entropy -p log p - q log q of the direction laws
-    (``p_right``, ``p_left``), broadcast against each other.  Raises
-    InvalidDistribution, naming the first offending pair, unless every pair
-    is real, finite, nonnegative and sums to 1 within ``DISTRIBUTION_SUM_TOL``."""
+    (``p_right``, ``p_left``), broadcast against each other, as the pair
+    (nats, bits).  Raises InvalidDistribution, naming the first offending
+    pair, unless every pair is real, finite, nonnegative and sums to 1 within
+    ``DISTRIBUTION_SUM_TOL``."""
     try:
         p, q = np.broadcast_arrays(p_right, p_left)
         real = p.dtype.kind in "iuf" and q.dtype.kind in "iuf"
@@ -93,20 +77,19 @@ def entropy_from_probabilities_array(
             "probabilities must be finite, nonnegative and sum to 1 within "
             f"{DISTRIBUTION_SUM_TOL}, got ({_first(p, bad)!r}, {_first(q, bad)!r})"
         )
-    return _binary_entropy(p, q, unit)
+    return _binary_entropy(p, q)
 
 
-def entropy_from_beta_array(
-    v: np.typing.ArrayLike, unit: EntropyUnit = EntropyUnit.NATS
-) -> np.ndarray:
-    """Elementwise entropy of the direction law of each velocity in ``v``.
+def entropy_from_beta_array(v: np.typing.ArrayLike) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise entropy of the direction law of each velocity in ``v``, as
+    the pair (nats, bits).
 
     Evaluates S = -(1+v)/2 log((1+v)/2) - (1-v)/2 log((1-v)/2) with both
     probabilities formed symmetrically from v, so S(v) == S(-v) holds exactly
     in floating point.
     """
     b = _betas(v)
-    return _binary_entropy(0.5 * (1.0 + b), 0.5 * (1.0 - b), unit)
+    return _binary_entropy(0.5 * (1.0 + b), 0.5 * (1.0 - b))
 
 
 def lorentz_gamma_array(v: np.typing.ArrayLike) -> np.ndarray:

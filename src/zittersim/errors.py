@@ -13,7 +13,6 @@ __all__ = [
     "InvalidDistribution",
     "IndeterminateComposition",
     "LightSpeedSingularity",
-    "InvalidEntropy",
     "NonPositiveMass",
     "UnknownParticle",
     "InvalidConfig",
@@ -41,10 +40,6 @@ class IndeterminateComposition(ZitterError):
 class LightSpeedSingularity(ZitterError, ValueError):
     """Lorentz factor, redshift factor 1 + z or rapidity log(1 + z)
     requested at |beta| = 1, where each diverges."""
-
-
-class InvalidEntropy(ZitterError, ValueError):
-    """Entropy unit that is not an ``EntropyUnit``."""
 
 
 class NonPositiveMass(ZitterError, ValueError):

@@ -15,12 +15,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from zittersim import DYNAMICS, STREAM_LAYOUT, cli, named_particles, simulate
+from zittersim import (
+    DYNAMICS, STREAM_LAYOUT, cli, entropy_from_beta_array, entropy_from_probabilities_array,
+    named_particles, simulate,
+)
 from zittersim.cli import main
 
 LN2 = math.log(2.0)
+_VELOCITY = st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(min_value=-1.0, max_value=1.0)
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +91,20 @@ class TestCompose:
         observer = run_json(capsys, "compose", "--u", "0", "--v", "0")["observer"]
         assert observer["entropy"] == pytest.approx(LN2, abs=1e-15)
         assert observer["entropy_bits"] == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(u=_VELOCITY, v=_VELOCITY)
+    def test_role_entropies_are_those_of_the_printed_law(self, u, v):
+        assume({u, v} != {1.0, -1.0})  # the antipodal light-speed pair exits 3
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["compose", "--u", repr(u), "--v", repr(v)]) == 0
+        payload = json.loads(out.getvalue())
+        for role in ("observer", "particle", "composed"):
+            law = payload[role]["distribution"]
+            nats, bits = entropy_from_probabilities_array(law["p_right"], law["p_left"])
+            assert payload[role]["entropy"] == nats.item()
+            assert payload[role]["entropy_bits"] == bits.item()
 
 
 def _role(beta, p_right, p_left, entropy, entropy_bits):
@@ -488,6 +506,15 @@ class TestEntropy:
         s_nats = [float(r[1]) for r in rows[1:]]
         for i in range(199):
             assert s_nats[i] == pytest.approx(s_nats[198 - i], abs=1e-12)
+
+    def test_grid_entropy_columns_are_the_library_pair(self, capsys, tmp_path):
+        # across a slice edge, each row's S_nats and S_bits are the (nats, bits)
+        # pair of its own beta, bit for bit
+        out = tmp_path / "sweep.csv"
+        run_json(capsys, "entropy", "--grid", "-1:1:5001", "--csv", str(out))
+        columns = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(0, 1, 2), unpack=True)
+        nats, bits = entropy_from_beta_array(columns[0])
+        assert columns[1].tolist() == nats.tolist() and columns[2].tolist() == bits.tolist()
 
     def test_unwritable_csv_exits_1(self, capsys, tmp_path):
         code, out, err = run_cli(

@@ -1,4 +1,4 @@
-"""Observer-dependent entropy: boundary values, identities, units."""
+"""Observer-dependent entropy: boundary values, identities, both units."""
 
 from __future__ import annotations
 
@@ -9,12 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zittersim import (
-    EntropyUnit,
     LightSpeedSingularity,
     InvalidBeta,
     InvalidDistribution,
-    InvalidEntropy,
-    ZitterError,
     direction_probabilities_array,
     entropy_from_beta_array,
     entropy_from_probabilities_array,
@@ -36,29 +33,28 @@ class TestEntropyFromDistribution:
     """``entropy_from_probabilities_array``: the entropy of a direction law."""
 
     def test_rest_is_maximal(self):
-        s = entropy_from_probabilities_array(0.5, 0.5)
-        assert s == pytest.approx(LN2, abs=1e-15)
-        assert entropy_from_probabilities_array(0.5, 0.5, EntropyUnit.BITS) == pytest.approx(
-            1.0, abs=1e-15
-        )
+        nats, bits = entropy_from_probabilities_array(0.5, 0.5)
+        assert nats == pytest.approx(LN2, abs=1e-15)
+        assert bits == pytest.approx(1.0, abs=1e-15)
 
     def test_certainty_is_zero(self):
-        s = entropy_from_probabilities_array(1.0, 0.0)
-        assert s == 0.0 and not np.signbit(s)
-        assert entropy_from_probabilities_array(0.0, 1.0) == 0.0
+        for pair in [(1.0, 0.0), (0.0, 1.0)]:
+            for s in entropy_from_probabilities_array(*pair):
+                assert s == 0.0 and not np.signbit(s)
 
     def test_skewed_distribution(self):
-        s = entropy_from_probabilities_array(0.8, 0.2)
-        assert s == pytest.approx(S_POINT_SIX_NATS, abs=1e-15)
+        nats, _ = entropy_from_probabilities_array(0.8, 0.2)
+        assert nats == pytest.approx(S_POINT_SIX_NATS, abs=1e-15)
 
     def test_elementwise_over_broadcast_pairs(self):
         p_right = np.array([[0.5], [0.8]])
-        s = entropy_from_probabilities_array(p_right, 1.0 - p_right)
-        assert s.shape == (2, 1)
-        assert s.ravel().tolist() == [
-            entropy_from_probabilities_array(0.5, 0.5).item(),
-            entropy_from_probabilities_array(0.8, 1.0 - 0.8).item(),
-        ]
+        pair = entropy_from_probabilities_array(p_right, 1.0 - p_right)
+        for unit, s in enumerate(pair):
+            assert s.shape == (2, 1)
+            assert s.ravel().tolist() == [
+                entropy_from_probabilities_array(0.5, 0.5)[unit].item(),
+                entropy_from_probabilities_array(0.8, 1.0 - 0.8)[unit].item(),
+            ]
 
     def test_invalid_pair_named(self):
         with pytest.raises(InvalidDistribution, match=r"got \(0\.7, 0\.2\)$"):
@@ -80,11 +76,13 @@ class TestEntropyFromDistribution:
 
 class TestEntropyFromBeta:
     def test_rest_is_log2(self):
-        assert entropy_from_beta_array(0.0) == pytest.approx(LN2, abs=1e-15)
+        nats, bits = entropy_from_beta_array(0.0)
+        assert nats == pytest.approx(LN2, abs=1e-15)
+        assert bits == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("v", [1.0, -1.0])
     def test_light_speed_is_exactly_zero(self, v):
-        assert entropy_from_beta_array(v) == 0.0
+        assert entropy_from_beta_array(v) == (0.0, 0.0)
 
     def test_matches_distribution_route(self):
         via_beta = entropy_from_beta_array(0.6)
@@ -103,14 +101,15 @@ class TestEntropyFromBeta:
 
     def test_strictly_decreasing_in_speed(self):
         speeds = np.linspace(0.0, 1.0, 101)
-        values = entropy_from_beta_array(speeds)
-        for lo, hi in zip(values[1:], values[:-1]):
-            assert lo < hi
+        for values in entropy_from_beta_array(speeds):
+            for lo, hi in zip(values[1:], values[:-1]):
+                assert lo < hi
 
     @given(v=BETAS)
     def test_bounded_by_log2(self, v):
-        s = entropy_from_beta_array(v)
-        assert 0.0 <= s <= LN2 + 1e-15
+        nats, bits = entropy_from_beta_array(v)
+        assert 0.0 <= nats <= LN2 + 1e-15
+        assert 0.0 <= bits <= 1.0 + 1e-15
 
 
 class TestRelativisticFactors:
@@ -167,12 +166,13 @@ class TestRelativisticEntropyForm:
 
     def test_identity_on_grid(self):
         grid = np.linspace(-0.999, 0.999, 999)
-        worst = np.max(np.abs(entropy_from_beta_array(grid) - entropy_relativistic_form_array(grid)))
+        nats, _ = entropy_from_beta_array(grid)
+        worst = np.max(np.abs(nats - entropy_relativistic_form_array(grid)))
         assert worst <= 1e-12
 
     @given(v=INTERIOR)
     def test_identity_property(self, v):
-        direct = entropy_from_beta_array(v)
+        direct, _ = entropy_from_beta_array(v)
         decomposed = entropy_relativistic_form_array(v)
         assert abs(direct - decomposed) <= 1e-12
 
@@ -180,32 +180,29 @@ class TestRelativisticEntropyForm:
 class TestUnits:
     @given(v=BETAS)
     def test_bits_times_ln2_is_nats(self, v):
-        nats = entropy_from_beta_array(v, EntropyUnit.NATS)
-        bits = entropy_from_beta_array(v, EntropyUnit.BITS)
+        nats, bits = entropy_from_beta_array(v)
         assert bits * LN2 == pytest.approx(nats, abs=1e-15)
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda: entropy_from_beta_array(0.5, "bits"),
-            lambda: entropy_from_beta_array([0.5], "bits"),
-            lambda: entropy_from_probabilities_array(0.5, 0.5, "nats"),
-        ],
-    )
-    def test_bad_unit_or_value_raises_invalid_entropy(self, call):
-        with pytest.raises(InvalidEntropy) as info:
-            call()
-        assert isinstance(info.value, ZitterError) and isinstance(info.value, ValueError)
+    @given(p_right=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
+    def test_probability_route_bits_are_nats_over_ln2(self, p_right):
+        p_right = np.array(p_right)
+        p_left = 1.0 - p_right
+        nats, bits = entropy_from_probabilities_array(p_right, p_left)
+        assert np.all(np.abs(bits - nats / LN2) <= 1e-15)
+        # each element is the value of its own point, bit for bit
+        points = [entropy_from_probabilities_array(p, q) for p, q in zip(p_right, p_left)]
+        assert nats.tolist() == [s.item() for s, _ in points]
+        assert bits.tolist() == [s.item() for _, s in points]
 
 
 class TestArrayForms:
     GRID = np.linspace(-1.0, 1.0, 201)
 
-    @pytest.mark.parametrize("unit", list(EntropyUnit))
-    def test_entropy_matches_scalar_bitwise(self, unit):
-        s = entropy_from_beta_array(self.GRID, unit)
-        assert s.tolist() == [entropy_from_beta_array(b, unit).item() for b in self.GRID]
-        assert s[0] == s[-1] == 0.0 and not np.signbit(s[0])
+    def test_entropy_matches_scalar_bitwise(self):
+        points = [entropy_from_beta_array(b) for b in self.GRID]
+        for unit, s in enumerate(entropy_from_beta_array(self.GRID)):
+            assert s.tolist() == [pair[unit].item() for pair in points]
+            assert s[0] == s[-1] == 0.0 and not np.signbit(s[0])
 
     FACTORS = [lorentz_gamma_array, redshift_factor_array, entropy_relativistic_form_array]
 
@@ -223,8 +220,9 @@ class TestArrayForms:
             fn(bad)
 
     def test_scalar_input_gives_zero_dim_array(self):
-        values = [fn(np.float64(0.6)) for fn in (entropy_from_beta_array, *self.FACTORS)]
-        values.append(entropy_from_probabilities_array(0.8, 0.2))
+        values = [fn(np.float64(0.6)) for fn in self.FACTORS]
+        values += [*entropy_from_beta_array(np.float64(0.6))]
+        values += [*entropy_from_probabilities_array(0.8, 0.2)]
         for s in values:
             assert s.ndim == 0 and type(s.item()) is float
 

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from zittersim import (
-    EntropyUnit,
     ParticleScale,
     SimConfig,
     ZitterError,
@@ -55,7 +54,6 @@ _BETA = st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(min_value=-1.0, max_value=
 BETA = _mostly(_BETA)
 BETAS = _mostly(_BETA | st.lists(_BETA, max_size=3) | st.lists(_BETA, max_size=3).map(np.array))
 PROBABILITY = _mostly(st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0, 1]))
-UNIT = _mostly(st.sampled_from(EntropyUnit))
 TICKS = _mostly(st.integers(min_value=1, max_value=10_000) | st.sampled_from([0, 2**63]))
 SEED = _mostly(st.integers(min_value=0, max_value=2**64 - 1) | st.just(np.uint64(2**64 - 1)))
 INDEX = _mostly(st.integers(min_value=0, max_value=10**6))
@@ -86,10 +84,8 @@ CALLS = {
         compose_velocity_via_probabilities_array, [BETAS, BETAS]
     ),
     "rapidity_from_beta_array": (rapidity_from_beta_array, [BETAS]),
-    "entropy_from_probabilities_array": (
-        entropy_from_probabilities_array, [PROBABILITY, PROBABILITY, UNIT]
-    ),
-    "entropy_from_beta_array": (entropy_from_beta_array, [BETAS, UNIT]),
+    "entropy_from_probabilities_array": (entropy_from_probabilities_array, [PROBABILITY, PROBABILITY]),
+    "entropy_from_beta_array": (entropy_from_beta_array, [BETAS]),
     "lorentz_gamma_array": (lorentz_gamma_array, [BETAS]),
     "redshift_factor_array": (redshift_factor_array, [BETAS]),
     "entropy_relativistic_form_array": (entropy_relativistic_form_array, [BETAS]),

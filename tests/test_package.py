@@ -67,3 +67,9 @@ def test_readme_names_every_formula():
         if callable(getattr(m, name)) and not isinstance(getattr(m, name), type)
     }
     assert named == public
+
+
+def test_readme_names_every_error():
+    # a caller learns from the README which errors to expect
+    named = set(re.findall(r"`(\w+)`", README.read_text()))
+    assert sorted(set(errors.__all__) - named) == []
