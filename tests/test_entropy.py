@@ -198,11 +198,14 @@ class TestUnits:
 class TestArrayForms:
     GRID = np.linspace(-1.0, 1.0, 201)
 
-    def test_entropy_matches_scalar_bitwise(self):
+    # one case per element of the (nats, bits) pair; the ids are the names
+    # the cases had when the unit was an enum argument
+    @pytest.mark.parametrize("unit", [0, 1], ids=["EntropyUnit.NATS", "EntropyUnit.BITS"])
+    def test_entropy_matches_scalar_bitwise(self, unit):
         points = [entropy_from_beta_array(b) for b in self.GRID]
-        for unit, s in enumerate(entropy_from_beta_array(self.GRID)):
-            assert s.tolist() == [pair[unit].item() for pair in points]
-            assert s[0] == s[-1] == 0.0 and not np.signbit(s[0])
+        s = entropy_from_beta_array(self.GRID)[unit]
+        assert s.tolist() == [pair[unit].item() for pair in points]
+        assert s[0] == s[-1] == 0.0 and not np.signbit(s[0])
 
     FACTORS = [lorentz_gamma_array, redshift_factor_array, entropy_relativistic_form_array]
 
