@@ -19,22 +19,17 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import DYNAMICS, LEVELS, STREAM_LAYOUT, __version__
 from . import entropy as ent
 from . import kinematics as kin
-from .errors import IndeterminateComposition, InvalidConfig, NoAcceptedTicks, ZitterError
-from .scales import (
-    HBAR, SPEED_OF_LIGHT, ParticleScale, _positive_real, named_particles, scale_for_particle,
-)
-
-if TYPE_CHECKING:
-    from .simulate import SimConfig
+from .errors import IndeterminateComposition, NoAcceptedTicks, ZitterError
+from .scales import HBAR, SPEED_OF_LIGHT, ParticleScale, named_particles, scale_for_particle
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -123,30 +118,10 @@ def cmd_compose(args: argparse.Namespace) -> dict:
     return payload
 
 
-def _build_config(args: argparse.Namespace) -> SimConfig:
-    from .simulate import SimConfig
-    # The path CSV's step is c * tick: c in m/s and a tick of 1/omega seconds
-    # under --particle, else 1.0 each (natural units); --tick-duration sets the tick.
-    c = tick = 1.0
-    if args.particle is not None:
-        c, tick = SPEED_OF_LIGHT, scale_for_particle(args.particle).tick_duration_s
-    if args.tick_duration is not None:
-        tick = _positive_real(args.tick_duration, InvalidConfig, "tick_duration must be positive")
-    step = c * tick
-    if not math.isfinite(step):
-        raise InvalidConfig(f"--tick-duration {tick!r} overflows c * tick under --particle")
+def cmd_simulate(args: argparse.Namespace) -> dict:
+    from .simulate import SimConfig, _validate_replicates, run_ensemble, simulate_drift
     flip = tuple(args.flip_asymmetry) if args.flip_asymmetry else None
     cfg = SimConfig(args.beta, args.ticks, args.seed, args.dynamics, flip)
-    if not math.isfinite(cfg.ticks * step):  # in option terms, not as SimConfig's step_length
-        raise InvalidConfig(
-            f"--ticks {cfg.ticks} of --tick-duration {tick!r} overflow the positions"
-        )
-    return replace(cfg, step_length=step)
-
-
-def cmd_simulate(args: argparse.Namespace) -> dict:
-    from .simulate import _validate_replicates, run_ensemble, simulate_drift
-    cfg = _build_config(args)
     # A bad count is the error to report, whatever else the command asks for.
     _validate_replicates(cfg, args.replicates)
     if args.replicates != 1:
@@ -252,13 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--flip-asymmetry", type=float, nargs=2, metavar=("FROM_RIGHT", "FROM_LEFT"),
         help="telegraph flip probabilities; must keep Pr(R) = (1+beta)/2",
     )
-    p.add_argument("--tick-duration", type=float, help="seconds per tick; --path steps are c * tick")
-    p.add_argument(
-        "--particle",
-        help=f"named particle: {', '.join(named_particles())}; the --path CSV step is "
-        "c * tick in meters, with a tick of 1/omega s unless --tick-duration sets it",
-    )
-    p.add_argument("--path", metavar="CSV", help="also dump the path as tick CSV")
+    p.add_argument("--path", metavar="CSV", help="also dump the path as CSV; positions count ticks")
     p.add_argument("--replicates", type=int, default=1, help="independent replicates")
     p.set_defaults(func=cmd_simulate)
 

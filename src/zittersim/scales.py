@@ -43,14 +43,6 @@ _PARTICLES = {
 }
 
 
-def _positive_real(value: object, error: type, message: str) -> float:
-    """``value`` as a float if it is a positive finite real number; raises
-    ``error`` with ``message`` otherwise, for bools and strings too."""
-    if not (_is_real(value) and 0.0 < value < math.inf):
-        raise error(f"{message}, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class ParticleScale:
     """Mass with its derived tick frequency and characteristic length."""
@@ -63,7 +55,9 @@ class ParticleScale:
     def from_mass(cls, mass_kg: float) -> "ParticleScale":
         """Tick angular frequency 2 m c^2 / hbar in rad/s and characteristic
         length hbar / (2 m c) = c / omega in meters of the mass ``mass_kg``."""
-        m = _positive_real(mass_kg, NonPositiveMass, "mass must be a positive number of kg")
+        if not (_is_real(mass_kg) and 0.0 < mass_kg < math.inf):
+            raise NonPositiveMass(f"mass must be a positive number of kg, got {mass_kg!r}")
+        m = float(mass_kg)
         omega = 2.0 * m * SPEED_OF_LIGHT**2 / HBAR
         if not math.isfinite(omega):
             raise NonPositiveMass(f"mass must be at most ~1.05e257 kg for a finite omega, got {m!r}")

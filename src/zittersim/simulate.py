@@ -15,9 +15,10 @@ reversal is deliberately left unmodeled, so the dynamics choice is a knob.
 Telegraph ticks are correlated (lag-1 correlation 1 - a - b); their standard
 errors are the exact ones for a correlated mean.
 
-The sampler is unitless: a drift is a dimensionless mean of +/-1 ticks.  Units
-enter only through ``SimConfig.step_length``, the distance per tick of the
-positions that the path CSV writes.
+The sampler is unitless: a drift is a dimensionless mean of +/-1 ticks, and a
+position in the path CSV is a running count of ticks.  One tick covers the
+characteristic length of ``scales``, so meters are that count times
+``ParticleScale.length_m``.
 
 One private generator yields the directions as boolean blocks of ``_CHUNK``
 ticks, true where a tick is right; drift estimates, ensembles, frame
@@ -56,7 +57,6 @@ import numpy as np
 from . import DYNAMICS
 from .errors import InvalidConfig, NoAcceptedTicks
 from .kinematics import _beta, _is_real, _reject_antipodal
-from .scales import _positive_real
 
 __all__ = [
     "SimConfig",
@@ -126,8 +126,6 @@ class SimConfig:
 
     ``flip_asymmetry`` overrides the telegraph flip probabilities (from-right,
     from-left); it must keep the stationary right-probability at (1 + beta)/2.
-    ``step_length`` is the distance one tick covers in the path CSV; the
-    sampler itself is unitless.
     """
 
     beta: float
@@ -135,7 +133,6 @@ class SimConfig:
     seed: int
     dynamics: str = "iid"
     flip_asymmetry: Optional[tuple[float, float]] = None
-    step_length: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", _beta(self.beta))
@@ -143,13 +140,6 @@ class SimConfig:
         object.__setattr__(self, "seed", _validate_int("seed", self.seed, 0, _MAX_SEED))
         if not isinstance(self.dynamics, str) or self.dynamics not in DYNAMICS:
             raise InvalidConfig(f"dynamics must be one of {DYNAMICS}, got {self.dynamics!r}")
-        step = _positive_real(self.step_length, InvalidConfig, "step_length must be finite and > 0")
-        object.__setattr__(self, "step_length", step)
-        # Positions reach ticks * step_length, which must be a finite number.
-        if not math.isfinite(self.ticks * self.step_length):
-            raise InvalidConfig(
-                f"{self.ticks} ticks of step length {self.step_length!r} overflow the positions"
-            )
         if self.flip_asymmetry is not None:
             if self.dynamics != "telegraph":
                 raise InvalidConfig("flip_asymmetry applies to telegraph dynamics only")
@@ -331,7 +321,7 @@ def _path_sum(
     for right in blocks:
         if stream is not None:
             # The CSV is the one place where a tick is a +/-1 step.
-            positions = (total + np.cumsum(np.where(right, 1, -1), dtype=np.int64)) * cfg.step_length
+            positions = (total + np.cumsum(np.where(right, 1, -1), dtype=np.int64)).astype(float)
             signs = np.where(right, "+1", "-1").tolist()
             rows = zip(range(tick, tick + right.size), signs, positions.tolist())
             stream.write("".join([f"{t},{d},{x!r}\n" for t, d, x in rows]))
@@ -371,7 +361,7 @@ def simulate_drift(cfg: SimConfig, stream: Optional[IO[str]] = None) -> DriftEst
     """Sample mean of ``cfg``'s tick directions with its standard error, in
     bounded memory: the path is reduced block by block and, with ``stream``,
     written in the same pass as CSV rows ``tick,direction,position``:
-    direction +1/-1, position the running direction sum times ``cfg.step_length``."""
+    direction +1/-1, position the running direction sum, in ticks, as a float."""
     inflation = _variance_inflation(cfg.flip_probabilities, cfg.ticks)
     return _estimate_from_sum(_path_sum(cfg, cfg.seed, stream), cfg.ticks, cfg.seed, inflation)
 

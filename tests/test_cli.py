@@ -15,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from zittersim import (
     DYNAMICS, STREAM_LAYOUT, cli, entropy_from_beta_array, entropy_from_probabilities_array,
@@ -284,83 +284,21 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_overflowing_step_exits_2(self, capsys, tmp_path):
-        # c * 1e300 s per tick: no position of the path is a finite number
-        out = tmp_path / "f.csv"
-        code, stdout, err = run_cli(
-            capsys, "simulate", "--beta", "0.5", "--ticks", "3", "--seed", "1",
-            "--particle", "electron", "--tick-duration", "1e300", "--path", str(out),
-        )
-        assert code == 2 and stdout == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not out.exists()
-
-    def test_overflowing_tick_duration_is_named(self, capsys):
-        # c * 1e308 s is inf: the error names the options, not SimConfig's step_length
-        code, out, err = run_cli(
-            capsys, "simulate", "--beta", "0.3", "--ticks", "10", "--seed", "1",
-            "--particle", "electron", "--tick-duration", "1e308",
-        )
-        assert (code, out) == (2, "")
-        assert err == "error: --tick-duration 1e+308 overflows c * tick under --particle\n"
-
-    @pytest.mark.parametrize(
-        "ticks, duration, particle",
-        [("1000", "1e306", []), ("1000000", "1e295", ["--particle", "electron"])],
-        ids=["units", "electron"],
-    )
-    def test_overflowing_positions_name_the_options(self, capsys, ticks, duration, particle):
-        # ticks * c * tick is inf, c * tick is not: the options, not SimConfig's step length
-        code, out, err = run_cli(
-            capsys, "simulate", "--beta", "0", "--ticks", ticks, "--seed", "1",
-            "--tick-duration", duration, *particle,
-        )
-        assert (code, out) == (2, "")
-        tick = float(duration)
-        assert err == f"error: --ticks {ticks} of --tick-duration {tick!r} overflow the positions\n"
-
-    @pytest.mark.parametrize("particle", [[], ["--particle", "electron"]], ids=["units", "electron"])
-    @pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf"])
-    def test_bad_tick_duration_is_named(self, capsys, particle, duration):
-        code, out, err = run_cli(
-            capsys, "simulate", "--beta", "0", "--ticks", "10", "--seed", "1",
-            "--tick-duration", duration, *particle,
-        )
-        assert code == 2 and out == ""
-        assert err == f"error: tick_duration must be positive, got {float(duration)!r}\n"
-
     @pytest.mark.parametrize(
         "options, sha256",
         [
-            (["--beta", "0.3", "--seed", "3", "--particle", "electron"],
-             "8268723330b86abfb44e1a1bd0d82339722e556b0fe4d2fe2aa9dfe6d70a75ca"),
-            (["--beta", "-0.2", "--seed", "4", "--particle", "muon", "--tick-duration", "2.5"],
-             "a00f94ae75becec118b03a47b3edc1fcd5a50829dbdccf7b5e368d9633a0a93e"),
-            (["--beta", "0.1", "--seed", "5", "--tick-duration", "0.5"],
-             "c812b414749c9abb2b32890932b06d567e2c505f8a53e57657503007c71036ad"),
-            (["--beta", "0.4", "--seed", "6", "--dynamics", "telegraph", "--particle", "proton"],
-             "f3a36960ed1139d64a7f49a960a7044531fe8bd1ab89f57468505e44a31d487e"),
+            (["--beta", "0.3", "--seed", "3"],
+             "28e3ea4ba62e4a5c71f60973aa4b57d7eadbd600e3fa03697a386b13304921a7"),
+            (["--beta", "0.4", "--seed", "6", "--dynamics", "telegraph"],
+             "62ec1760b79ad36d13c8366520f774c5db52149598183c64df93c0775e911bed"),
         ],
-        ids=["electron", "muon-tick-duration", "tick-duration", "telegraph-proton"],
+        ids=["iid", "telegraph"],
     )
-    def test_unit_scaled_path_csv_is_golden(self, capsys, tmp_path, options, sha256):
-        # the c * tick step lengths' positions, byte for byte, as stream layout 4 writes them
+    def test_path_csv_is_golden(self, capsys, tmp_path, options, sha256):
+        # positions in ticks, byte for byte, as stream layout 4 writes them
         out = tmp_path / "p.csv"
         run_json(capsys, "simulate", "--ticks", "1000", *options, "--path", str(out))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
-
-    @pytest.mark.parametrize("dynamics", DYNAMICS)
-    @pytest.mark.parametrize(
-        "scale", [["--particle", "electron"], ["--tick-duration", "2.5"]],
-        ids=["particle", "tick-duration"],
-    )
-    def test_scale_options_only_scale_the_path_csv(self, capsys, dynamics, scale):
-        # the drift is unitless: without --path, the result is the unscaled run's
-        argv = ["simulate", "--beta", "0.5", "--ticks", "100", "--seed", "1", "--dynamics", dynamics]
-        plain, scaled = (run_json(capsys, *argv, *extra) for extra in ([], scale))
-        for payload in (plain, scaled):
-            payload.pop("manifest")
-        assert scaled == plain
 
     @pytest.mark.parametrize("command", ["simulate", "observe"])
     @pytest.mark.parametrize("ticks", [str(2**63), str(10**400)])
@@ -459,14 +397,22 @@ class TestEntropy:
         assert payload["manifest"]["parameters"] == {"beta": float(beta), "grid": None, "csv": None}
 
     @pytest.mark.parametrize(
-        "argv",
-        [["compose", "--u", "0.5", "--v", "0.5"], ["entropy", "--beta", "0.6"]],
-        ids=["compose", "entropy"],
+        "argv, option",
+        [
+            (["compose", "--u", "0.5", "--v", "0.5"], ["--unit", "bits"]),
+            (["entropy", "--beta", "0.6"], ["--unit", "bits"]),
+            (["simulate", "--beta", "0", "--ticks", "10", "--seed", "1"],
+             ["--particle", "electron"]),
+            (["simulate", "--beta", "0", "--ticks", "10", "--seed", "1"],
+             ["--tick-duration", "2.5"]),
+        ],
+        ids=["compose", "entropy", "simulate-particle", "simulate-tick-duration"],
     )
-    def test_unit_option_is_rejected(self, capsys, argv):
-        # every entropy is reported in both units, so no command takes --unit
-        lines = run_rejected(capsys, *argv, "--unit", "bits")
-        assert lines[-1].endswith("error: unrecognized arguments: --unit bits")
+    def test_unit_option_is_rejected(self, capsys, argv, option):
+        # entropies are reported in both units and path positions in ticks,
+        # so no command takes a unit option; scales alone converts to SI
+        lines = run_rejected(capsys, *argv, *option)
+        assert lines[-1].endswith(f"error: unrecognized arguments: {' '.join(option)}")
 
     def test_superluminal_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "entropy", "--beta", "1.01")
@@ -638,13 +584,9 @@ class TestOutputPath:
 
 
 class TestParser:
-    @pytest.mark.parametrize(
-        "argv",
-        [("simulate", "--beta", "0", "--ticks", "10", "--seed", "1"), ("scales",)],
-        ids=["simulate", "scales"],
-    )
+    @pytest.mark.parametrize("argv", [("scales",)], ids=["scales"])
     def test_particle_names_resolve_through_one_route(self, capsys, argv):
-        # both commands read --particle through scale_for_particle
+        # scales reads --particle through scale_for_particle
         run_json(capsys, *argv, "--particle", "Electron")
         known = ", ".join(named_particles())
         for name in ("tau", ""):
@@ -734,8 +676,7 @@ class TestKeyOrder:
 
     ESTIMATE = ["mean", "std_error", "n", "seed"]
     MANIFEST = ["command", "parameters", "seed", "constants", "version", "rng", "timestamp"]
-    SIMULATE = ["beta", "ticks", "dynamics", "flip_asymmetry", "tick_duration", "particle",
-                "path", "replicates"]
+    SIMULATE = ["beta", "ticks", "dynamics", "flip_asymmetry", "path", "replicates"]
 
     ROLE = ["beta", "distribution", "entropy", "entropy_bits"]
 
@@ -829,8 +770,6 @@ class TestReplay:
             ["simulate", "--beta", "0.2", "--ticks", "3000", "--seed", "7",
              "--dynamics", "telegraph", "--flip-asymmetry", "0.2", "0.3"],
             ["simulate", "--beta", "0.3", "--ticks", "500", "--seed", "5", "--replicates", "3"],
-            ["simulate", "--beta", "0.6", "--ticks", "100", "--seed", "9", "--particle", "electron"],
-            ["simulate", "--beta", "0.6", "--ticks", "100", "--seed", "9", "--tick-duration", "2.5"],
             ["simulate", "--beta", "-0.4", "--ticks", "300", "--seed", "11",
              "--dynamics", "telegraph", "--path", "p.csv"],
             ["simulate", "--beta", "-1e-05", "--ticks", "100", "--seed", "1"],
@@ -839,7 +778,7 @@ class TestReplay:
             "compose-nats", "entropy-beta", "entropy-grid-csv",
             "scales-particle", "scales-mass",
             "verify", "observe", "simulate-iid", "simulate-telegraph-flips",
-            "simulate-replicates", "simulate-particle", "simulate-tick-duration",
+            "simulate-replicates",
             "simulate-path", "simulate-negative-exponent",
         ],
     )
@@ -895,8 +834,6 @@ _OPTIONS = {
         {
             "--dynamics": st.sampled_from(["iid", "telegraph", "x"]),
             "--flip-asymmetry": st.lists(_BETAS, min_size=1, max_size=3),
-            "--tick-duration": _POSITIVE,
-            "--particle": _PARTICLES,
             "--path": _OUTPUTS,
             "--replicates": st.sampled_from(["-1", "0", "1", "3", "x", str(10**400)]),
         },
@@ -936,7 +873,6 @@ def _argv(draw) -> list[str]:
 class TestNoTraceback:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(argv=_argv())
-    @example(argv="simulate --beta 0 --ticks 1000 --seed 1 --tick-duration 1e306".split())
     def test_json_or_one_error_line(self, argv):
         with tempfile.TemporaryDirectory() as tmp:
             argv = [os.path.join(tmp, a) if a.endswith(".csv") else a for a in argv]

@@ -59,7 +59,6 @@ SEED = _mostly(st.integers(min_value=0, max_value=2**64 - 1) | st.just(np.uint64
 INDEX = _mostly(st.integers(min_value=0, max_value=10**6))
 DYNAMICS_NAME = _mostly(st.sampled_from([*DYNAMICS, "levy"]))
 FLIPS = _mostly(st.none() | st.tuples(PROBABILITY, PROBABILITY))
-STEP = _mostly(st.floats(min_value=1e-300, max_value=1e300) | st.just(1))
 REPLICATES = _mostly(st.integers(min_value=1, max_value=10) | st.just(2**63))
 # Masses from the lightest to beyond the ~1.05e257 kg whose omega overflows.
 MASS = _mostly(st.floats(min_value=1e-320, max_value=1e300) | st.sampled_from([1.05e257, 1.06e257]))
@@ -71,7 +70,7 @@ CONFIG = st.builds(
 
 # Each public callable that takes numbers and the strategies of its arguments.
 CALLS = {
-    "SimConfig": (SimConfig, [BETA, TICKS, SEED, DYNAMICS_NAME, FLIPS, STEP]),
+    "SimConfig": (SimConfig, [BETA, TICKS, SEED, DYNAMICS_NAME, FLIPS]),
     "observe_from_moving_frame": (observe_from_moving_frame, [BETA, BETA, TICKS, SEED]),
     "run_ensemble": (run_ensemble, [CONFIG, REPLICATES]),
     "derive_seed": (derive_seed, [SEED, INDEX]),
@@ -102,10 +101,7 @@ def test_every_array_function_is_covered():
 # as a 0/0 warning; every run tries them first.
 NEAR_C = 1.0 - 2.0**-53  # its Pr(L) rounds to 0
 KNOWN = {
-    "SimConfig": [
-        (0.0, 10, 1, "iid", None, [[1.0], [1.0, 2.0]]),
-        (-1.0, 1, 1, np.array([0.5, 0.5]), None, 1),
-    ],
+    "SimConfig": [(-1.0, 1, 1, np.array([0.5, 0.5]), None)],
     "ParticleScale.from_mass": [([[1e-30], [1e-30, 2e-30]],), (1e300,)],
     "compose_probabilities_array": [(NEAR_C, -1.0), (-1.0, NEAR_C)],
     "compose_velocity_via_probabilities_array": [(NEAR_C, -1.0), (-1.0, NEAR_C)],

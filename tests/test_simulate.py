@@ -19,35 +19,20 @@ from zittersim import (
     InvalidConfig,
     NoAcceptedTicks,
     SimConfig,
-    cli,
     derive_seed,
     observe_from_moving_frame,
     run_ensemble,
-    scale_for_particle,
     simulate,
     simulate_drift,
     velocity_addition_array,
 )
-from zittersim.scales import SPEED_OF_LIGHT
 from zittersim.simulate import estimate_drift, generate_path, write_path_csv
-
-
-def _cli_config(*options: str) -> SimConfig:
-    """The config ``simulate --beta 0 --ticks 10 --seed 1 *options`` runs."""
-    argv = ["simulate", "--beta", "0", "--ticks", "10", "--seed", "1", *options]
-    return cli._build_config(cli.build_parser().parse_args(argv))
-
-
-def _unit_step(particle: str) -> float:
-    """The step length ``simulate --particle`` uses: c times a tick of 1/omega."""
-    return SPEED_OF_LIGHT * scale_for_particle(particle).tick_duration_s
 
 
 class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig(beta=0.3, ticks=100, seed=1)
         assert cfg.dynamics == "iid"
-        assert cfg.step_length == 1.0
         assert cfg.p_right == pytest.approx(0.65)
 
     @pytest.mark.parametrize("ticks", [0, -5, 1.5])
@@ -70,15 +55,6 @@ class TestSimConfig:
             SimConfig(beta=beta, ticks=10, seed=1)
         with pytest.raises(InvalidBeta):
             observe_from_moving_frame(beta, 0.1, ticks=10, seed=1)
-
-    def test_rejects_overflowing_positions(self):
-        # c * 1e300 s is not a finite step length
-        with pytest.raises(InvalidConfig, match="step_length must be finite and > 0, got inf"):
-            SimConfig(beta=0.5, ticks=3, seed=1, step_length=SPEED_OF_LIGHT * 1e300)
-        # a finite step whose multiple overflows by the last tick
-        with pytest.raises(InvalidConfig, match="overflow"):
-            SimConfig(beta=0.5, ticks=3, seed=1, step_length=1e308)
-        assert SimConfig(beta=0.5, ticks=1, seed=1, step_length=1e308).step_length == 1e308
 
     def test_rejects_unknown_dynamics(self):
         with pytest.raises(InvalidConfig):
@@ -122,17 +98,6 @@ class TestSimConfig:
         )
         assert explicit.flip_probabilities == (0.05, 0.2)
 
-    def test_scale_sets_tick_duration(self):
-        # --particle makes a tick last 1/omega seconds
-        scale = scale_for_particle("electron")
-        cfg = _cli_config("--particle", "electron")
-        assert cfg.step_length == SPEED_OF_LIGHT * scale.tick_duration_s
-        assert cfg.step_length == pytest.approx(
-            SPEED_OF_LIGHT / scale.omega_rad_per_s, rel=1e-15
-        )
-        # distance per tick is then the characteristic length, in meters
-        assert cfg.step_length == pytest.approx(scale.length_m, rel=1e-12)
-
     def test_accepts_numpy_integers(self):
         cfg = SimConfig(beta=0.0, ticks=np.int64(10), seed=np.uint64(2**64 - 1))
         assert type(cfg.ticks) is int and cfg.ticks == 10
@@ -142,18 +107,6 @@ class TestSimConfig:
     def test_rejects_bool(self, field):
         with pytest.raises(InvalidConfig):
             SimConfig(**{"beta": 0.0, "ticks": 10, "seed": 1, field: True})
-
-    def test_explicit_tick_duration_wins(self):
-        cfg = _cli_config("--particle", "electron", "--tick-duration", "2.0")
-        assert cfg.step_length == SPEED_OF_LIGHT * 2.0
-        # without a particle the tick duration is the step in natural units (c = 1)
-        assert _cli_config("--tick-duration", "2.0").step_length == 2.0
-        assert _cli_config().step_length == 1.0
-
-    def test_step_length_is_a_float(self):
-        cfg = SimConfig(beta=1.0, ticks=2, seed=1, step_length=np.int64(3))
-        assert type(cfg.step_length) is float
-        assert _csv_positions(cfg) == [3.0, 6.0]
 
 
 class TestGeneratePath:
@@ -209,13 +162,8 @@ class TestGeneratePath:
         assert flips < 200
 
     def test_positions_are_scaled_cumulative_sums(self):
-        cfg = SimConfig(beta=1.0, ticks=4, seed=1, step_length=0.5)
-        assert _csv_positions(cfg) == [0.5, 1.0, 1.5, 2.0]
-
-    def test_physical_positions_in_meters(self):
-        scale = scale_for_particle("electron")
-        cfg = SimConfig(beta=1.0, ticks=3, seed=1, step_length=_unit_step("electron"))
-        assert _csv_positions(cfg)[-1] == pytest.approx(3.0 * scale.length_m, rel=1e-12)
+        cfg = SimConfig(beta=1.0, ticks=4, seed=1)
+        assert _csv_positions(cfg) == [1.0, 2.0, 3.0, 4.0]
 
     def test_path_carries_seed(self):
         cfg = SimConfig(beta=0.0, ticks=5, seed=77)
@@ -406,10 +354,6 @@ TELEGRAPH = {"beta": 0.0, "ticks": 10, "seed": 1, "dynamics": "telegraph"}
         pytest.param(lambda: SimConfig(**TELEGRAPH, flip_asymmetry=("x", 0.1)), id="flips-str"),
         pytest.param(lambda: SimConfig(**TELEGRAPH, flip_asymmetry=0.5), id="flips-scalar"),
         pytest.param(lambda: SimConfig(**TELEGRAPH, flip_asymmetry=(True, True)), id="flips-bool"),
-        pytest.param(lambda: SimConfig(**TELEGRAPH, step_length="1"), id="duration-str"),
-        pytest.param(lambda: SimConfig(**TELEGRAPH, step_length=True), id="duration-bool"),
-        pytest.param(lambda: SimConfig(**TELEGRAPH, step_length=[[1.0], [1.0, 2.0]]),
-                     id="duration-ragged"),
         pytest.param(lambda: derive_seed(1, 1.5), id="index-float"),
         pytest.param(lambda: derive_seed(1, "2"), id="index-str"),
         pytest.param(lambda: derive_seed(1, True), id="index-bool"),
@@ -503,7 +447,7 @@ def _reference_csv(cfg: SimConfig) -> str:
     """The per-row csv.writer dump of ``cfg``'s path that the block writer
     replaced, kept as the byte-for-byte reference."""
     directions = _directions(cfg)
-    positions = np.cumsum(directions, dtype=np.int64) * cfg.step_length
+    positions = np.cumsum(directions, dtype=np.int64)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["tick", "direction", "position"])
@@ -825,9 +769,8 @@ class TestBlockCsvWriter:
         [
             SimConfig(beta=0.2, ticks=10_000, seed=4),
             SimConfig(beta=-0.3, ticks=9_001, seed=5, dynamics="telegraph"),
-            SimConfig(beta=0.3, ticks=10_000, seed=6, step_length=_unit_step("electron")),
         ],
-        ids=["unit-steps", "telegraph", "electron"],
+        ids=["unit-steps", "telegraph"],
     )
     def test_byte_identical_to_csv_writer(self, cfg):
         buf = io.StringIO()
@@ -836,7 +779,7 @@ class TestBlockCsvWriter:
 
     @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
     def test_streamed_dump_matches_path_dump(self, chunk):
-        cfg = SimConfig(beta=0.1, ticks=10_000, seed=9, step_length=_unit_step("muon"))
+        cfg = SimConfig(beta=0.1, ticks=10_000, seed=9)
         buf = io.StringIO()
         assert simulate._path_sum(cfg, cfg.seed, buf, chunk) == simulate._path_sum(cfg, cfg.seed)
         _assert_same_text(buf.getvalue(), _reference_csv(cfg))
