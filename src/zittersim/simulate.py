@@ -23,10 +23,11 @@ characteristic length of ``scales``, so meters are that count times
 One private generator yields the directions as boolean blocks of ``_CHUNK``
 ticks, true where a tick is right; drift estimates, ensembles, frame
 observation and the CSV dump reduce the blocks as they arrive, so memory is
-O(chunk), not O(ticks), and no path is ever held whole.  ``generate_path``,
-``estimate_drift`` and ``write_path_csv`` are one-line handles on
-``simulate_drift``, kept as module attributes for the benchmark harness in
-``perfbench/``; the package does not export them.
+O(chunk), not O(ticks), and no path is ever held whole.  The CSV dump formats
+each slice of ``_CSV_ROWS`` rows as one byte matrix, O(``_CSV_ROWS``) bytes.
+``generate_path``, ``estimate_drift`` and ``write_path_csv`` are one-line
+handles on ``simulate_drift``, kept as module attributes for the benchmark
+harness in ``perfbench/``; the package does not export them.
 
 ``observe_from_moving_frame`` realizes frame composition stochastically:
 particle and observer directions are drawn per tick and a tick is retained
@@ -82,7 +83,8 @@ _DEFAULT_FLIP_SCALE = 0.5
 # block tick at once.  64k-tick blocks also measured faster than 4k or 1M ones.
 _CHUNK = 1 << 16
 
-# CSV rows formatted per write; a row holds ~100 bytes until it is written.
+# CSV rows per write, formatted as one uint8 matrix of at most 43 bytes a row;
+# 16k-row slices measured slower per row than these 4k ones.
 _CSV_ROWS = 1 << 12
 
 # Ticks per path stay below 2**63: the CSV positions are int64 tick sums.
@@ -306,6 +308,44 @@ def _direction_blocks(
             yield right[:k]
 
 
+def _digits(out: np.ndarray, v: np.ndarray) -> None:
+    """Write the uint64 ``v`` in decimal into ``out``'s columns, right-aligned,
+    with NUL bytes for its leading zeros."""
+    for j in range(out.shape[1] - 1, -1, -1):
+        q = v // 10
+        out[:, j] = v - q * 10 + 48
+        if j < out.shape[1] - 1:
+            out[:, j] *= v != 0
+        v = q
+
+
+def _csv_rows(tick: int, total: int, right: np.ndarray) -> str:
+    """The CSV rows ``f"{t},{d},{x!r}\\n"`` of ticks t from ``tick`` on, steps
+    d = +1 where ``right`` else -1, and positions x = ``total`` + the running
+    sum of d as floats: the one place where a tick is a +/-1 step.
+
+    An integer x with |x| <= 2**53 has ``repr(float(x)) == str(x) + ".0"``, so
+    such a slice is built as one uint8 matrix whose NUL padding ``translate``
+    drops, with the f-string's bytes.  A slice beyond 2**53, reached only after
+    9e15 ticks, takes the f-string itself, with its rounding and ``1e+16`` repr.
+    """
+    positions = total + np.cumsum(np.where(right, 1, -1), dtype=np.int64)
+    top = int(np.abs(positions).max())
+    if top > 2**53:
+        rows = zip(range(tick, tick + right.size), np.where(right, "+1", "-1").tolist(),
+                   positions.astype(float).tolist())
+        return "".join([f"{t},{d},{x!r}\n" for t, d, x in rows])
+    wt, wp = len(str(tick + right.size - 1)), len(str(top))
+    rows = np.empty((right.size, wt + wp + 8), dtype=np.uint8)
+    _digits(rows[:, :wt], np.arange(right.size, dtype=np.uint64) + np.uint64(tick))
+    rows[:, wt : wt + 4] = np.frombuffer(b",+1,", np.uint8)
+    rows[:, wt + 1] = 45 - 2 * right
+    rows[:, wt + 4] = 45 * (positions < 0)
+    _digits(rows[:, wt + 5 : -3], np.abs(positions).astype(np.uint64))
+    rows[:, -3:] = np.frombuffer(b".0\n", np.uint8)
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _path_sum(
     cfg: SimConfig, seed: int, stream: Optional[IO[str]] = None, chunk: int = _CHUNK
 ) -> int:
@@ -320,11 +360,7 @@ def _path_sum(
         blocks = (b[i : i + _CSV_ROWS] for b in blocks for i in range(0, b.size, _CSV_ROWS))
     for right in blocks:
         if stream is not None:
-            # The CSV is the one place where a tick is a +/-1 step.
-            positions = (total + np.cumsum(np.where(right, 1, -1), dtype=np.int64)).astype(float)
-            signs = np.where(right, "+1", "-1").tolist()
-            rows = zip(range(tick, tick + right.size), signs, positions.tolist())
-            stream.write("".join([f"{t},{d},{x!r}\n" for t, d, x in rows]))
+            stream.write(_csv_rows(tick, total, right))
         total += 2 * int(np.count_nonzero(right)) - right.size
         tick += right.size
     return total

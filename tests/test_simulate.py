@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import statistics
 import tracemalloc
 from fractions import Fraction
@@ -456,6 +457,12 @@ def _reference_csv(cfg: SimConfig) -> str:
     return buf.getvalue()
 
 
+def _dump_to_devnull(cfg: SimConfig):
+    """``simulate_drift`` of ``cfg`` with its path CSV written to the null device."""
+    with open(os.devnull, "w") as sink:
+        return simulate_drift(cfg, sink)
+
+
 def _assert_same_text(got: str, want: str) -> None:
     """Byte equality that reports the first differing line; pytest's full
     diff of two large dumps would take minutes."""
@@ -749,8 +756,9 @@ class TestChunkedSampler:
             lambda: estimate_drift(
                 generate_path(SimConfig(beta=0.3, ticks=4_000_000, seed=1, dynamics="telegraph"))
             ),
+            lambda: _dump_to_devnull(SimConfig(beta=0.3, ticks=1_000_000, seed=1)),
         ],
-        ids=["iid", "telegraph", "observe", "handle-iid", "handle-telegraph"],
+        ids=["iid", "telegraph", "observe", "handle-iid", "handle-telegraph", "csv"],
     )
     def test_reducers_hold_one_block_at_a_time(self, reduce):
         tracemalloc.start()
@@ -783,3 +791,17 @@ class TestBlockCsvWriter:
         buf = io.StringIO()
         assert simulate._path_sum(cfg, cfg.seed, buf, chunk) == simulate._path_sum(cfg, cfg.seed)
         _assert_same_text(buf.getvalue(), _reference_csv(cfg))
+
+    @pytest.mark.parametrize("size", [1, simulate._CSV_ROWS])
+    @pytest.mark.parametrize("tick", [0, 5, 99_990, 10**15, 2**62, 2**63 - simulate._CSV_ROWS])
+    def test_rows_match_reference_at_edges(self, tick, size):
+        # totals either side of 2**53 take the matrix and the f-string routes;
+        # -2**60 is written in scientific notation
+        mixed = np.random.default_rng(tick).random(size) < 0.5
+        for total in [0, -40, 2**53 - 3, 2**53 + 1, -(2**60)]:
+            for right in [np.ones(size, bool), np.zeros(size, bool), mixed]:
+                positions = (total + np.cumsum(np.where(right, 1, -1), dtype=np.int64)).astype(float)
+                signs = np.where(right, "+1", "-1").tolist()
+                rows = zip(range(tick, tick + size), signs, positions.tolist())
+                want = "".join([f"{t},{d},{x!r}\n" for t, d, x in rows])
+                _assert_same_text(simulate._csv_rows(tick, total, right), want)
