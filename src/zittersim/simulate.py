@@ -191,7 +191,7 @@ class DriftEstimate:
     mean: float
     std_error: float
     n: int
-    seed: Optional[int] = None
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -320,22 +320,16 @@ def _digits(out: np.ndarray, v: np.ndarray) -> None:
 
 
 def _csv_rows(tick: int, total: int, right: np.ndarray) -> str:
-    """The CSV rows ``f"{t},{d},{x!r}\\n"`` of ticks t from ``tick`` on, steps
+    """The CSV rows ``f"{t},{d},{x}.0\\n"`` of ticks t from ``tick`` on, steps
     d = +1 where ``right`` else -1, and positions x = ``total`` + the running
-    sum of d as floats: the one place where a tick is a +/-1 step.
+    sum of d: the one place where a tick is a +/-1 step.
 
-    An integer x with |x| <= 2**53 has ``repr(float(x)) == str(x) + ".0"``, so
-    such a slice is built as one uint8 matrix whose NUL padding ``translate``
-    drops, with the f-string's bytes.  A slice beyond 2**53, reached only after
-    9e15 ticks, takes the f-string itself, with its rounding and ``1e+16`` repr.
+    Each position is its exact int64 tick count; up to 2**53 ``<count>.0`` is
+    also ``repr(float(count))``.  The slice is built as one uint8 matrix whose
+    NUL padding ``translate`` drops.
     """
     positions = total + np.cumsum(np.where(right, 1, -1), dtype=np.int64)
-    top = int(np.abs(positions).max())
-    if top > 2**53:
-        rows = zip(range(tick, tick + right.size), np.where(right, "+1", "-1").tolist(),
-                   positions.astype(float).tolist())
-        return "".join([f"{t},{d},{x!r}\n" for t, d, x in rows])
-    wt, wp = len(str(tick + right.size - 1)), len(str(top))
+    wt, wp = len(str(tick + right.size - 1)), len(str(int(np.abs(positions).max())))
     rows = np.empty((right.size, wt + wp + 8), dtype=np.uint8)
     _digits(rows[:, :wt], np.arange(right.size, dtype=np.uint64) + np.uint64(tick))
     rows[:, wt : wt + 4] = np.frombuffer(b",+1,", np.uint8)
@@ -387,7 +381,7 @@ def _variance_inflation(flips: Optional[tuple[float, float]], n: int) -> float:
     return 1.0 + 2.0 * (1.0 - d) * h_ratio
 
 
-def _estimate_from_sum(total: int, n: int, seed: Optional[int], inflation: float) -> DriftEstimate:
+def _estimate_from_sum(total: int, n: int, seed: int, inflation: float) -> DriftEstimate:
     mean = total / n
     std_error = math.sqrt(max(0.0, (1.0 - mean * mean) * inflation) / n)
     return DriftEstimate(mean=mean, std_error=std_error, n=n, seed=seed)
@@ -397,7 +391,7 @@ def simulate_drift(cfg: SimConfig, stream: Optional[IO[str]] = None) -> DriftEst
     """Sample mean of ``cfg``'s tick directions with its standard error, in
     bounded memory: the path is reduced block by block and, with ``stream``,
     written in the same pass as CSV rows ``tick,direction,position``:
-    direction +1/-1, position the running direction sum, in ticks, as a float."""
+    direction +1/-1, position the exact running direction sum, ``<ticks>.0``."""
     inflation = _variance_inflation(cfg.flip_probabilities, cfg.ticks)
     return _estimate_from_sum(_path_sum(cfg, cfg.seed, stream), cfg.ticks, cfg.seed, inflation)
 

@@ -162,7 +162,7 @@ class TestGeneratePath:
         # ~20 expected; the iid chain would give ~10000
         assert flips < 200
 
-    def test_positions_are_scaled_cumulative_sums(self):
+    def test_positions_are_cumulative_sums(self):
         cfg = SimConfig(beta=1.0, ticks=4, seed=1)
         assert _csv_positions(cfg) == [1.0, 2.0, 3.0, 4.0]
 
@@ -795,13 +795,13 @@ class TestBlockCsvWriter:
     @pytest.mark.parametrize("size", [1, simulate._CSV_ROWS])
     @pytest.mark.parametrize("tick", [0, 5, 99_990, 10**15, 2**62, 2**63 - simulate._CSV_ROWS])
     def test_rows_match_reference_at_edges(self, tick, size):
-        # totals either side of 2**53 take the matrix and the f-string routes;
-        # -2**60 is written in scientific notation
+        # every position is its exact count, also beyond 2**53, where a float
+        # would round 2**53 + 1 and write -2**60 in scientific notation
         mixed = np.random.default_rng(tick).random(size) < 0.5
         for total in [0, -40, 2**53 - 3, 2**53 + 1, -(2**60)]:
             for right in [np.ones(size, bool), np.zeros(size, bool), mixed]:
-                positions = (total + np.cumsum(np.where(right, 1, -1), dtype=np.int64)).astype(float)
+                positions = total + np.cumsum(np.where(right, 1, -1), dtype=np.int64)
                 signs = np.where(right, "+1", "-1").tolist()
                 rows = zip(range(tick, tick + size), signs, positions.tolist())
-                want = "".join([f"{t},{d},{x!r}\n" for t, d, x in rows])
+                want = "".join([f"{t},{d},{x}.0\n" for t, d, x in rows])
                 _assert_same_text(simulate._csv_rows(tick, total, right), want)
