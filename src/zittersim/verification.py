@@ -87,7 +87,8 @@ def _check_velocity_grid(report: VerificationReport) -> None:
         "velocity_addition_equals_probability_route",
         _max_abs(w - kin.compose_velocity_via_probabilities_array(u, v)),
         VELOCITY_GRID_TOL,
-        "max |closed form - probability route| on the 99x99 grid of [-0.98, 0.98]^2",
+        f"max |closed form - probability route| on the {_GRID.size}x{_GRID.size} grid"
+        " of [-0.98, 0.98]^2",
     )
     phi = kin.rapidity_from_beta_array(_GRID)
     assoc = kin.rapidity_from_beta_array(w) - (phi[:, None] + phi[None, :])
@@ -111,7 +112,7 @@ def _check_entropy_identity(report: VerificationReport) -> None:
         "entropy_identity_relativistic_form",
         _max_abs(ent.entropy_from_beta_array(b)[0] - ent.entropy_relativistic_form_array(b)),
         ENTROPY_IDENTITY_TOL,
-        "max |velocity route - log(2 gamma) - beta log(1+z) route| on 999 points",
+        f"max |velocity route - log(2 gamma) - beta log(1+z) route| on {b.size} points",
     )
     rest, right, left = ent.entropy_from_beta_array([0.0, 1.0, -1.0])[0].tolist()
     report.add("entropy_at_rest_is_log2", abs(rest - math.log(2.0)), ENTROPY_REST_TOL)

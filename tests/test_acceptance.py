@@ -1,32 +1,26 @@
 """End-to-end acceptance suite.
 
-Each test prints one pass/fail line; run with ``pytest tests/test_acceptance.py -v -s``.
-Monte Carlo criteria use fixed seeds, so every run is deterministic.
+Criteria 1-6 and 8 run ``zittersim verify``'s full-level checks against fixed
+bounds. Each named result must pass, at a tolerance no looser than its bound,
+and the check's detail must name the full input size, so neither a loosened
+tolerance nor a shrunk grid or tick count passes. Criterion 7 runs the CLI.
+
+Each check prints one pass/fail line; run with ``pytest tests/test_acceptance.py -v -s``.
+Monte Carlo checks use fixed seeds, so every run is deterministic.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import time
 
 import numpy as np
+import pytest
 
-from zittersim import (
-    SimConfig,
-    compose_velocity_via_probabilities_array,
-    entropy_from_beta_array,
-    entropy_relativistic_form_array,
-    observe_from_moving_frame,
-    rapidity_from_beta_array,
-    scale_for_particle,
-    simulate_drift,
-    velocity_addition_array,
-    SPEED_OF_LIGHT,
-)
+from zittersim import LEVELS, SPEED_OF_LIGHT, scale_for_particle, verification
 from zittersim.cli import main
 
-GRID = np.linspace(-0.98, 0.98, 99)
+FULL = LEVELS["full"]
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -34,110 +28,95 @@ def report(criterion: str, passed: bool, detail: str) -> None:
     assert passed, f"{criterion}: {detail}"
 
 
-def test_criterion_1_velocity_addition_equivalence():
+def hold(criterion: str, check, *args, limit_s=None, sizes=(), **bounds) -> None:
+    """Run one verify check at the full level and report it: each result named in
+    ``bounds`` passed at a tolerance no looser than its bound, every string in
+    ``sizes`` appears in the details, and the call took under ``limit_s`` seconds."""
+    rep = verification.VerificationReport("full")
     start = time.perf_counter()
-    u, v = GRID[:, None], GRID[None, :]
-    closed = velocity_addition_array(u, v)
-    worst = float(np.max(np.abs(closed - compose_velocity_via_probabilities_array(u, v))))
+    check(rep, *args)
     elapsed = time.perf_counter() - start
-    report(
+    results = {c.name: c for c in rep.checks}
+    details = " ".join(c.detail for c in rep.checks)
+    passed = all(s in details for s in sizes) and (limit_s is None or elapsed < limit_s)
+    parts = []
+    for name, bound in bounds.items():
+        c = results[name]
+        passed = passed and c.passed and c.tolerance <= bound
+        parts.append(f"{name} {c.observed:.1e} <= {c.tolerance:g} (bound {bound:g})")
+    parts += [f"{s!r} {'in' if s in details else 'NOT in'} detail" for s in sizes]
+    parts.append(f"{elapsed:.2f}s" + ("" if limit_s is None else f" < {limit_s:g}s"))
+    report(criterion, passed, ", ".join(parts))
+
+
+def test_criterion_1_velocity_addition_equivalence():
+    hold(
         "1 velocity-addition equivalence",
-        worst <= 1e-12 and elapsed < 1.0,
-        f"max deviation {worst:.3e} <= 1e-12 on 99x99 grid, {elapsed:.2f}s < 1s",
+        verification._check_velocity_grid,
+        limit_s=1.0,
+        sizes=("99x99",),
+        velocity_addition_equals_probability_route=1e-12,
     )
 
 
 def test_criterion_2_group_laws():
-    u, v = GRID[:, None], GRID[None, :]
-    w = velocity_addition_array(u, v)
-    phi = rapidity_from_beta_array(GRID)
-    comm = float(np.max(np.abs(w - velocity_addition_array(v, u))))
-    ident = float(np.max(np.abs(velocity_addition_array(GRID, 0.0) - GRID)))
-    inv = float(np.max(np.abs(velocity_addition_array(GRID, -GRID))))
-    assoc = float(np.max(np.abs(rapidity_from_beta_array(w) - (phi[:, None] + phi[None, :]))))
-    passed = comm == 0.0 and ident == 0.0 and inv <= 1e-15 and assoc <= 1e-10
-    report(
+    hold(
         "2 group laws",
-        passed,
-        f"commutativity {comm:.1e} (exact), identity {ident:.1e} (exact), "
-        f"inverse {inv:.1e} <= 1e-15, associativity-via-rapidity {assoc:.3e} <= 1e-10",
+        verification._check_velocity_grid,
+        sizes=("99x99",),
+        group_law_commutativity=0.0,
+        group_law_identity=0.0,
+        group_law_inverse=1e-15,
+        group_law_associativity_via_rapidity=1e-10,
     )
 
 
 def test_criterion_3_entropy_identity():
-    start = time.perf_counter()
-    b = np.linspace(-0.999, 0.999, 999)
-    worst = float(np.max(np.abs(entropy_from_beta_array(b)[0] - entropy_relativistic_form_array(b))))
-    rest, right, left = entropy_from_beta_array([0.0, 1.0, -1.0])[0].tolist()
-    rest_dev = abs(rest - math.log(2.0))
-    boundary = max(right, left)
-    elapsed = time.perf_counter() - start
-    passed = worst <= 1e-12 and rest_dev <= 1e-15 and boundary == 0.0 and elapsed < 1.0
-    report(
+    hold(
         "3 entropy identity",
-        passed,
-        f"max route gap {worst:.3e} <= 1e-12 on 999 points, S(0)-ln2 = {rest_dev:.1e} "
-        f"<= 1e-15, S(+-1) = {boundary} (exact), {elapsed:.2f}s < 1s",
+        verification._check_entropy_identity,
+        limit_s=1.0,
+        sizes=("999 points",),
+        entropy_identity_relativistic_form=1e-12,
+        entropy_at_rest_is_log2=1e-15,
+        entropy_at_light_speed_is_zero=0.0,
     )
 
 
 def test_criterion_4_monte_carlo_drift():
-    start = time.perf_counter()
-    n = 1_000_000
-    worst_ratio = 0.0
-    for i, beta in enumerate((-0.9, -0.5, 0.0, 0.5, 0.9)):
-        est = simulate_drift(SimConfig(beta=beta, ticks=n, seed=20_000 + i))
-        bound = 5.0 * math.sqrt((1.0 - beta * beta) / n)
-        worst_ratio = max(worst_ratio, abs(est.mean - beta) / bound)
-    elapsed = time.perf_counter() - start
-    report(
+    hold(
         "4 Monte Carlo drift",
-        worst_ratio <= 1.0 and elapsed < 5.0,
-        f"worst |mean-beta| at {worst_ratio:.2f} of the 5-sigma bound, "
-        f"n = 10^6, {elapsed:.2f}s < 5s",
+        verification._check_monte_carlo_drift,
+        FULL,
+        limit_s=5.0,
+        sizes=("n = 1000000",),
+        monte_carlo_drift_within_5_sigma=5.0,
     )
 
 
 def test_criterion_5_rejection_sampled_frame_transform():
-    start = time.perf_counter()
-    n = 1_000_000
-    values = (-0.8, -0.4, 0.0, 0.4, 0.8)
-    worst_drift = 0.0
-    worst_accept = 0.0
-    seed = 77_000
-    for u in values:
-        for v in values:
-            seed += 1
-            obs = observe_from_moving_frame(u, v, ticks=n, seed=seed)
-            expected = (u + v) / (1.0 + u * v)
-            worst_drift = max(
-                worst_drift, abs(obs.estimate.mean - expected) / (5.0 * obs.estimate.std_error)
-            )
-            z = 0.5 * (1.0 + u * v)
-            sigma = math.sqrt(z * (1.0 - z) / n)
-            worst_accept = max(worst_accept, abs(obs.acceptance_rate - z) / (5.0 * sigma))
-    elapsed = time.perf_counter() - start
-    passed = worst_drift <= 1.0 and worst_accept <= 1.0 and elapsed < 60.0
-    report(
+    hold(
         "5 rejection-sampled frame transform",
-        passed,
-        f"drift at {worst_drift:.2f} and acceptance rate at {worst_accept:.2f} of "
-        f"their 5-sigma bounds over 25 pairs, {elapsed:.1f}s < 60s",
+        verification._check_frame_transform,
+        FULL,
+        limit_s=60.0,
+        sizes=("1000000 ticks/pair",),
+        frame_transform_drift_within_5_sigma=5.0,
+        frame_transform_acceptance_rate_within_5_sigma=5.0,
     )
 
 
 def test_criterion_6_physical_scales():
-    electron = scale_for_particle("electron")
-    omega_ok = 1.0e21 <= electron.omega_rad_per_s <= 2.0e21
-    lambda_ok = 1.5e-13 <= electron.length_m <= 2.5e-13
-    rel = abs(electron.omega_rad_per_s * electron.length_m - SPEED_OF_LIGHT) / SPEED_OF_LIGHT
-    report(
+    hold(
         "6 physical scales",
-        omega_ok and lambda_ok and rel <= 1e-12,
-        f"omega = {electron.omega_rad_per_s:.4e} rad/s in [1e21, 2e21], "
-        f"lambda = {electron.length_m:.4e} m in [1.5e-13, 2.5e-13], "
-        f"|omega*lambda - c|/c = {rel:.2e} <= 1e-12",
+        verification._check_scales,
+        electron_scales_in_expected_orders=0.0,
+        length_times_frequency_is_c=1e-12,
     )
+    # verify's mass sweep (1e-31 to 1e-25 kg) does not include the electron's own mass
+    electron = scale_for_particle("electron")
+    rel = abs(electron.omega_rad_per_s * electron.length_m - SPEED_OF_LIGHT) / SPEED_OF_LIGHT
+    report("6 electron omega*lambda", rel <= 1e-12, f"|omega*lambda - c|/c = {rel:.2e} <= 1e-12")
 
 
 def test_criterion_7_simulate_determinism(capsys):
@@ -159,21 +138,29 @@ def test_criterion_7_simulate_determinism(capsys):
 
 
 def test_criterion_8_telegraph_iid_consistency():
-    n = 1_000_000
-    beta = 0.3
-    iid_est = simulate_drift(SimConfig(beta=beta, ticks=n, seed=505))
-    tg_cfg = SimConfig(beta=beta, ticks=n, seed=606, dynamics="telegraph")
-    tg_est = simulate_drift(tg_cfg)
-    # combined sigma: iid binomial variance plus the telegraph variance
-    # inflated by the chain's integrated autocorrelation (1+rho)/(1-rho)
-    a, b = tg_cfg.flip_probabilities
-    rho = 1.0 - (a + b)
-    base_var = (1.0 - beta * beta) / n
-    sigma = math.sqrt(base_var + base_var * (1.0 + rho) / (1.0 - rho))
-    gap = abs(tg_est.mean - iid_est.mean)
-    report(
+    hold(
         "8 telegraph/iid consistency",
-        gap <= 5.0 * sigma,
-        f"|telegraph - iid| = {gap:.2e} <= 5 sigma = {5.0 * sigma:.2e} at matched "
-        f"beta = {beta}, n = 10^6",
+        verification._check_telegraph_consistency,
+        FULL,
+        telegraph_iid_drift_consistency=5.0,
     )
+
+
+@pytest.mark.parametrize(
+    "name, value, criterion, reason",
+    [
+        ("VELOCITY_GRID_TOL", 1e-6, test_criterion_1_velocity_addition_equivalence, "<= 1e-06"),
+        ("SIGMA_BOUND", 6.0, test_criterion_4_monte_carlo_drift, "<= 6 "),
+        (
+            "_GRID",
+            np.linspace(-0.98, 0.98, 9),
+            test_criterion_1_velocity_addition_equivalence,
+            "'99x99' NOT in",
+        ),
+    ],
+    ids=["grid-tolerance", "sigma-bound", "grid-size"],
+)
+def test_a_weakened_verify_check_fails_its_criterion(monkeypatch, name, value, criterion, reason):
+    monkeypatch.setattr(verification, name, value)
+    with pytest.raises(AssertionError, match=reason):
+        criterion()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import os
@@ -444,17 +443,20 @@ class TestPathCsv:
         assert [row.split(",")[1] for row in rows] == ["-1", "-1", "+1", "-1"]
 
 
+def _reference_rows(tick: int, directions: list[int], positions: list[int]) -> str:
+    """Path CSV rows from ``tick`` on, one per tick, one f-string each: the tick,
+    the signed direction and the position's exact tick count with ``.0``."""
+    rows = zip(range(tick, tick + len(directions)), directions, positions)
+    return "".join([f"{t},{d:+d},{x}.0\n" for t, d, x in rows])
+
+
 def _reference_csv(cfg: SimConfig) -> str:
-    """The per-row csv.writer dump of ``cfg``'s path that the block writer
-    replaced, kept as the byte-for-byte reference."""
+    """``cfg``'s whole path CSV, row by row: the byte-for-byte reference for
+    the block writer."""
     directions = _directions(cfg)
     positions = np.cumsum(directions, dtype=np.int64)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["tick", "direction", "position"])
-    for tick, (direction, position) in enumerate(zip(directions, positions)):
-        writer.writerow([tick, f"{int(direction):+d}", repr(float(position))])
-    return buf.getvalue()
+    rows = _reference_rows(0, directions.tolist(), positions.tolist())
+    return "tick,direction,position\n" + rows
 
 
 def _dump_to_devnull(cfg: SimConfig):
@@ -800,8 +802,7 @@ class TestBlockCsvWriter:
         mixed = np.random.default_rng(tick).random(size) < 0.5
         for total in [0, -40, 2**53 - 3, 2**53 + 1, -(2**60)]:
             for right in [np.ones(size, bool), np.zeros(size, bool), mixed]:
-                positions = total + np.cumsum(np.where(right, 1, -1), dtype=np.int64)
-                signs = np.where(right, "+1", "-1").tolist()
-                rows = zip(range(tick, tick + size), signs, positions.tolist())
-                want = "".join([f"{t},{d},{x}.0\n" for t, d, x in rows])
+                directions = np.where(right, 1, -1)
+                positions = total + np.cumsum(directions, dtype=np.int64)
+                want = _reference_rows(tick, directions.tolist(), positions.tolist())
                 _assert_same_text(simulate._csv_rows(tick, total, right), want)
