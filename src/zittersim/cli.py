@@ -9,19 +9,20 @@ Only the commands that sample or verify import the sampler or the verify suite.
 Exit codes: 0 success, 1 verification/run failure or an output file
 (``--path``, ``--csv``, stdout) that cannot be written, 2 invalid input,
 3 indeterminate composition; a reader that closed stdout early is not an error.
+The process entry, ``entry``, ends with ``os._exit`` once ``main`` has flushed
+the result, so a command pays no interpreter finalization.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -265,33 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _settle_stdout() -> None:
-    """Flush stdout; if fd 1 takes no more bytes, point it at devnull, so that
-    the flush at interpreter shutdown cannot fail a second time."""
-    try:
-        sys.stdout.flush()
-    except OSError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command; return its exit code.
-
-    Called with ``argv=None``, as ``python -m zittersim.cli`` and the
-    ``zittersim`` script do, ``main`` is the process entry and reads
-    ``sys.argv``.  It then moves every object alive before the command runs,
-    the imported modules and the parser, into gc's permanent generation
-    (``gc.freeze()``), so neither the run's nor shutdown's collections
-    traverse that heap; what the command allocates is collected as usual.  A
-    caller that passes ``argv`` keeps its own gc state.  No option or
-    environment variable changes either route.
+    """Run one command on ``argv`` (default ``sys.argv[1:]``); return its exit
+    code.  Stdout is flushed before the return, so a result that cannot be
+    written is an error here; ``--help`` and usage errors raise argparse's
+    ``SystemExit`` after that flush.  ``entry`` is this function plus the exit.
     """
     parser = build_parser()
-    if argv is None:
-        gc.freeze()
-        argv = sys.argv[1:]
     try:
         try:
             args = parser.parse_args(argv)
@@ -303,24 +284,34 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         payload["manifest"] = _manifest(args)
         # A result that overflowed to inf or nan raises ValueError, not "Infinity".
         sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-        # Fail here, where the handlers below see it, not at shutdown.
+        # Fail here, where the handlers below see it: the entry's exit flushes nothing.
         sys.stdout.flush()
         return EXIT_FAILURE if args.command == "verify" and not payload["passed"] else EXIT_OK
     except BrokenPipeError:
         # downstream consumer (head, etc.) closed the pipe; not an error
-        _settle_stdout()
         return EXIT_OK
     except IndeterminateComposition as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
     except (NoAcceptedTicks, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _settle_stdout()
         return EXIT_FAILURE
     except (ZitterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
 
+def entry() -> NoReturn:
+    """The process entry of ``python -m zittersim.cli`` and the ``zittersim``
+    script: ``main()``, then ``os._exit`` with its code.  The process skips
+    interpreter finalization (atexit handlers, the shutdown flush of stdout and
+    gc's collections over the imported heap); whatever stdout could not take
+    is discarded.  A ``SystemExit`` or a traceback leaves through the
+    interpreter as usual."""
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

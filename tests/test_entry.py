@@ -1,13 +1,14 @@
 """The real process entry: ``python -m zittersim.cli`` in a child process.
 
 Each child runs with ``src/`` on its path and ``PYTHONUNBUFFERED`` removed,
-so stdout is block-buffered as it is under a pipe or a file redirect, and a
-result that cannot be written fails inside ``main``, not at shutdown.
+so stdout is block-buffered as it is under a pipe or a file redirect.  The
+entry ends the process with no shutdown flush, so a result reaches the reader
+only through ``main``'s own flush, and a result that cannot be written fails
+inside ``main``.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from zittersim.cli import main
+from zittersim.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -38,21 +39,35 @@ def _cli(*argv: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     return _run(["-m", "zittersim.cli", *argv], stdout)
 
 
-@pytest.mark.parametrize(
-    "argv,code",
-    [
-        (("compose", "--u", "0.5", "--v", "0.5"), 0),
-        (("observe", "--u", "0.9999999999999999", "--v", "-1", "--ticks", "1000", "--seed", "1"),
-         1),
-        (("compose", "--u", "2", "--v", "0"), 2),
-        (("compose", "--u", "1", "--v", "-1"), 3),
-    ],
-    ids=["ok", "run-failure", "invalid-input", "indeterminate"],
-)
-def test_exit_codes(argv, code):
+# One command per documented exit code.
+EXIT_CODES = {
+    "ok": (("compose", "--u", "0.5", "--v", "0.5"), 0),
+    "run-failure": (
+        ("observe", "--u", "0.9999999999999999", "--v", "-1", "--ticks", "1000", "--seed", "1"), 1,
+    ),
+    "invalid-input": (("compose", "--u", "2", "--v", "0"), 2),
+    "indeterminate": (("compose", "--u", "1", "--v", "-1"), 3),
+}
+# Output the pipe must carry whole: a result larger than its 64 KiB buffer
+# (~122 kB), and argparse's --help.
+PIPED = {
+    "json-over-pipe-buffer": (
+        ("simulate", "--beta", "0.3", "--ticks", "10", "--seed", "1", "--replicates", "1000"), 0,
+    ),
+    "help": (("--help",), 0),
+}
+
+
+@pytest.mark.parametrize("argv,code", [*EXIT_CODES.values(), *PIPED.values()],
+                         ids=[*EXIT_CODES, *PIPED])
+def test_exit_codes(argv, code, monkeypatch):
+    # argparse wraps --help to COLUMNS, in the child as in this process.
+    monkeypatch.setenv("COLUMNS", "80")
     done = _cli(*argv)
     assert done.returncode == code
-    if code == 0:
+    if argv == ("--help",):
+        assert (done.stdout, done.stderr) == (build_parser().format_help(), "")
+    elif code == 0:
         assert json.loads(done.stdout)["manifest"]["command"] == argv[0]
         assert done.stderr == ""
     else:
@@ -98,24 +113,19 @@ def test_help_in_process_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: zittersim")
 
 
-def test_main_with_argv_leaves_gc_unfrozen(capsys):
-    before = gc.get_freeze_count()
-    assert main(["compose", "--u", "0.5", "--v", "0.5"]) == 0
-    capsys.readouterr()
-    assert gc.get_freeze_count() == before
+def test_main_with_argv_returns_each_exit_code():
+    for argv, code in EXIT_CODES.values():
+        assert main(list(argv)) == code
 
 
-def test_bare_main_freezes_the_import_heap():
+def test_entry_ends_without_finalization():
     code = (
-        "import gc, sys\n"
+        "import atexit, sys\n"
         "from zittersim import cli\n"
+        "atexit.register(lambda: print('atexit ran', file=sys.stderr))\n"
         "sys.argv = ['zittersim', 'compose', '--u', '0.5', '--v', '0.5']\n"
-        "assert gc.get_freeze_count() == 0\n"
-        "code = cli.main()\n"
-        "print(gc.get_freeze_count(), file=sys.stderr)\n"
-        "sys.exit(code)\n"
+        "cli.entry()\n"
     )
     done = _run(["-c", code])
-    assert done.returncode == 0
+    assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["w"] == 0.8
-    assert int(done.stderr) > 0

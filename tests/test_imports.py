@@ -20,7 +20,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SAMPLER = ("zittersim.simulate", "numpy.random")
 VERIFY = ("zittersim.verification",)
 
-# Runs the CLI as the process entry does, then lists the loaded modules on stderr.
+# Runs main on sys.argv, as the process entry does before its os._exit, then
+# lists the loaded modules on stderr.
 CLI = (
     "import sys\n"
     "from zittersim.cli import main\n"
