@@ -121,8 +121,7 @@ def cmd_compose(args: argparse.Namespace) -> dict:
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
     from .simulate import SimConfig, _validate_replicates, run_ensemble, simulate_drift
-    flip = tuple(args.flip_asymmetry) if args.flip_asymmetry else None
-    cfg = SimConfig(args.beta, args.ticks, args.seed, args.dynamics, flip)
+    cfg = SimConfig(args.beta, args.ticks, args.seed, args.dynamics, args.flip_asymmetry)
     # A bad count is the error to report, whatever else the command asks for.
     _validate_replicates(cfg, args.replicates)
     if args.replicates != 1:

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import shlex
 import tempfile
 import tracemalloc
 
@@ -236,15 +237,6 @@ class TestSimulate:
         seeds = {r["seed"] for r in payload["replicates"]}
         assert len(seeds) == 4
 
-    @pytest.mark.parametrize("replicates", ["0", "-3"])
-    def test_nonpositive_replicates_exit_2(self, capsys, replicates):
-        code, out, err = run_cli(
-            capsys, "simulate", "--beta", "0", "--ticks", "10", "--seed", "1",
-            "--replicates", replicates,
-        )
-        assert code == 2 and out == ""
-        assert "replicates" in err
-
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
     def test_json_identical_with_and_without_path(self, capsys, tmp_path, monkeypatch, dynamics):
         # the run goes through main, so the 1000-tick blocks are patched in
@@ -276,14 +268,6 @@ class TestSimulate:
         )
         assert observed["manifest"]["rng"]["stream_layout"] == 4
 
-    def test_unwritable_path_exits_1(self, capsys, tmp_path):
-        code, out, err = run_cli(
-            capsys, "simulate", "--beta", "0", "--ticks", "10", "--seed", "1",
-            "--path", str(tmp_path / "missing" / "p.csv"),
-        )
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-
     @pytest.mark.parametrize(
         "options, sha256",
         [
@@ -300,30 +284,12 @@ class TestSimulate:
         run_json(capsys, "simulate", "--ticks", "1000", *options, "--path", str(out))
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
-    @pytest.mark.parametrize("command", ["simulate", "observe"])
-    @pytest.mark.parametrize("ticks", [str(2**63), str(10**400)])
-    def test_huge_ticks_exit_2(self, capsys, command, ticks):
-        frame = ["--beta", "0"] if command == "simulate" else ["--u", "0", "--v", "0"]
-        code, out, err = run_cli(capsys, command, *frame, "--ticks", ticks, "--seed", "1")
-        assert code == 2 and out == ""
-        assert err.startswith("error: ticks must be an integer in [1, ") and err.count("\n") == 1
-
     def test_replicates_with_path_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "--beta", "0", "--ticks", "10", "--seed", "1",
             "--replicates", "2", "--path", str(tmp_path / "x.csv"),
         )
         assert code == 2
-
-    @pytest.mark.parametrize("replicates", ["0", "-3"])
-    def test_bad_replicates_reported_before_path(self, capsys, tmp_path, replicates):
-        code, out, err = run_cli(
-            capsys, "simulate", "--beta", "0", "--ticks", "10", "--seed", "1",
-            "--replicates", replicates, "--path", str(tmp_path / "x.csv"),
-        )
-        assert code == 2 and out == ""
-        assert err == f"error: replicates must be an integer in [1, inf), got {replicates}\n"
-        assert not (tmp_path / "x.csv").exists()
 
 
 class TestObserve:
@@ -348,18 +314,6 @@ class TestObserve:
             capsys, "observe", "--u", "-1", "--v", "1", "--ticks", "100", "--seed", "1"
         )
         assert code == 3
-
-    def test_no_retained_tick_names_the_exact_pair(self, capsys):
-        # u is one ulp below +1, so no tick is retained, but the pair is not antipodal
-        code, out, err = run_cli(
-            capsys, "observe", "--u", "0.9999999999999999", "--v", "-1",
-            "--ticks", "1000", "--seed", "1",
-        )
-        assert (code, out) == (1, "")
-        assert err == (
-            "error: 0 of 1000 ticks retained for u = 0.9999999999999999, v = -1.0; "
-            "increase ticks to estimate this composition\n"
-        )
 
 
 class TestEntropy:
@@ -422,18 +376,6 @@ class TestEntropy:
         run_rejected(capsys, "entropy")
         run_rejected(capsys, "entropy", "--beta", "0", "--grid", "0:1:5")
 
-    def test_csv_without_grid_exits_2(self, capsys, tmp_path):
-        out = tmp_path / "e.csv"
-        code, stdout, err = run_cli(capsys, "entropy", "--beta", "0.5", "--csv", str(out))
-        assert code == 2 and stdout == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not out.exists()
-
-    def test_grid_without_csv_exits_2(self, capsys):
-        code, out, err = run_cli(capsys, "entropy", "--grid", "0:0.5:3")
-        assert code == 2 and out == ""
-        assert err == "error: --grid writes its sweep to --csv PATH; give both or neither\n"
-
     def test_grid_csv(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
         code, stdout, err = run_cli(
@@ -461,13 +403,6 @@ class TestEntropy:
         columns = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(0, 1, 2), unpack=True)
         nats, bits = entropy_from_beta_array(columns[0])
         assert columns[1].tolist() == nats.tolist() and columns[2].tolist() == bits.tolist()
-
-    def test_unwritable_csv_exits_1(self, capsys, tmp_path):
-        code, out, err = run_cli(
-            capsys, "entropy", "--grid", "0:0.5:3", "--csv", str(tmp_path / "missing" / "g.csv")
-        )
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_grid_to_stdout(self, capsys, tmp_path):
         # stdout carries one JSON document, never the sweep; the sweep is in --csv
@@ -548,53 +483,22 @@ class TestScales:
         code, _, _ = run_cli(capsys, "scales", "--particle", "graviton")
         assert code == 2
 
-    def test_unknown_particle_message_is_unquoted(self, capsys):
-        code, out, err = run_cli(capsys, "scales", "--particle", "tau")
-        assert code == 2 and out == ""
-        assert err == "error: unknown particle 'tau'; known: electron, muon, proton\n"
-
-    def test_overflowing_mass_exits_2(self, capsys):
-        # omega = 2 m c^2 / hbar would overflow to inf
-        code, out, err = run_cli(capsys, "scales", "--mass-kg", "1e300")
-        assert code == 2 and out == ""
-        assert err == "error: mass must be at most ~1.05e257 kg for a finite omega, got 1e+300\n"
-
     def test_requires_exactly_one_selector(self, capsys):
         run_rejected(capsys, "scales")
         run_rejected(capsys, "scales", "--particle", "electron", "--mass-kg", "1e-30")
 
 
-class TestOutputPath:
-    SIMULATE = ("simulate", "--beta", "0.3", "--ticks", "10", "--seed", "1")
-
-    @pytest.mark.parametrize(
-        "argv, exit_code",
-        [
-            ((*SIMULATE, "--path", ""), 1),
-            ((*SIMULATE, "--path", "", "--replicates", "2"), 2),
-            (("entropy", "--grid", "0:1:2", "--csv", ""), 1),
-        ],
-        ids=["simulate-path", "simulate-path-replicates", "entropy-csv"],
-    )
-    def test_empty_path_is_a_path(self, capsys, argv, exit_code):
-        # "" names a file that cannot be opened; it does not mean "no file"
-        code, out, err = run_cli(capsys, *argv)
-        assert code == exit_code and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-
-
 class TestParser:
-    @pytest.mark.parametrize("argv", [("scales",)], ids=["scales"])
-    def test_particle_names_resolve_through_one_route(self, capsys, argv):
+    def test_particle_names_resolve_through_one_route(self, capsys):
         # scales reads --particle through scale_for_particle
-        run_json(capsys, *argv, "--particle", "Electron")
+        run_json(capsys, "scales", "--particle", "Electron")
         known = ", ".join(named_particles())
         for name in ("tau", ""):
-            code, out, err = run_cli(capsys, *argv, "--particle", name)
+            code, out, err = run_cli(capsys, "scales", "--particle", name)
             assert (code, out) == (2, "")
             assert err == f"error: unknown particle {name!r}; known: {known}\n"
         sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
-        help_text = sub.choices[argv[0]].format_help()
+        help_text = sub.choices["scales"].format_help()
         assert all(name in help_text for name in named_particles())
 
     def test_dynamics_choices_are_the_simulator_dynamics(self):
@@ -608,24 +512,6 @@ class TestParser:
     def test_no_json_flag(self, command):
         sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
         assert "--json" not in sub.choices[command]._option_string_actions
-
-    @pytest.mark.parametrize(
-        "argv, exit_code, error",
-        [
-            (["simulate", "--beta", "-1e-05", "--ticks", "10", "--seed", "1"], 0, ""),
-            (["compose", "--u", "-1e-3", "--v", "-0.2"], 0, ""),
-            (["entropy", "--grid", "-1e-3:0.5:3", "--csv", os.devnull], 0, ""),
-            (["simulate", "--beta", "0", "--ticks", "10", "--seed", "-1"], 2, "error: seed must be "),
-            (["simulate", "--beta", "-inf", "--ticks", "10", "--seed", "1"], 2,
-             "error: beta must lie in [-1, +1], got -inf\n"),
-        ],
-        ids=["simulate-beta", "compose-u-v", "entropy-grid", "simulate-seed", "simulate-beta-inf"],
-    )
-    def test_dash_token_is_the_value_of_its_option(self, capsys, argv, exit_code, error):
-        # argparse alone takes "-1e-05" for an option and exits 2
-        code, out, err = run_cli(capsys, *argv)
-        assert code == exit_code and bool(out) == (exit_code == 0)
-        assert err.startswith(error) and err.count("\n") == (exit_code != 0)
 
     @pytest.mark.parametrize("option", ["--flip-asymmetry", "--flip"])
     @pytest.mark.parametrize(
@@ -737,19 +623,15 @@ class TestKeyOrder:
 
 
 def _replay_argv(manifest: dict) -> list[str]:
-    """The argv a manifest records: null options skipped, lists spread, floats
-    as repr, and ``--opt=value`` for a value that starts with "-"."""
+    """The argv a manifest records, by README's replay rule: null options
+    skipped, lists spread, floats as repr."""
     argv = [manifest["command"]]
     for name, value in {**manifest["parameters"], "seed": manifest["seed"]}.items():
         if value is None:
             continue
-        flag = "--" + name.replace("_", "-")
-        values = [repr(v) if isinstance(v, float) else str(v)
-                  for v in (value if isinstance(value, list) else [value])]
-        if len(values) == 1 and values[0].startswith("-"):
-            argv.append(f"{flag}={values[0]}")
-        else:
-            argv += [flag, *values]
+        values = value if isinstance(value, list) else [value]
+        argv += ["--" + name.replace("_", "-"),
+                 *(repr(v) if isinstance(v, float) else str(v) for v in values)]
     return argv
 
 
@@ -773,13 +655,15 @@ class TestReplay:
             ["simulate", "--beta", "-0.4", "--ticks", "300", "--seed", "11",
              "--dynamics", "telegraph", "--path", "p.csv"],
             ["simulate", "--beta", "-1e-05", "--ticks", "100", "--seed", "1"],
+            ["simulate", "--beta", "1", "--ticks", "100", "--seed", "1",
+             "--dynamics", "telegraph", "--flip-asymmetry", "-0.0", "0.5"],
         ],
         ids=[
             "compose-nats", "entropy-beta", "entropy-grid-csv",
             "scales-particle", "scales-mass",
             "verify", "observe", "simulate-iid", "simulate-telegraph-flips",
             "simulate-replicates",
-            "simulate-path", "simulate-negative-exponent",
+            "simulate-path", "simulate-negative-exponent", "simulate-dash-led-flips",
         ],
     )
     def test_manifest_replays(self, capsys, tmp_path, argv):
@@ -793,6 +677,67 @@ class TestReplay:
             payload["manifest"].pop("timestamp")
         assert second == first
         assert (path.read_bytes() if path.exists() else None) == written
+
+
+# -- one command line: its exit code, its JSON or its one error line --------
+
+_SIM = "simulate --beta 0 --ticks 10 --seed 1"
+_REPLICATES = "error: replicates must be an integer in [1, inf), got "
+_HUGE_TICKS = "error: ticks must be an integer in [1, 9223372036854775808), got "
+_NO_FILE = "error: [Errno 2] No such file or directory: "
+_GRID_CSV = "error: --grid writes its sweep to --csv PATH; give both or neither\n"
+
+# id -> (command line, exit code, start of its one stderr line: "" at exit 0,
+# the whole line where it ends in "\n"); a ".csv" argument is under tmp_path.
+EXITS = {
+    # argparse alone takes a dash-led value for an option and exits 2
+    "dash-simulate-beta": ("simulate --beta -1e-05 --ticks 10 --seed 1", 0, ""),
+    "dash-compose-u-v": ("compose --u -1e-3 --v -0.2", 0, ""),
+    "dash-entropy-grid": ("entropy --grid -1e-3:0.5:3 --csv g.csv", 0, ""),
+    "dash-simulate-seed": ("simulate --beta 0 --ticks 10 --seed -1", 2,
+                           "error: seed must be an integer in [0, 18446744073709551616), got -1\n"),
+    "dash-simulate-beta-inf": ("simulate --beta -inf --ticks 10 --seed 1", 2,
+                               "error: beta must lie in [-1, +1], got -inf\n"),
+    "replicates-0": (f"{_SIM} --replicates 0", 2, _REPLICATES + "0\n"),
+    "replicates--3": (f"{_SIM} --replicates -3", 2, _REPLICATES + "-3\n"),
+    # the count is checked before the path is opened
+    "replicates-0-path": (f"{_SIM} --replicates 0 --path x.csv", 2, _REPLICATES + "0\n"),
+    "replicates--3-path": (f"{_SIM} --replicates -3 --path x.csv", 2, _REPLICATES + "-3\n"),
+    "replicates-1-path": (f"{_SIM} --replicates 1 --path x.csv", 0, ""),
+    # '' names a file that cannot be opened; it does not mean "no file"
+    "path-empty": (f"{_SIM} --path ''", 1, _NO_FILE + "''\n"),
+    "path-empty-replicates": (f"{_SIM} --path '' --replicates 2", 2,
+                              "error: --path dumps a single path; drop --replicates\n"),
+    "path-unwritable": (f"{_SIM} --path missing/p.csv", 1, _NO_FILE),
+    "simulate-ticks-2**63": (f"simulate --beta 0 --ticks {2**63} --seed 1", 2, _HUGE_TICKS),
+    "simulate-ticks-10**400": (f"simulate --beta 0 --ticks {10**400} --seed 1", 2, _HUGE_TICKS),
+    "observe-ticks-2**63": (f"observe --u 0 --v 0 --ticks {2**63} --seed 1", 2, _HUGE_TICKS),
+    "observe-ticks-10**400": (f"observe --u 0 --v 0 --ticks {10**400} --seed 1", 2, _HUGE_TICKS),
+    # u is one ulp below +1, so no tick is retained, but the pair is not antipodal
+    "observe-no-retained-tick": ("observe --u 0.9999999999999999 --v -1 --ticks 1000 --seed 1", 1,
+                                 "error: 0 of 1000 ticks retained for u = 0.9999999999999999, "
+                                 "v = -1.0; increase ticks to estimate this composition\n"),
+    "entropy-csv-without-grid": ("entropy --beta 0.5 --csv e.csv", 2, _GRID_CSV),
+    "entropy-grid-without-csv": ("entropy --grid 0:0.5:3", 2, _GRID_CSV),
+    "grid-no-count": ("entropy --grid 0:1 --csv g.csv", 2, "error: grid must be start:stop:count"),
+    "entropy-csv-empty": ("entropy --grid 0:1:2 --csv ''", 1, _NO_FILE + "''\n"),
+    "entropy-csv-unwritable": ("entropy --grid 0:0.5:3 --csv missing/g.csv", 1, _NO_FILE),
+    # omega = 2 m c^2 / hbar would overflow to inf
+    "scales-overflowing-mass": ("scales --mass-kg 1e300", 2, "error: mass must be at most "
+                                "~1.05e257 kg for a finite omega, got 1e+300\n"),
+}
+
+
+@pytest.mark.parametrize("command, code, error", list(EXITS.values()), ids=list(EXITS))
+def test_exits(capsys, tmp_path, command, code, error):
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in shlex.split(command)]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    if code == 0:
+        assert err == "" and "manifest" in json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == "" and err.startswith(error) and err.endswith("\n") and err.count("\n") == 1
+        assert not [a for a in argv if a.endswith(".csv") and os.path.exists(a)]
 
 
 # -- every argv ends in JSON or one error line, never a traceback -------------
@@ -891,8 +836,6 @@ class TestNoTraceback:
             error_lines = [line for line in err.splitlines() if "error:" in line]
             assert error_lines == err.splitlines()[-1:], err
             assert "Traceback" not in err
-            # SimConfig's step_length is no option of the CLI
-            assert "step_length" not in err and "step length" not in err, err
 
 
 def _reject_constant(name: str) -> None:

@@ -103,11 +103,6 @@ class TestSimConfig:
         assert type(cfg.ticks) is int and cfg.ticks == 10
         assert type(cfg.seed) is int and cfg.seed == 2**64 - 1
 
-    @pytest.mark.parametrize("field", ["ticks", "seed"])
-    def test_rejects_bool(self, field):
-        with pytest.raises(InvalidConfig):
-            SimConfig(**{"beta": 0.0, "ticks": 10, "seed": 1, field: True})
-
 
 class TestGeneratePath:
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
@@ -280,11 +275,6 @@ class TestObserveFromMovingFrame:
         with pytest.raises(IndeterminateComposition):
             observe_from_moving_frame(u, v, ticks=100, seed=1)
 
-    @pytest.mark.parametrize("ticks", [True, 0, 2.0])
-    def test_rejects_bad_ticks(self, ticks):
-        with pytest.raises(InvalidConfig):
-            observe_from_moving_frame(0.1, 0.2, ticks=ticks, seed=1)
-
     def test_no_accepted_ticks(self):
         # acceptance probability 5e-8 per tick; 10 ticks retain nothing
         with pytest.raises(NoAcceptedTicks):
@@ -359,10 +349,18 @@ TELEGRAPH = {"beta": 0.0, "ticks": 10, "seed": 1, "dynamics": "telegraph"}
         pytest.param(lambda: derive_seed(1, True), id="index-bool"),
         pytest.param(lambda: derive_seed(np.array(0.5), 1), id="seed-float-array"),
         pytest.param(lambda: derive_seed(1, np.array(1.5)), id="index-float-array"),
+        pytest.param(lambda: SimConfig(beta=0.0, ticks=True, seed=1), id="ticks-bool"),
+        pytest.param(lambda: SimConfig(beta=0.0, ticks=10, seed=True), id="config-seed-bool"),
         pytest.param(lambda: SimConfig(beta=0.0, ticks=np.array(0.5), seed=1),
                      id="ticks-float-array"),
         pytest.param(lambda: SimConfig(beta=0.0, ticks=10, seed=np.array(0.5)),
                      id="config-seed-float-array"),
+        pytest.param(lambda: observe_from_moving_frame(0.1, 0.2, ticks=True, seed=1),
+                     id="observe-ticks-bool"),
+        pytest.param(lambda: observe_from_moving_frame(0.1, 0.2, ticks=0, seed=1),
+                     id="observe-ticks-0"),
+        pytest.param(lambda: observe_from_moving_frame(0.1, 0.2, ticks=2.0, seed=1),
+                     id="observe-ticks-float"),
         pytest.param(lambda: observe_from_moving_frame(0.1, 0.2, ticks=np.array(0.5), seed=1),
                      id="observe-ticks-float-array"),
         pytest.param(lambda: observe_from_moving_frame(0.1, 0.2, ticks=10, seed=np.array(0.5)),
@@ -754,13 +752,9 @@ class TestChunkedSampler:
                 SimConfig(beta=0.3, ticks=4_000_000, seed=1, dynamics="telegraph")
             ),
             lambda: observe_from_moving_frame(0.4, 0.5, ticks=4_000_000, seed=1),
-            lambda: estimate_drift(generate_path(SimConfig(beta=0.3, ticks=4_000_000, seed=1))),
-            lambda: estimate_drift(
-                generate_path(SimConfig(beta=0.3, ticks=4_000_000, seed=1, dynamics="telegraph"))
-            ),
             lambda: _dump_to_devnull(SimConfig(beta=0.3, ticks=1_000_000, seed=1)),
         ],
-        ids=["iid", "telegraph", "observe", "handle-iid", "handle-telegraph", "csv"],
+        ids=["iid", "telegraph", "observe", "csv"],
     )
     def test_reducers_hold_one_block_at_a_time(self, reduce):
         tracemalloc.start()
