@@ -47,6 +47,16 @@ class TestBeta:
     def test_float_conversion(self):
         assert _beta(np.float32(0.25)) == 0.25 and type(_beta(np.int64(1))) is float
 
+    @pytest.mark.parametrize("v", ["0.5", True, None])
+    def test_velocity_arguments_reject_non_numbers(self, v):
+        # every entry point validates through _betas, never through float()
+        with pytest.raises(InvalidBeta):
+            direction_probabilities_array(v)
+        with pytest.raises(InvalidBeta):
+            velocity_addition_array(v, 0.1)
+        with pytest.raises(InvalidBeta):
+            compose_probabilities_array(0.1, v)
+
 
 class TestDirectionDistribution:
     def test_rest_is_fifty_fifty(self):
@@ -333,10 +343,9 @@ class TestArrayCalculus:
             fn(np.zeros(3), np.zeros(4))
 
     @pytest.mark.parametrize(
-        "bad", [["0.5"], [True, False], "0.5", [0.5j], [[0.1, 0.2], [0.3]], True, None]
+        "bad", [["0.5"], [True, False], "0.5", [0.5j], [[0.1, 0.2], [0.3]]]
     )
     def test_non_numbers_rejected(self, bad):
-        # every entry point validates through _betas, never through float()
         with pytest.raises(InvalidBeta):
             velocity_addition_array(bad, 0.0)
         with pytest.raises(InvalidBeta):
