@@ -6,9 +6,7 @@ options as parsed (null where not given), seed, constants, version and RNG
 stream provenance, so a run can be replayed from its own output.  Each
 ``cmd_*`` returns its payload; ``main`` adds the manifest and writes the JSON.
 Only the commands that sample or verify import the sampler or the verify suite.
-Exit codes: 0 success, 1 verification/run failure or an output file
-(``--path``, ``--csv``, stdout) that cannot be written, 2 invalid input,
-3 indeterminate composition; a reader that closed stdout early is not an error.
+An error exits with its ``ZitterError.exit_code``, a failed ``verify`` with 1.
 The process entry, ``entry``, ends with ``os._exit`` once ``main`` has flushed
 the result, so a command pays no interpreter finalization.
 """
@@ -20,6 +18,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import Iterator, NoReturn, Optional, Sequence
@@ -29,13 +28,25 @@ import numpy as np
 from . import DYNAMICS, LEVELS, STREAM_LAYOUT, __version__
 from . import entropy as ent
 from . import kinematics as kin
-from .errors import IndeterminateComposition, NoAcceptedTicks, ZitterError
+from .errors import InvalidConfig, UnwritableOutput, ZitterError
 from .scales import HBAR, SPEED_OF_LIGHT, ParticleScale, named_particles, scale_for_particle
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
-EXIT_INVALID_INPUT = 2
-EXIT_INDETERMINATE = 3
+
+
+@contextmanager
+def _writing(target: str) -> Iterator[None]:
+    """Re-raise the block's ``OSError`` as ``UnwritableOutput`` naming ``target``,
+    ``--path 'p.csv'`` or ``stdout``; a ``BrokenPipeError`` on stdout, from a
+    reader that left early, passes to ``main``."""
+    try:
+        yield
+    except OSError as exc:
+        if target == "stdout" and isinstance(exc, BrokenPipeError):
+            raise
+        raise UnwritableOutput(f"{target}: {exc}") from exc
+
 
 def _manifest(args: argparse.Namespace) -> dict:
     """Everything needed to audit and re-run a CLI invocation: its options
@@ -46,10 +57,7 @@ def _manifest(args: argparse.Namespace) -> dict:
             k: v for k, v in vars(args).items() if k not in ("command", "func", "seed")
         },
         "seed": getattr(args, "seed", None),
-        "constants": {
-            "speed_of_light_m_per_s": SPEED_OF_LIGHT,
-            "hbar_J_s": HBAR,
-        },
+        "constants": {"speed_of_light_m_per_s": SPEED_OF_LIGHT, "hbar_J_s": HBAR},
         "version": __version__,
         "rng": {"numpy": np.__version__, "bit_generator": "PCG64", "stream_layout": STREAM_LAYOUT},
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -58,7 +66,7 @@ def _manifest(args: argparse.Namespace) -> dict:
 
 def _parse_grid(raw: str) -> tuple[float, float, int]:
     """Parse and validate ``start:stop:count`` of an endpoint-inclusive grid."""
-    malformed = ValueError(f"grid must be start:stop:count with integer count >= 1, got {raw!r}")
+    malformed = InvalidConfig(f"grid must be start:stop:count with integer count >= 1, got {raw!r}")
     try:
         start, stop, count = raw.split(":")
         start, stop, count = float(start), float(stop), int(count)
@@ -126,11 +134,11 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     _validate_replicates(cfg, args.replicates)
     if args.replicates != 1:
         if args.path is not None:
-            raise ValueError("--path dumps a single path; drop --replicates")
+            raise InvalidConfig("--path dumps a single path; drop --replicates")
         return asdict(run_ensemble(cfg, args.replicates))
     if args.path is None:
         return asdict(simulate_drift(cfg))
-    with open(args.path, "w", newline="") as fh:
+    with _writing(f"--path {args.path!r}"), open(args.path, "w", newline="") as fh:
         return asdict(simulate_drift(cfg, fh))
 
 
@@ -143,10 +151,10 @@ def cmd_observe(args: argparse.Namespace) -> dict:
 
 def cmd_entropy(args: argparse.Namespace) -> dict:
     if (args.grid is None) != (args.csv is None):
-        raise ValueError("--grid writes its sweep to --csv PATH; give both or neither")
+        raise InvalidConfig("--grid writes its sweep to --csv PATH; give both or neither")
     if args.grid is not None:
         start, stop, count = _parse_grid(args.grid)
-        with open(args.csv, "w", newline="") as fh:
+        with _writing(f"--csv {args.csv!r}"), open(args.csv, "w", newline="") as fh:
             fh.write("beta,S_nats,S_bits,gamma,one_plus_z\n")
             for b in _grid_slices(start, stop, count):
                 columns = (c.tolist() for c in _entropy_columns(b))
@@ -194,6 +202,11 @@ class _Parser(argparse.ArgumentParser):
     plain argparse reads only ``-1`` and ``-.5`` shapes so.  The rule overrides
     argparse's private ``_parse_optional``, whose ``None`` means "a value" on
     every supported Python (CI runs each); subparsers inherit the class."""
+
+    def print_help(self, file=None) -> None:
+        # argparse's own print ignores a failed write; main reports this one
+        with _writing("stdout"):
+            print(self.format_help(), end="", file=file, flush=True)
 
     def _parse_optional(self, arg_string: str):
         dash_led = arg_string[:1] == "-" and arg_string[1:2] != "-"
@@ -267,37 +280,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command on ``argv`` (default ``sys.argv[1:]``); return its exit
-    code.  Stdout is flushed before the return, so a result that cannot be
-    written is an error here; ``--help`` and usage errors raise argparse's
-    ``SystemExit`` after that flush.  ``entry`` is this function plus the exit.
-    """
+    code, or raise argparse's ``SystemExit`` after ``--help`` or a usage error.
+    Each write to stdout is flushed at once, so a failed one is an error here,
+    not at the exit.  ``entry`` is this function plus the exit."""
     parser = build_parser()
     try:
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit:
-            # --help or a usage error: argparse's own output fails here too.
-            sys.stdout.flush()
-            raise
+        args = parser.parse_args(argv)
         payload = args.func(args)
         payload["manifest"] = _manifest(args)
-        # A result that overflowed to inf or nan raises ValueError, not "Infinity".
-        sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-        # Fail here, where the handlers below see it: the entry's exit flushes nothing.
-        sys.stdout.flush()
+        with _writing("stdout"):
+            # No payload holds inf or nan; one that did is a defect, not "Infinity".
+            print(json.dumps(payload, indent=2, allow_nan=False), flush=True)
         return EXIT_FAILURE if args.command == "verify" and not payload["passed"] else EXIT_OK
     except BrokenPipeError:
         # downstream consumer (head, etc.) closed the pipe; not an error
         return EXIT_OK
-    except IndeterminateComposition as exc:
+    except ZitterError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
-    except (NoAcceptedTicks, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except (ZitterError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        return exc.exit_code
 
 
 def entry() -> NoReturn:

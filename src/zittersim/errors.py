@@ -3,25 +3,23 @@
 Every error the package raises deliberately derives from ``ZitterError`` so
 callers can catch domain failures without also swallowing programming errors.
 Errors that signal invalid user input additionally derive from ``ValueError``.
+The CLI prints a ``ZitterError`` as one ``error:`` line and exits with its
+class's ``exit_code``; any other exception is a defect and ends in a traceback.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "ZitterError",
-    "InvalidBeta",
-    "InvalidDistribution",
-    "IndeterminateComposition",
-    "LightSpeedSingularity",
-    "NonPositiveMass",
-    "UnknownParticle",
-    "InvalidConfig",
-    "NoAcceptedTicks",
+    "ZitterError", "InvalidBeta", "InvalidDistribution", "IndeterminateComposition",
+    "LightSpeedSingularity", "NonPositiveMass", "UnknownParticle", "InvalidConfig",
+    "NoAcceptedTicks", "UnwritableOutput",
 ]
 
 
 class ZitterError(Exception):
-    """Base class for all zittersim errors."""
+    """Base class for all zittersim errors; exit code 2, invalid input."""
+
+    exit_code = 2
 
 
 class InvalidBeta(ZitterError, ValueError):
@@ -35,6 +33,8 @@ class InvalidDistribution(ZitterError, ValueError):
 class IndeterminateComposition(ZitterError):
     """Frame composition is 0/0: particle and observer move at the speed
     of light in opposite directions, so the normalizer vanishes."""
+
+    exit_code = 3
 
 
 class LightSpeedSingularity(ZitterError, ValueError):
@@ -61,3 +61,11 @@ class InvalidConfig(ZitterError, ValueError):
 class NoAcceptedTicks(ZitterError):
     """Rejection-sampled frame transform retained zero ticks, so no
     drift estimate exists for this run."""
+
+    exit_code = 1
+
+
+class UnwritableOutput(ZitterError):
+    """An output (stdout, a ``--path`` or ``--csv`` file) refused a write."""
+
+    exit_code = 1

@@ -58,15 +58,7 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def add(self, name: str, observed: float, tolerance: float, detail: str = "") -> None:
-        self.checks.append(
-            CheckResult(
-                name=name,
-                tolerance=tolerance,
-                observed=observed,
-                passed=observed <= tolerance,
-                detail=detail,
-            )
-        )
+        self.checks.append(CheckResult(name, tolerance, observed, observed <= tolerance, detail))
 
     def to_dict(self) -> dict:
         return {

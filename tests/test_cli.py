@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from zittersim import (
     DYNAMICS, STREAM_LAYOUT, cli, entropy_from_beta_array, entropy_from_probabilities_array,
-    named_particles, simulate,
+    kinematics, named_particles, simulate,
 )
 from zittersim.cli import main
 
@@ -684,7 +684,6 @@ class TestReplay:
 _SIM = "simulate --beta 0 --ticks 10 --seed 1"
 _REPLICATES = "error: replicates must be an integer in [1, inf), got "
 _HUGE_TICKS = "error: ticks must be an integer in [1, 9223372036854775808), got "
-_NO_FILE = "error: [Errno 2] No such file or directory: "
 _GRID_CSV = "error: --grid writes its sweep to --csv PATH; give both or neither\n"
 
 # id -> (command line, exit code, start of its one stderr line: "" at exit 0,
@@ -705,10 +704,11 @@ EXITS = {
     "replicates--3-path": (f"{_SIM} --replicates -3 --path x.csv", 2, _REPLICATES + "-3\n"),
     "replicates-1-path": (f"{_SIM} --replicates 1 --path x.csv", 0, ""),
     # '' names a file that cannot be opened; it does not mean "no file"
-    "path-empty": (f"{_SIM} --path ''", 1, _NO_FILE + "''\n"),
+    "path-empty": (f"{_SIM} --path ''", 1,
+                   "error: --path '': [Errno 2] No such file or directory: ''\n"),
     "path-empty-replicates": (f"{_SIM} --path '' --replicates 2", 2,
                               "error: --path dumps a single path; drop --replicates\n"),
-    "path-unwritable": (f"{_SIM} --path missing/p.csv", 1, _NO_FILE),
+    "path-unwritable": (f"{_SIM} --path missing/p.csv", 1, "error: --path "),
     "simulate-ticks-2**63": (f"simulate --beta 0 --ticks {2**63} --seed 1", 2, _HUGE_TICKS),
     "simulate-ticks-10**400": (f"simulate --beta 0 --ticks {10**400} --seed 1", 2, _HUGE_TICKS),
     "observe-ticks-2**63": (f"observe --u 0 --v 0 --ticks {2**63} --seed 1", 2, _HUGE_TICKS),
@@ -720,8 +720,9 @@ EXITS = {
     "entropy-csv-without-grid": ("entropy --beta 0.5 --csv e.csv", 2, _GRID_CSV),
     "entropy-grid-without-csv": ("entropy --grid 0:0.5:3", 2, _GRID_CSV),
     "grid-no-count": ("entropy --grid 0:1 --csv g.csv", 2, "error: grid must be start:stop:count"),
-    "entropy-csv-empty": ("entropy --grid 0:1:2 --csv ''", 1, _NO_FILE + "''\n"),
-    "entropy-csv-unwritable": ("entropy --grid 0:0.5:3 --csv missing/g.csv", 1, _NO_FILE),
+    "entropy-csv-empty": ("entropy --grid 0:1:2 --csv ''", 1,
+                          "error: --csv '': [Errno 2] No such file or directory: ''\n"),
+    "entropy-csv-unwritable": ("entropy --grid 0:0.5:3 --csv missing/g.csv", 1, "error: --csv "),
     # omega = 2 m c^2 / hbar would overflow to inf
     "scales-overflowing-mass": ("scales --mass-kg 1e300", 2, "error: mass must be at most "
                                 "~1.05e257 kg for a finite omega, got 1e+300\n"),
@@ -738,6 +739,28 @@ def test_exits(capsys, tmp_path, command, code, error):
     else:
         assert out == "" and err.startswith(error) and err.endswith("\n") and err.count("\n") == 1
         assert not [a for a in argv if a.endswith(".csv") and os.path.exists(a)]
+
+
+@pytest.mark.parametrize("defect", [ValueError, OSError])
+def test_a_defect_is_not_bad_input(monkeypatch, defect):
+    # only a ZitterError has an exit code; any other error leaves main as a traceback
+    def fail(*args):
+        raise defect("not an input error")
+
+    monkeypatch.setattr(kinematics, "velocity_addition_array", fail)
+    with pytest.raises(defect, match="not an input error"):
+        main(["compose", "--u", "0.5", "--v", "0.5"])
+
+
+def test_broken_pipe_on_an_output_file_is_unwritable(capsys, monkeypatch, tmp_path):
+    # only a reader of stdout may leave early; a --path that refuses a write is an error
+    def refuse(cfg, stream=None):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(simulate, "simulate_drift", refuse)
+    path = str(tmp_path / "p.csv")
+    got = run_cli(capsys, *shlex.split(_SIM), "--path", path)
+    assert got == (1, "", f"error: --path {path!r}: [Errno 32] Broken pipe\n")
 
 
 # -- every argv ends in JSON or one error line, never a traceback -------------

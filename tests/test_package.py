@@ -73,3 +73,19 @@ def test_readme_names_every_error():
     # a caller learns from the README which errors to expect
     named = set(re.findall(r"`(\w+)`", README.read_text()))
     assert sorted(set(errors.__all__) - named) == []
+
+
+def test_readme_exit_codes_are_the_classes():
+    # "N for `A`, `B` ...;" in README's exit-code bullet: each class named there
+    # has that exit_code, and every other class ZitterError's
+    text = " ".join(README.read_text().split())
+    bullet = re.search(r"- \*\*Exit codes\.\*\* (.*?) - \*\*", text).group(1)
+    documented = {
+        name: int(code)
+        for code, names in re.findall(r"(\d) for (.*?)[;.]", bullet)
+        for name in re.findall(r"`(\w+)`", names)
+        if name in errors.__all__
+    }
+    for name in errors.__all__:
+        code = documented.get(name, documented["ZitterError"])
+        assert getattr(errors, name).exit_code == code, name
