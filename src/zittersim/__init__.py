@@ -16,7 +16,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-# Read by the CLI's parser and every run manifest before a command is known.
+# Read by the CLI's parser and the run manifests before a command is known.
 DYNAMICS = ("iid", "telegraph")
 LEVELS = {"fast": 10**5, "full": 10**6}  # verify's Monte Carlo ticks per check
 # Version of the order in which the samplers draw from the PCG64 stream;

@@ -1,14 +1,15 @@
 """Command-line surface: compose, simulate, observe, entropy, scales, verify.
 
 Results are JSON on stdout (full float precision, as Python's repr emits);
-bulk series go to CSV.  Every result embeds a run manifest with the command's
-options as parsed (null where not given), seed, constants, version and RNG
-stream provenance, so a run can be replayed from its own output.  Each
-``cmd_*`` returns its payload; ``main`` adds the manifest and writes the JSON.
-Only the commands that sample or verify import the sampler or the verify suite.
-An error exits with its ``ZitterError.exit_code``, a failed ``verify`` with 1.
-The process entry, ``entry``, ends with ``os._exit`` once ``main`` has flushed
-the result, so a command pays no interpreter finalization.
+bulk series go to CSV.  Every result embeds a run manifest: the options as
+parsed (null where not given), the version, the constants and RNG provenance
+where the command read them, and under ``run`` what varies between runs, so
+a run can be replayed from its own output.  Each ``cmd_*`` returns its
+payload; ``main`` adds the manifest and writes the JSON.  Only the commands
+that sample or verify import the sampler or the verify suite.  An error exits
+with its ``ZitterError.exit_code``, a failed ``verify`` with 1.  The process
+entry, ``entry``, ends with ``os._exit`` once ``main`` has flushed the
+result, so a command pays no interpreter finalization.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import Iterator, NoReturn, Optional, Sequence
@@ -49,19 +50,19 @@ def _writing(target: str) -> Iterator[None]:
 
 
 def _manifest(args: argparse.Namespace) -> dict:
-    """Everything needed to audit and re-run a CLI invocation: its options
-    in parser order, as parsed, with null where one was not given."""
-    return {
+    """Everything needed to audit and re-run a CLI invocation: its options in
+    parser order, the blocks it ``reads`` and, under ``run``, what varies by run."""
+    manifest = {
         "command": args.command,
         "parameters": {
-            k: v for k, v in vars(args).items() if k not in ("command", "func", "seed")
+            k: v for k, v in vars(args).items() if k not in ("command", "func", "reads")
         },
-        "seed": getattr(args, "seed", None),
         "constants": {"speed_of_light_m_per_s": SPEED_OF_LIGHT, "hbar_J_s": HBAR},
         "version": __version__,
         "rng": {"numpy": np.__version__, "bit_generator": "PCG64", "stream_layout": STREAM_LAYOUT},
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "run": {"timestamp": datetime.now(timezone.utc).isoformat()},
     }
+    return {k: v for k, v in manifest.items() if k not in ("constants", "rng") or k in args.reads}
 
 
 def _parse_grid(raw: str) -> tuple[float, float, int]:
@@ -176,12 +177,10 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
 
 
 def cmd_scales(args: argparse.Namespace) -> dict:
-    if args.particle is not None:
-        scale = scale_for_particle(args.particle)
-    else:
-        scale = ParticleScale.from_mass(args.mass_kg)
+    particle = args.particle
+    scale = ParticleScale.from_mass(args.mass_kg) if particle is None else scale_for_particle(particle)
     return {
-        "particle": args.particle,
+        "particle": particle,
         "mass_kg": scale.mass_kg,
         "omega_rad_per_s": scale.omega_rad_per_s,
         "frequency_hz": scale.frequency_hz,
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="relativistic velocity addition, both routes")
     p.add_argument("--u", type=float, required=True, help="observer velocity in [-1, 1]")
     p.add_argument("--v", type=float, required=True, help="particle velocity in [-1, 1]")
-    p.set_defaults(func=cmd_compose)
+    p.set_defaults(func=cmd_compose, reads=())
 
     p = sub.add_parser("simulate", help="seeded +/-c tick process and drift estimate")
     p.add_argument("--beta", type=float, required=True, help="target drift in [-1, 1]")
@@ -242,14 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--path", metavar="CSV", help="also dump the path as CSV; positions count ticks")
     p.add_argument("--replicates", type=int, default=1, help="independent replicates")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, reads=("rng",))
 
     p = sub.add_parser("observe", help="rejection-sampled drift from a moving frame")
     p.add_argument("--u", type=float, required=True, help="observer velocity in [-1, 1]")
     p.add_argument("--v", type=float, required=True, help="particle velocity in [-1, 1]")
     p.add_argument("--ticks", type=int, required=True, help="total ticks to sample")
     p.add_argument("--seed", type=int, required=True, help="64-bit unsigned seed")
-    p.set_defaults(func=cmd_observe)
+    p.set_defaults(func=cmd_observe, reads=("rng",))
 
     p = sub.add_parser("entropy", help="observer-dependent entropy of the motion")
     pick = p.add_mutually_exclusive_group(required=True)
@@ -259,13 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep an inclusive grid to the --csv file, with S in both nats and bits",
     )
     p.add_argument("--csv", metavar="PATH", help="write the --grid sweep to PATH")
-    p.set_defaults(func=cmd_entropy)
+    p.set_defaults(func=cmd_entropy, reads=())
 
     p = sub.add_parser("scales", help="tick frequency and length for a mass")
     pick = p.add_mutually_exclusive_group(required=True)
     pick.add_argument("--particle", help=f"named particle: {', '.join(named_particles())}")
     pick.add_argument("--mass-kg", type=float, help="mass in kilograms")
-    p.set_defaults(func=cmd_scales)
+    p.set_defaults(func=cmd_scales, reads=("constants",))
 
     p = sub.add_parser("verify", help="run the invariant suite and report")
     sizes = ", ".join(f"{n:.0e} ticks at {lv}".replace("e+0", "e") for lv, n in LEVELS.items())
@@ -273,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--level", choices=list(LEVELS), default="fast",
         help=f"each Monte Carlo check runs {sizes} (default: %(default)s)",
     )
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, reads=("constants", "rng"))
 
     return parser
 
@@ -296,19 +295,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # downstream consumer (head, etc.) closed the pipe; not an error
         return EXIT_OK
     except ZitterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with suppress(OSError):
+            print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
 
 
 def entry() -> NoReturn:
     """The process entry of ``python -m zittersim.cli`` and the ``zittersim``
-    script: ``main()``, then ``os._exit`` with its code.  The process skips
+    script: ``main()``, or argparse's ``SystemExit`` after ``--help`` or a
+    usage error, then ``os._exit`` with its code.  The process skips
     interpreter finalization (atexit handlers, the shutdown flush of stdout and
-    gc's collections over the imported heap); whatever stdout could not take
-    is discarded.  A ``SystemExit`` or a traceback leaves through the
-    interpreter as usual."""
-    code = main()
-    sys.stderr.flush()
+    stderr and gc's collections over the imported heap); whatever stdout or
+    stderr could not take is discarded, so a full disk does not change the
+    code.  A traceback leaves through the interpreter as usual."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    with suppress(OSError):
+        sys.stderr.flush()
     os._exit(code)
 
 

@@ -396,9 +396,7 @@ def simulate_drift(cfg: SimConfig, stream: Optional[IO[str]] = None) -> DriftEst
     return _estimate_from_sum(_path_sum(cfg, cfg.seed, stream), cfg.ticks, cfg.seed, inflation)
 
 
-def observe_from_moving_frame(
-    u: float, v: float, ticks: int, seed: int
-) -> FrameObservation:
+def observe_from_moving_frame(u: float, v: float, ticks: int, seed: int) -> FrameObservation:
     """Rejection-sampled drift of a particle as seen by a drifting observer.
 
     Per tick, the particle direction D (right with probability (1+v)/2) and

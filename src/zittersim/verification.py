@@ -193,12 +193,9 @@ def _check_scales(report: VerificationReport) -> None:
     )
     worst = 0.0
     for exponent in range(-31, -24):
-        mass = 10.0**exponent
-        scale = ParticleScale.from_mass(mass)
-        worst = max(
-            worst,
-            abs(scale.omega_rad_per_s * scale.length_m - SPEED_OF_LIGHT) / SPEED_OF_LIGHT,
-        )
+        scale = ParticleScale.from_mass(10.0**exponent)
+        c = scale.omega_rad_per_s * scale.length_m
+        worst = max(worst, abs(c - SPEED_OF_LIGHT) / SPEED_OF_LIGHT)
     report.add(
         "length_times_frequency_is_c",
         worst,

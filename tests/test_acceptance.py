@@ -20,6 +20,8 @@ import pytest
 from zittersim import LEVELS, SPEED_OF_LIGHT, scale_for_particle, verification
 from zittersim.cli import main
 
+from test_cli import without_run
+
 FULL = LEVELS["full"]
 
 
@@ -125,15 +127,13 @@ def test_criterion_7_simulate_determinism(capsys):
     first = json.loads(capsys.readouterr().out)
     assert main(list(argv)) == 0
     second = json.loads(capsys.readouterr().out)
-    first["manifest"].pop("timestamp")
-    second["manifest"].pop("timestamp")
-    passed = first == second
+    passed = without_run(first) == without_run(second)
     with capsys.disabled():
         report(
             "7 determinism",
             passed,
             "two identical simulate invocations agree bit-for-bit apart from "
-            "the manifest timestamp",
+            "the manifest's run key",
         )
 
 

@@ -40,6 +40,11 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def without_run(payload: dict) -> dict:
+    """``payload`` less ``manifest.run``, what varies between runs of one argv."""
+    return {**payload, "manifest": {k: v for k, v in payload["manifest"].items() if k != "run"}}
+
+
 def run_rejected(capsys, *argv):
     """argparse rejects the argv: SystemExit(2), nothing on stdout, and its
     usage line, then its one error line, on stderr; returns the stderr lines."""
@@ -66,9 +71,7 @@ class TestCompose:
         payload = run_json(capsys, "compose", "--u", "0", "--v", "0.25")
         assert payload["w"] == 0.25
 
-    @pytest.mark.parametrize(
-        "u,v", [("0.9999999999999999", "-1"), ("-1", "0.9999999999999999")]
-    )
+    @pytest.mark.parametrize("u,v", [("0.9999999999999999", "-1"), ("-1", "0.9999999999999999")])
     def test_light_speed_beside_a_rounded_opposite(self, capsys, u, v):
         # the near-c input's Pr(L) rounds to 0, so the composed law has no 0/0
         code, out, err = run_cli(capsys, "compose", "--u", u, "--v", v)
@@ -179,31 +182,13 @@ class TestComposeGolden:
 
 class TestSimulate:
     def test_light_speed_mean_is_one(self, capsys):
-        payload = run_json(
-            capsys, "simulate", "--beta", "1", "--ticks", "10", "--seed", "1"
-        )
+        payload = run_json(capsys, "simulate", "--beta", "1", "--ticks", "10", "--seed", "1")
         assert payload["mean"] == 1.0
         assert payload["n"] == 10
         assert payload["seed"] == 1
 
-    def test_estimate_keys(self, capsys):
-        payload = run_json(
-            capsys, "simulate", "--beta", "0.2", "--ticks", "1000", "--seed", "7"
-        )
-        assert {"mean", "std_error", "n", "seed", "manifest"} <= payload.keys()
-
-    def test_deterministic_modulo_timestamp(self, capsys):
-        argv = ("simulate", "--beta", "0", "--ticks", "20000", "--seed", "42")
-        first = run_json(capsys, *argv)
-        second = run_json(capsys, *argv)
-        first["manifest"].pop("timestamp")
-        second["manifest"].pop("timestamp")
-        assert first == second
-
     def test_bad_config_exits_2(self, capsys):
-        code, _, err = run_cli(
-            capsys, "simulate", "--beta", "0", "--ticks", "0", "--seed", "1"
-        )
+        code, _, err = run_cli(capsys, "simulate", "--beta", "0", "--ticks", "0", "--seed", "1")
         assert code == 2
 
     def test_path_csv(self, capsys, tmp_path):
@@ -243,11 +228,9 @@ class TestSimulate:
         monkeypatch.setattr(simulate, "_path_sum", functools.partial(simulate._path_sum, chunk=1000))
         argv = ("simulate", "--beta", "0.3", "--ticks", "5000", "--seed", "12",
                 "--dynamics", dynamics)
-        plain = run_json(capsys, *argv)
-        dumped = run_json(capsys, *argv, "--path", str(tmp_path / "p.csv"))
-        for payload in (plain, dumped):
-            payload["manifest"].pop("timestamp")
-            payload["manifest"]["parameters"].pop("path")
+        plain = without_run(run_json(capsys, *argv))
+        dumped = without_run(run_json(capsys, *argv, "--path", str(tmp_path / "p.csv")))
+        plain["manifest"]["parameters"]["path"] = str(tmp_path / "p.csv")
         assert plain == dumped
         with open(tmp_path / "p.csv") as fh:
             last = fh.read().splitlines()[-1].split(",")
@@ -263,9 +246,7 @@ class TestSimulate:
         }
         # layout 4: iid ticks and telegraph flips are 16-bit digits of the raw PCG64 stream
         assert payload["manifest"]["rng"]["stream_layout"] == 4
-        observed = run_json(
-            capsys, "observe", "--u", "0.2", "--v", "0.3", "--ticks", "10", "--seed", "1"
-        )
+        observed = run_json(capsys, *"observe --u 0.2 --v 0.3 --ticks 10 --seed 1".split())
         assert observed["manifest"]["rng"]["stream_layout"] == 4
 
     @pytest.mark.parametrize(
@@ -471,9 +452,7 @@ class TestScales:
     def test_double_electron_mass_halves_length(self, capsys):
         electron = run_json(capsys, "scales", "--particle", "electron")
         doubled = run_json(capsys, "scales", "--mass-kg", "1.8218767403e-30")
-        assert doubled["lambda_m"] == pytest.approx(
-            0.5 * electron["lambda_m"], rel=1e-10
-        )
+        assert doubled["lambda_m"] == pytest.approx(0.5 * electron["lambda_m"], rel=1e-10)
 
     def test_negative_mass_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "scales", "--mass-kg", "-1")
@@ -561,10 +540,23 @@ class TestKeyOrder:
     ``asdict`` follows and the manifest that ``main`` appends last."""
 
     ESTIMATE = ["mean", "std_error", "n", "seed"]
-    MANIFEST = ["command", "parameters", "seed", "constants", "version", "rng", "timestamp"]
-    SIMULATE = ["beta", "ticks", "dynamics", "flip_asymmetry", "path", "replicates"]
+    MANIFEST = {  # each command's manifest keys: constants and rng where it reads them
+        "compose": ["command", "parameters", "version", "run"],
+        "entropy": ["command", "parameters", "version", "run"],
+        "scales": ["command", "parameters", "constants", "version", "run"],
+        "simulate": ["command", "parameters", "version", "rng", "run"],
+        "observe": ["command", "parameters", "version", "rng", "run"],
+        "verify": ["command", "parameters", "constants", "version", "rng", "run"],
+    }
+    SIMULATE = ["beta", "ticks", "seed", "dynamics", "flip_asymmetry", "path", "replicates"]
 
     ROLE = ["beta", "distribution", "entropy", "entropy_bits"]
+
+    def assert_manifest(self, payload, parameters):
+        manifest = payload["manifest"]
+        assert list(manifest) == self.MANIFEST[manifest["command"]]
+        assert list(manifest["parameters"]) == parameters
+        assert list(manifest["run"]) == ["timestamp"]
 
     def test_compose(self, capsys):
         payload = run_json(capsys, "compose", "--u", "0.5", "--v", "0.4")
@@ -572,61 +564,59 @@ class TestKeyOrder:
         for role in ("observer", "particle", "composed"):
             assert list(payload[role]) == self.ROLE
             assert list(payload[role]["distribution"]) == ["p_right", "p_left"]
-        assert list(payload["manifest"]) == self.MANIFEST
-        assert list(payload["manifest"]["parameters"]) == ["u", "v"]
+        self.assert_manifest(payload, ["u", "v"])
 
     @pytest.mark.parametrize("beta", ["0.6", "1"])
     def test_entropy_beta(self, capsys, beta):
         payload = run_json(capsys, "entropy", "--beta", beta)
         assert list(payload) == ["beta", "S_nats", "S_bits", "S_relativistic_nats", "gamma",
                                  "one_plus_z", "manifest"]
-        assert list(payload["manifest"]) == self.MANIFEST
-        assert list(payload["manifest"]["parameters"]) == ["beta", "grid", "csv"]
+        self.assert_manifest(payload, ["beta", "grid", "csv"])
 
     def test_entropy_grid_csv(self, capsys, tmp_path):
         payload = run_json(capsys, "entropy", "--grid", "0:0.5:3", "--csv", str(tmp_path / "g.csv"))
         assert list(payload) == ["rows", "manifest"]
         assert payload["rows"] == 3
-        assert list(payload["manifest"]) == self.MANIFEST
-        assert list(payload["manifest"]["parameters"]) == ["beta", "grid", "csv"]
+        self.assert_manifest(payload, ["beta", "grid", "csv"])
+
+    def test_scales(self, capsys):
+        payload = run_json(capsys, "scales", "--mass-kg", "1e-30")
+        assert list(payload) == ["particle", "mass_kg", "omega_rad_per_s", "frequency_hz",
+                                 "lambda_m", "tick_duration_s", "manifest"]
+        self.assert_manifest(payload, ["particle", "mass_kg"])
 
     def test_simulate(self, capsys):
         payload = run_json(capsys, "simulate", "--beta", "0.2", "--ticks", "100", "--seed", "3")
         assert list(payload) == self.ESTIMATE + ["manifest"]
-        assert list(payload["manifest"]) == self.MANIFEST
-        assert list(payload["manifest"]["parameters"]) == self.SIMULATE
+        self.assert_manifest(payload, self.SIMULATE)
 
     def test_simulate_replicates(self, capsys):
-        payload = run_json(
-            capsys, "simulate", "--beta", "0.2", "--ticks", "100", "--seed", "3",
-            "--replicates", "2",
-        )
+        argv = ("simulate", "--beta", "0.2", "--ticks", "100", "--seed", "3", "--replicates", "2")
+        payload = run_json(capsys, *argv)
         assert list(payload) == ["replicates", "pooled", "manifest"]
         assert [list(r) for r in payload["replicates"]] == [self.ESTIMATE] * 2
         assert list(payload["pooled"]) == self.ESTIMATE
-        assert list(payload["manifest"]["parameters"]) == self.SIMULATE
+        self.assert_manifest(payload, self.SIMULATE)
 
     def test_observe(self, capsys):
-        payload = run_json(
-            capsys, "observe", "--u", "0.5", "--v", "0.4", "--ticks", "100", "--seed", "3"
-        )
+        payload = run_json(capsys, *"observe --u 0.5 --v 0.4 --ticks 100 --seed 3".split())
         assert list(payload) == self.ESTIMATE + ["acceptance_rate", "ticks_total", "manifest"]
-        assert list(payload["manifest"]) == self.MANIFEST
-        assert list(payload["manifest"]["parameters"]) == ["u", "v", "ticks"]
+        self.assert_manifest(payload, ["u", "v", "ticks", "seed"])
 
     def test_verify(self, capsys):
         payload = run_json(capsys, "verify", "--level", "fast")
         assert list(payload) == ["level", "passed", "checks", "manifest"]
         for check in payload["checks"]:
             assert list(check) == ["name", "tolerance", "observed", "passed", "detail"]
-        assert list(payload["manifest"]) == self.MANIFEST
+        self.assert_manifest(payload, ["level"])
 
 
 def _replay_argv(manifest: dict) -> list[str]:
-    """The argv a manifest records, by README's replay rule: null options
-    skipped, lists spread, floats as repr."""
+    """The argv a manifest records, by README's replay rule: the command, then
+    ``--name value`` for each non-null parameter (``_`` as ``-``, lists
+    spread, floats as repr)."""
     argv = [manifest["command"]]
-    for name, value in {**manifest["parameters"], "seed": manifest["seed"]}.items():
+    for name, value in manifest["parameters"].items():
         if value is None:
             continue
         values = value if isinstance(value, list) else [value]
@@ -673,9 +663,7 @@ class TestReplay:
         written = path.read_bytes() if path.exists() else None
         path.unlink(missing_ok=True)
         second = run_json(capsys, *_replay_argv(first["manifest"]))
-        for payload in (first, second):
-            payload["manifest"].pop("timestamp")
-        assert second == first
+        assert without_run(second) == without_run(first)
         assert (path.read_bytes() if path.exists() else None) == written
 
 

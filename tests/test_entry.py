@@ -28,15 +28,15 @@ def _env(**extra: str) -> dict[str, str]:
     return {**env, **extra}
 
 
-def _run(args: list[str], stdout=subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
+def _run(args: list[str], stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env: str):
     return subprocess.run(
-        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=_env(**env),
+        [sys.executable, *args], stdout=stdout, stderr=stderr, env=_env(**env),
         text=True, timeout=120,
     )
 
 
-def _cli(*argv: str, stdout=subprocess.PIPE, **env: str) -> subprocess.CompletedProcess:
-    return _run(["-m", "zittersim.cli", *argv], stdout, **env)
+def _cli(*argv: str, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env: str):
+    return _run(["-m", "zittersim.cli", *argv], stdout, stderr, **env)
 
 
 # One command per route to an exit code: each ZitterError.exit_code, with the
@@ -117,6 +117,17 @@ def test_full_disk_exits_1_with_one_error_line(argv, env):
         done = _cli(*argv, stdout=full, **env)
     assert done.returncode == 1
     assert done.stderr.startswith("error: stdout: [Errno 28]") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv,code",
+    [(argv, code) for argv, code, _ in EXIT_CODES.values()] + [(("compose", "--u"), 2)],
+    ids=[*EXIT_CODES, "usage-error"],
+)
+def test_full_disk_on_stderr_keeps_the_exit_code(argv, code):
+    with open("/dev/full", "w") as full:
+        assert _cli(*argv, stderr=full).returncode == code
 
 
 def test_help_in_process_exits_0(capsys):
