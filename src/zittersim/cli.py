@@ -79,11 +79,11 @@ def _parse_grid(raw: str) -> tuple[float, float, int]:
 
 
 def _grid_slices(
-    start: float, stop: float, count: int, rows: int = 1 << 12
+    start: float, stop: float, count: int, rows: int = 1 << 10
 ) -> Iterator[np.ndarray]:
     """``np.linspace(start, stop, count)`` bit for bit, in slices of ``rows``
-    points (as many as the path CSV formats per write): index * step + start,
-    the last point set to stop."""
+    points (few enough that formatting one slice's CSV keeps its arrays in
+    cache): index * step + start, the last point set to stop."""
     div = count - 1
     delta = stop - start
     step = delta / div if div else 0.0
@@ -155,11 +155,11 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
         raise InvalidConfig("--grid writes its sweep to --csv PATH; give both or neither")
     if args.grid is not None:
         start, stop, count = _parse_grid(args.grid)
-        with _writing(f"--csv {args.csv!r}"), open(args.csv, "w", newline="") as fh:
-            fh.write("beta,S_nats,S_bits,gamma,one_plus_z\n")
+        from ._format import repr_csv
+        with _writing(f"--csv {args.csv!r}"), open(args.csv, "wb") as fh:
+            fh.write(b"beta,S_nats,S_bits,gamma,one_plus_z\n")
             for b in _grid_slices(start, stop, count):
-                columns = (c.tolist() for c in _entropy_columns(b))
-                fh.write("".join(map("{!r},{!r},{!r},{!r},{!r}\n".format, *columns)))
+                fh.write(repr_csv(np.column_stack(_entropy_columns(b))))
         return {"rows": count}
     # The --grid beta:beta:1 row, with JSON null where the row has nan.
     b = np.array([kin._beta(args.beta)])

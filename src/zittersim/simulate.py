@@ -308,17 +308,6 @@ def _direction_blocks(
             yield right[:k]
 
 
-def _digits(out: np.ndarray, v: np.ndarray) -> None:
-    """Write the uint64 ``v`` in decimal into ``out``'s columns, right-aligned,
-    with NUL bytes for its leading zeros."""
-    for j in range(out.shape[1] - 1, -1, -1):
-        q = v // 10
-        out[:, j] = v - q * 10 + 48
-        if j < out.shape[1] - 1:
-            out[:, j] *= v != 0
-        v = q
-
-
 def _csv_rows(tick: int, total: int, right: np.ndarray) -> str:
     """The CSV rows ``f"{t},{d},{x}.0\\n"`` of ticks t from ``tick`` on, steps
     d = +1 where ``right`` else -1, and positions x = ``total`` + the running
@@ -328,14 +317,16 @@ def _csv_rows(tick: int, total: int, right: np.ndarray) -> str:
     also ``repr(float(count))``.  The slice is built as one uint8 matrix whose
     NUL padding ``translate`` drops.
     """
+    from ._format import digits
+
     positions = total + np.cumsum(np.where(right, 1, -1), dtype=np.int64)
     wt, wp = len(str(tick + right.size - 1)), len(str(int(np.abs(positions).max())))
     rows = np.empty((right.size, wt + wp + 8), dtype=np.uint8)
-    _digits(rows[:, :wt], np.arange(right.size, dtype=np.uint64) + np.uint64(tick))
+    digits(rows[:, :wt], np.arange(right.size, dtype=np.uint64) + np.uint64(tick))
     rows[:, wt : wt + 4] = np.frombuffer(b",+1,", np.uint8)
     rows[:, wt + 1] = 45 - 2 * right
     rows[:, wt + 4] = 45 * (positions < 0)
-    _digits(rows[:, wt + 5 : -3], np.abs(positions).astype(np.uint64))
+    digits(rows[:, wt + 5 : -3], np.abs(positions).astype(np.uint64))
     rows[:, -3:] = np.frombuffer(b".0\n", np.uint8)
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 

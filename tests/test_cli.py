@@ -441,6 +441,22 @@ class TestEntropy:
         assert math.isnan(float(rows[0][3])) and math.isnan(float(rows[2][4]))
         assert float(rows[1][3]) == 1.0
 
+    @pytest.mark.parametrize(
+        "grid",
+        ["-1:1:3", "0:1e-320:3", "-1e-300:1e-300:7", "-0.99:0.99:4097"],
+        ids=["light-speed-nan-and-zero", "subnormal-betas", "scientific", "slice-edge"],
+    )
+    def test_grid_fields_are_repr(self, capsys, tmp_path, grid):
+        out = tmp_path / "sweep.csv"
+        run_json(capsys, "entropy", "--grid", grid, "--csv", str(out))
+        text = out.read_text()
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        assert all(field == repr(float(field)) for row in rows for field in row)
+        # the whole file is the per-row repr rendering of the same columns
+        columns = (c.tolist() for c in cli._entropy_columns(np.linspace(*cli._parse_grid(grid))))
+        want = "".join(map("{!r},{!r},{!r},{!r},{!r}\n".format, *columns))
+        assert text == "beta,S_nats,S_bits,gamma,one_plus_z\n" + want
+
 
 class TestScales:
     def test_electron(self, capsys):

@@ -3,7 +3,7 @@
 ``import zittersim`` loads no module, and a CLI command loads only the
 modules it runs: the sampler (``zittersim.simulate``, and with it
 ``numpy.random``) only for ``simulate`` and ``observe``, the verify suite
-only for ``verify``.
+only for ``verify``, the CSV formatter only for ``--grid`` and ``--path``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 SAMPLER = ("zittersim.simulate", "numpy.random")
 VERIFY = ("zittersim.verification",)
+FORMATTER = "zittersim._format"
 
 # Runs main on sys.argv, as the process entry does before its os._exit, then
 # lists the loaded modules on stderr.
@@ -77,6 +78,20 @@ def test_sampling_commands_load_the_sampler_only(argv):
     loaded = _loaded_by(*argv)
     assert set(SAMPLER) <= loaded
     assert loaded.isdisjoint(VERIFY)
+
+
+@pytest.mark.parametrize(
+    "argv,writes_csv",
+    [
+        (("entropy", "--grid", "-0.99:0.99:11", "--csv", os.devnull), True),
+        (("simulate", "--beta", "0.2", "--ticks", "100", "--seed", "1", "--path", os.devnull), True),
+        (("entropy", "--beta", "0.7"), False),
+        (("simulate", "--beta", "0.2", "--ticks", "100", "--seed", "1"), False),
+    ],
+    ids=["entropy-grid", "simulate-path", "entropy-beta", "simulate"],
+)
+def test_only_the_csv_writers_load_the_formatter(argv, writes_csv):
+    assert (FORMATTER in _loaded_by(*argv)) == writes_csv
 
 
 def test_verify_loads_the_verify_suite():
