@@ -8,8 +8,9 @@ Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020), which
 gives the digits of Ryu and of CPython's dtoa in mode 0; the layout is
 CPython's: scientific when the decimal point would sit more than 16 digits
 after the first digit or more than 3 zeros before it, with at least two
-exponent digits, else positional with a digit after the point.  Zeros,
-subnormals, inf and nan take ``repr`` itself.
+exponent digits, else positional with a digit after the point.  Subnormals
+take the same route; zeros, infinities and nans are the fixed text ``0.0``,
+``inf`` and ``nan``, signed but for nan.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import numpy as np
 
 _LOW_32 = (1 << 32) - 1
 _LOW_63 = (1 << 63) - 1
+_POW10 = 10 ** np.arange(17, dtype=np.uint64)
+# The text of zeros, infinities and nans, one column each.
+_FIXED = np.frombuffer(b"0.0infnan", dtype=np.uint8).reshape(3, 3).T
 
 
 def digits(out: np.ndarray, v: np.ndarray) -> None:
@@ -36,19 +40,17 @@ def repr_csv(table: np.ndarray) -> bytes:
     ``repr`` of its value."""
     x = table.ravel()
     bits = x.view(np.uint64) & _LOW_63
-    normal = (bits >> 52) - 1 < 0x7FE
-    bits[~normal] = 0x3FF0_0000_0000_0000  # 1.0, in the rows repr writes
+    inf, nan = np.isinf(x), np.isnan(x)
+    fixed = inf | nan | (bits == 0)
+    bits[fixed] = 0x3FF0_0000_0000_0000  # 1.0, whose text gives way to the fixed one
     text = _text(*_shortest(bits))
+    text[:, fixed] = 0
+    text[:3, fixed] = _FIXED[:, inf[fixed] + 2 * nan[fixed]]
     # Byte planes: plane i holds byte i of every field, NUL where it has none:
-    # the sign, the text (room for repr's longest subnormal, 23 bytes) and the
-    # separator.
-    planes = np.zeros((max(len(text), 23) + 2, x.size), dtype=np.uint8)
-    planes[0] = np.uint8(45) * np.signbit(x)
-    planes[1 : len(text) + 1] = text
-    for i in np.flatnonzero(~normal).tolist():
-        field = np.frombuffer(repr(x[i].item()).encode("ascii"), np.uint8)
-        planes[:, i] = 0
-        planes[: field.size, i] = field
+    # the sign, the text and the separator.
+    planes = np.empty((len(text) + 2, x.size), dtype=np.uint8)
+    planes[0] = np.uint8(45) * (np.signbit(x) & ~nan)
+    planes[1:-1] = text
     planes[-1] = ord(",")
     planes[-1, table.shape[1] - 1 :: table.shape[1]] = ord("\n")
     return planes.T.tobytes().translate(None, b"\0")
@@ -56,11 +58,12 @@ def repr_csv(table: np.ndarray) -> bytes:
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The digits d and exponents k, d 10**k, of the shortest nearest decimals
-    of the positive normal doubles with IEEE ``bits``; d has 16 or 17 digits,
-    the last ones maybe zeros."""
-    t = bits & (1 << 52) - 1
-    c = t | 1 << 52
-    q = (bits >> 52).astype(np.int64) - 1075
+    of the positive finite nonzero doubles with IEEE ``bits``; d has at most
+    17 digits, the last ones maybe zeros."""
+    e, t = bits >> 52, bits & (1 << 52) - 1
+    # A subnormal's exponent field 0 scales like 1, without the hidden bit.
+    c = np.where(e > 0, t | 1 << 52, t)
+    q = np.maximum(e, 1).astype(np.int64) - 1075
     # A power of two above the subnormal spacing has a closer neighbour below,
     # so its rounding interval is lopsided: Schubfach's irregular case.
     irregular = (t == 0) & (q > -1074)
@@ -140,10 +143,10 @@ def _text(d: np.ndarray, k: np.ndarray) -> np.ndarray:
     "0." and zeros before a point left of the digits; the 17 digits, a slot
     for the point after each of the first few, NUL past the last one repr
     keeps; in scientific form, "e", the exponent's sign and its digits."""
-    # d17 is d with 17 digits, point of which precede the decimal point
-    short = d < 10**16
-    d17 = d + d * 9 * short
-    point = k + 17 - short
+    # d has n digits; d17 is d with 17, point of which precede the decimal point
+    n = np.searchsorted(_POW10, d, side="right")
+    d17 = d * _POW10[17 - n]
+    point = k + n
     sci = (point < -3) | (point > 16)
     lead = np.maximum(point, 0) * ~sci + sci
     # The 17 digits as two uint32 halves, whose leading NULs become zeros.

@@ -67,13 +67,15 @@ def _manifest(args: argparse.Namespace) -> dict:
 
 def _parse_grid(raw: str) -> tuple[float, float, int]:
     """Parse and validate ``start:stop:count`` of an endpoint-inclusive grid."""
-    malformed = InvalidConfig(f"grid must be start:stop:count with integer count >= 1, got {raw!r}")
+    malformed = InvalidConfig(
+        f"grid must be start:stop:count with integer count in [1, {2**63}), got {raw!r}"
+    )
     try:
         start, stop, count = raw.split(":")
         start, stop, count = float(start), float(stop), int(count)
     except ValueError:
         raise malformed from None
-    if count < 1:
+    if not 1 <= count < 2**63:
         raise malformed
     return kin._beta(start), kin._beta(stop), count
 

@@ -443,8 +443,9 @@ class TestEntropy:
 
     @pytest.mark.parametrize(
         "grid",
-        ["-1:1:3", "0:1e-320:3", "-1e-300:1e-300:7", "-0.99:0.99:4097"],
-        ids=["light-speed-nan-and-zero", "subnormal-betas", "scientific", "slice-edge"],
+        ["-1:1:3", "0:1e-320:3", "-1e-300:1e-300:7", "-0.99:0.99:4097", "1:1:4097", "0:0:3"],
+        ids=["light-speed-nan-and-zero", "subnormal-betas", "scientific", "slice-edge",
+             "light-speed-slice-edge", "rest"],
     )
     def test_grid_fields_are_repr(self, capsys, tmp_path, grid):
         out = tmp_path / "sweep.csv"
@@ -689,6 +690,9 @@ _SIM = "simulate --beta 0 --ticks 10 --seed 1"
 _REPLICATES = "error: replicates must be an integer in [1, inf), got "
 _HUGE_TICKS = "error: ticks must be an integer in [1, 9223372036854775808), got "
 _GRID_CSV = "error: --grid writes its sweep to --csv PATH; give both or neither\n"
+_HUGE_GRID = (
+    "error: grid must be start:stop:count with integer count in [1, 9223372036854775808), got '0:1:"
+)
 
 # id -> (command line, exit code, start of its one stderr line: "" at exit 0,
 # the whole line where it ends in "\n"); a ".csv" argument is under tmp_path.
@@ -724,6 +728,9 @@ EXITS = {
     "entropy-csv-without-grid": ("entropy --beta 0.5 --csv e.csv", 2, _GRID_CSV),
     "entropy-grid-without-csv": ("entropy --grid 0:0.5:3", 2, _GRID_CSV),
     "grid-no-count": ("entropy --grid 0:1 --csv g.csv", 2, "error: grid must be start:stop:count"),
+    # the count is bounded like --ticks, before the file is opened
+    "grid-count-2**63": (f"entropy --grid 0:1:{2**63} --csv g.csv", 2, _HUGE_GRID),
+    "grid-count-10**400": (f"entropy --grid 0:1:{10**400} --csv g.csv", 2, _HUGE_GRID),
     "entropy-csv-empty": ("entropy --grid 0:1:2 --csv ''", 1,
                           "error: --csv '': [Errno 2] No such file or directory: ''\n"),
     "entropy-csv-unwritable": ("entropy --grid 0:0.5:3 --csv missing/g.csv", 1, "error: --csv "),
@@ -793,7 +800,7 @@ _SEEDS = _mostly(
 )
 _GRIDS = _mostly(
     st.tuples(_BETAS, _BETAS, st.integers(min_value=1, max_value=1_000).map(str)).map(":".join),
-    st.sampled_from(["0:0.5", "::", "0:1:1e3", "0:1:0", "0:1:-1"]),
+    st.sampled_from(["0:0.5", "::", "0:1:1e3", "0:1:0", "0:1:-1", f"0:1:{10**400}"]),
 )
 _OUTPUTS = _mostly(st.just("out.csv"), st.sampled_from(["missing/out.csv", ""]))
 _PARTICLES = _mostly(st.sampled_from(["electron", "muon", "proton"]), st.sampled_from(["tau", ""]))

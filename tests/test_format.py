@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from zittersim import _format
 from zittersim._format import repr_csv
 
 
@@ -28,6 +29,9 @@ SPECIAL = [
     1e-4, 1e-5, 9.999999999999999e-05, 9999999999999998.0, 1e16, 1e16 + 2, 1.0, 0.1,
 ]
 
+# any mantissa under an exponent field of 0; the test adds their negatives
+_SUBNORMALS = np.random.default_rng(20201011).integers(1, 2**52, 200_000, np.uint64).view(np.float64)
+
 
 def test_random_bit_patterns_are_repr():
     # any sign, exponent and mantissa, so every class and both notations
@@ -42,6 +46,7 @@ def test_random_bit_patterns_are_repr():
         pytest.param(_with_neighbours(np.ldexp(1.0, np.arange(-1074, 1024))), id="powers-of-2"),
         pytest.param(_with_neighbours(np.array([float(f"1e{e}") for e in range(-323, 309)])), id="powers-of-10"),
         pytest.param(np.arange(2**53 - 2_000, 2**53 + 2_000, dtype=np.float64), id="integers-near-2**53"),
+        pytest.param(_SUBNORMALS, id="random-subnormals"),
     ],
 )
 def test_values_and_their_negatives_are_repr(x):
@@ -51,5 +56,18 @@ def test_values_and_their_negatives_are_repr(x):
 
 def test_rows_are_comma_separated_lines():
     table = np.array([[-1.0, 0.5, float("nan")], [1e-300, 0.0, 7e22]])
+    want = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+    assert repr_csv(table) == want.encode("ascii")
+
+
+def test_no_value_takes_repr(monkeypatch):
+    # zeros, infinities, nans and subnormals take the numpy route like the rest
+    def fail(value):
+        raise AssertionError(f"repr({value!r}) called")
+
+    monkeypatch.setattr(_format, "repr", fail, raising=False)
+    nan = float("nan")
+    table = np.array([[0.0, -0.0, float("inf"), -float("inf")], [nan, -nan, 5e-324, -5e-324],
+                      [1.5, -2.25e-5, 1e300, 0.1]])
     want = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
     assert repr_csv(table) == want.encode("ascii")
