@@ -1,5 +1,6 @@
-"""Decimal text of numpy arrays for the CSV writers, built as NUL-padded
-``uint8`` matrices whose bytes, once ``translate`` drops the NULs, are the text.
+"""The bytes of every CSV, ``repr_csv``'s grid table and ``path_csv``'s path
+rows: decimal text of numpy arrays, built as NUL-padded ``uint8`` matrices
+whose bytes, once ``translate`` drops the NULs, are the text.
 
 ``repr_csv`` writes each float64 exactly as Python's ``repr`` does: the
 shortest decimal that reads back as the same double, of those the nearest,
@@ -54,6 +55,24 @@ def repr_csv(table: np.ndarray) -> bytes:
     planes[-1] = ord(",")
     planes[-1, table.shape[1] - 1 :: table.shape[1]] = ord("\n")
     return planes.T.tobytes().translate(None, b"\0")
+
+
+def path_csv(tick: int, total: int, right: np.ndarray) -> bytes:
+    """The path CSV rows ``f"{t},{d},{x}.0\\n"`` of ticks t from ``tick`` on,
+    steps d = +1 where ``right`` else -1, and positions x = ``total`` + the
+    running sum of d: the one place where a tick is a +/-1 step.  Each position
+    is its exact int64 tick count; up to 2**53 ``<count>.0`` is also
+    ``repr(float(count))``."""
+    positions = total + np.cumsum(np.where(right, 1, -1), dtype=np.int64)
+    wt, wp = len(str(tick + right.size - 1)), len(str(int(np.abs(positions).max())))
+    rows = np.empty((right.size, wt + wp + 8), dtype=np.uint8)
+    digits(rows[:, :wt], np.arange(right.size, dtype=np.uint64) + np.uint64(tick))
+    rows[:, wt : wt + 4] = np.frombuffer(b",+1,", np.uint8)
+    rows[:, wt + 1] = 45 - 2 * right
+    rows[:, wt + 4] = 45 * (positions < 0)
+    digits(rows[:, wt + 5 : -3], np.abs(positions).astype(np.uint64))
+    rows[:, -3:] = np.frombuffer(b".0\n", np.uint8)
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,11 +18,12 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from datetime import datetime, timezone
-from typing import Iterator, NoReturn, Optional, Sequence
+from typing import BinaryIO, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +48,24 @@ def _writing(target: str) -> Iterator[None]:
         if target == "stdout" and isinstance(exc, BrokenPipeError):
             raise
         raise UnwritableOutput(f"{target}: {exc}") from exc
+
+
+@contextmanager
+def _output(option: str, path: str) -> Iterator[BinaryIO]:
+    """``path`` opened for bytes, the one place an output file opens, with
+    ``_writing``'s errors.  A failure, an interrupt too, removes ``path`` if it
+    names the regular file written: a file exists only if its run finished,
+    and a device, a FIFO or a symlink's target is never removed."""
+    with _writing(f"{option} {path!r}"), open(path, "wb") as fh:
+        try:
+            yield fh
+            fh.flush()
+        except BaseException:
+            with suppress(OSError):
+                written = os.fstat(fh.fileno())
+                if stat.S_ISREG(written.st_mode) and os.path.samestat(written, os.lstat(path)):
+                    os.remove(path)
+            raise
 
 
 def _manifest(args: argparse.Namespace) -> dict:
@@ -141,7 +160,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
         return asdict(run_ensemble(cfg, args.replicates))
     if args.path is None:
         return asdict(simulate_drift(cfg))
-    with _writing(f"--path {args.path!r}"), open(args.path, "w", newline="") as fh:
+    with _output("--path", args.path) as fh:
         return asdict(simulate_drift(cfg, fh))
 
 
@@ -158,7 +177,7 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
     if args.grid is not None:
         start, stop, count = _parse_grid(args.grid)
         from ._format import repr_csv
-        with _writing(f"--csv {args.csv!r}"), open(args.csv, "wb") as fh:
+        with _output("--csv", args.csv) as fh:
             fh.write(b"beta,S_nats,S_bits,gamma,one_plus_z\n")
             for b in _grid_slices(start, stop, count):
                 fh.write(repr_csv(np.column_stack(_entropy_columns(b))))
@@ -309,11 +328,15 @@ def entry() -> NoReturn:
     interpreter finalization (atexit handlers, the shutdown flush of stdout and
     stderr and gc's collections over the imported heap); whatever stdout or
     stderr could not take is discarded, so a full disk does not change the
-    code.  A traceback leaves through the interpreter as usual."""
+    code.  Ctrl-C exits 130 (``main`` lets it pass); a traceback leaves as usual."""
     try:
         code = main()
     except SystemExit as exc:
         code = exc.code
+    except KeyboardInterrupt:
+        with suppress(OSError):
+            print("error: interrupted", file=sys.stderr)
+        code = 130  # 128 + SIGINT, as a shell reports it
     with suppress(OSError):
         sys.stderr.flush()
     os._exit(code)

@@ -23,8 +23,8 @@ characteristic length of ``scales``, so meters are that count times
 One private generator yields the directions as boolean blocks of ``_CHUNK``
 ticks, true where a tick is right; drift estimates, ensembles, frame
 observation and the CSV dump reduce the blocks as they arrive, so memory is
-O(chunk), not O(ticks), and no path is ever held whole.  The CSV dump formats
-each slice of ``_CSV_ROWS`` rows as one byte matrix, O(``_CSV_ROWS``) bytes.
+O(chunk), not O(ticks), and no path is ever held whole.  The CSV dump writes
+each slice of ``_CSV_ROWS`` rows to a binary stream as ``_format.path_csv``.
 ``generate_path``, ``estimate_drift`` and ``write_path_csv`` are one-line
 handles on ``simulate_drift``, kept as module attributes for the benchmark
 harness in ``perfbench/``; the package does not export them.
@@ -308,44 +308,22 @@ def _direction_blocks(
             yield right[:k]
 
 
-def _csv_rows(tick: int, total: int, right: np.ndarray) -> str:
-    """The CSV rows ``f"{t},{d},{x}.0\\n"`` of ticks t from ``tick`` on, steps
-    d = +1 where ``right`` else -1, and positions x = ``total`` + the running
-    sum of d: the one place where a tick is a +/-1 step.
-
-    Each position is its exact int64 tick count; up to 2**53 ``<count>.0`` is
-    also ``repr(float(count))``.  The slice is built as one uint8 matrix whose
-    NUL padding ``translate`` drops.
-    """
-    from ._format import digits
-
-    positions = total + np.cumsum(np.where(right, 1, -1), dtype=np.int64)
-    wt, wp = len(str(tick + right.size - 1)), len(str(int(np.abs(positions).max())))
-    rows = np.empty((right.size, wt + wp + 8), dtype=np.uint8)
-    digits(rows[:, :wt], np.arange(right.size, dtype=np.uint64) + np.uint64(tick))
-    rows[:, wt : wt + 4] = np.frombuffer(b",+1,", np.uint8)
-    rows[:, wt + 1] = 45 - 2 * right
-    rows[:, wt + 4] = 45 * (positions < 0)
-    digits(rows[:, wt + 5 : -3], np.abs(positions).astype(np.uint64))
-    rows[:, -3:] = np.frombuffer(b".0\n", np.uint8)
-    return rows.tobytes().translate(None, b"\0").decode("ascii")
-
-
 def _path_sum(
-    cfg: SimConfig, seed: int, stream: Optional[IO[str]] = None, chunk: int = _CHUNK
+    cfg: SimConfig, seed: int, stream: Optional[IO[bytes]] = None, chunk: int = _CHUNK
 ) -> int:
     """Direction sum of ``cfg``'s path from ``seed``, drawn in ``chunk``-tick
-    blocks; with ``stream`` also its CSV."""
+    blocks; with the binary ``stream`` also its CSV."""
     blocks = _direction_blocks(
         _Streams(seed), cfg.ticks, cfg.p_right, cfg.flip_probabilities, chunk
     )
     total = tick = 0
     if stream is not None:
-        stream.write("tick,direction,position\n")
+        from ._format import path_csv
+        stream.write(b"tick,direction,position\n")
         blocks = (b[i : i + _CSV_ROWS] for b in blocks for i in range(0, b.size, _CSV_ROWS))
     for right in blocks:
         if stream is not None:
-            stream.write(_csv_rows(tick, total, right))
+            stream.write(path_csv(tick, total, right))
         total += 2 * int(np.count_nonzero(right)) - right.size
         tick += right.size
     return total
@@ -378,10 +356,10 @@ def _estimate_from_sum(total: int, n: int, seed: int, inflation: float) -> Drift
     return DriftEstimate(mean=mean, std_error=std_error, n=n, seed=seed)
 
 
-def simulate_drift(cfg: SimConfig, stream: Optional[IO[str]] = None) -> DriftEstimate:
+def simulate_drift(cfg: SimConfig, stream: Optional[IO[bytes]] = None) -> DriftEstimate:
     """Sample mean of ``cfg``'s tick directions with its standard error, in
-    bounded memory: the path is reduced block by block and, with ``stream``,
-    written in the same pass as CSV rows ``tick,direction,position``:
+    bounded memory: the path is reduced block by block and, with the binary
+    ``stream``, written in the same pass as CSV rows ``tick,direction,position``:
     direction +1/-1, position the exact running direction sum, ``<ticks>.0``."""
     inflation = _variance_inflation(cfg.flip_probabilities, cfg.ticks)
     return _estimate_from_sum(_path_sum(cfg, cfg.seed, stream), cfg.ticks, cfg.seed, inflation)
@@ -469,6 +447,6 @@ def estimate_drift(path: _Path) -> DriftEstimate:
     return simulate_drift(path.config)
 
 
-def write_path_csv(path: _Path, stream: IO[str]) -> None:
-    """Write the path's CSV to ``stream`` as ``simulate_drift`` does."""
+def write_path_csv(path: _Path, stream: IO[bytes]) -> None:
+    """Write the path's CSV to the binary ``stream`` as ``simulate_drift`` does."""
     simulate_drift(path.config, stream)

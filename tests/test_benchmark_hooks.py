@@ -49,7 +49,7 @@ def test_tracer_counts_the_whole_path_calls(perfbench):
     # seed 58 draws a mean of exactly beta, where the tracer's exact standard
     # error at beta and the estimate's at the sample mean coincide
     cfg = simulate.SimConfig(beta=0.2, ticks=1_000, seed=58, dynamics="telegraph")
-    stream = io.StringIO()
+    stream = io.BytesIO()
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -60,8 +60,8 @@ def test_tracer_counts_the_whole_path_calls(perfbench):
         tracer.uninstall()
     assert tracer.counts["simulate.telegraph.ticks"] == cfg.ticks
     assert tracer.se_ratio() == pytest.approx(1.0, abs=1e-12)
-    assert tracer.counts["simulate.csv.rows"] == stream.getvalue().count("\n") - 1 == cfg.ticks
-    assert tracer.counts["simulate.csv.bytes"] == len(stream.getvalue().encode())
+    assert tracer.counts["simulate.csv.rows"] == stream.getvalue().count(b"\n") - 1 == cfg.ticks
+    assert tracer.counts["simulate.csv.bytes"] == len(stream.getvalue())
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import shlex
+import stat
 import tempfile
 import tracemalloc
 
@@ -19,8 +20,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from zittersim import (
-    DYNAMICS, STREAM_LAYOUT, cli, entropy_from_beta_array, entropy_from_probabilities_array,
-    kinematics, named_particles, simulate,
+    DYNAMICS, STREAM_LAYOUT, _format, cli, entropy_from_beta_array,
+    entropy_from_probabilities_array, kinematics, named_particles, simulate,
 )
 from zittersim.cli import main
 
@@ -772,6 +773,64 @@ def test_broken_pipe_on_an_output_file_is_unwritable(capsys, monkeypatch, tmp_pa
     path = str(tmp_path / "p.csv")
     got = run_cli(capsys, *shlex.split(_SIM), "--path", path)
     assert got == (1, "", f"error: --path {path!r}: [Errno 32] Broken pipe\n")
+
+
+def _fail_on_second_call(monkeypatch, name: str) -> None:
+    """Patch ``_format.<name>`` to raise ENOSPC on its second call, after one
+    slice of the CSV is written."""
+    writer, calls = getattr(_format, name), []
+
+    def write(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return writer(*args)
+
+    monkeypatch.setattr(_format, name, write)
+
+
+# Each CSV writer, its formatter and an argv of more than one slice.
+SLICED = {
+    "path": ("--path", "path_csv", "simulate --beta 0.2 --ticks 10000 --seed 1"),
+    "grid": ("--csv", "repr_csv", "entropy --grid 0:1:3000"),
+}
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+@pytest.mark.parametrize("option, name, command", list(SLICED.values()), ids=list(SLICED))
+def test_a_failure_after_the_first_slice_leaves_no_file(
+    capsys, monkeypatch, tmp_path, option, name, command, existing
+):
+    target = tmp_path / "out.csv"
+    if existing:
+        target.write_bytes(b"an earlier run's rows\n")
+    _fail_on_second_call(monkeypatch, name)
+    got = run_cli(capsys, *shlex.split(command), option, str(target))
+    assert got == (1, "", f"error: {option} {str(target)!r}: [Errno 28] No space left on device\n")
+    assert not os.path.lexists(target)
+
+
+def test_a_device_is_written_and_never_removed(capsys):
+    assert run_cli(capsys, *shlex.split("entropy --grid 0:1:5 --csv"), os.devnull)[0] == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_device_fails_and_is_never_removed(capsys):
+    code, out, err = run_cli(capsys, *shlex.split(_SIM), "--path", "/dev/full")
+    assert (code, out) == (1, "")
+    assert err == "error: --path '/dev/full': [Errno 28] No space left on device\n"
+    assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+
+def test_a_failing_symlink_target_keeps_the_link(capsys, monkeypatch, tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"")
+    link.symlink_to(target)
+    _fail_on_second_call(monkeypatch, "repr_csv")
+    code, _, err = run_cli(capsys, *shlex.split(SLICED["grid"][2]), "--csv", str(link))
+    assert code == 1 and err.startswith(f"error: --csv {str(link)!r}: [Errno 28]")
+    assert link.is_symlink() and link.resolve() == target and target.is_file()
 
 
 # -- every argv ends in JSON or one error line, never a traceback -------------

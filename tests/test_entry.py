@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -153,3 +155,26 @@ def test_entry_ends_without_finalization():
     done = _run(["-c", code])
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["w"] == 0.8
+
+
+def test_interrupt_exits_130_with_one_line_and_no_file(tmp_path):
+    # Ctrl-C mid-dump: the interrupt unwinds through the output file, which goes
+    target = tmp_path / "p.csv"
+    argv = ["simulate", "--beta", "0", "--ticks", "1000000000", "--seed", "1", "--path"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "zittersim.cli", *argv, str(target)], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=_env(), text=True,
+        # a runner that ignores SIGINT would pass that on to the child
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    ) as child:
+        try:
+            deadline = time.monotonic() + 60
+            while not (target.exists() and target.stat().st_size > 1 << 20):
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            child.send_signal(signal.SIGINT)
+            out, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+    assert (child.returncode, out, err) == (130, "", "error: interrupted\n")
+    assert not target.exists()

@@ -19,6 +19,7 @@ from zittersim import (
     InvalidConfig,
     NoAcceptedTicks,
     SimConfig,
+    _format,
     derive_seed,
     observe_from_moving_frame,
     run_ensemble,
@@ -167,9 +168,9 @@ class TestGeneratePath:
 
 def _csv_positions(cfg: SimConfig) -> list[float]:
     """The position column of ``cfg``'s path CSV."""
-    buf = io.StringIO()
+    buf = io.BytesIO()
     simulate_drift(cfg, buf)
-    return [float(row.split(",")[2]) for row in buf.getvalue().splitlines()[1:]]
+    return [float(row.split(",")[2]) for row in buf.getvalue().decode().splitlines()[1:]]
 
 
 class TestZitterPath:
@@ -181,7 +182,7 @@ class TestZitterPath:
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
     def test_handles_are_simulate_drift(self, monkeypatch, dynamics):
         cfg = SimConfig(beta=0.3, ticks=1_000, seed=12, dynamics=dynamics)
-        want = io.StringIO()
+        want = io.BytesIO()
         expected = simulate_drift(cfg, want)
         # generate_path draws nothing
         monkeypatch.setattr(simulate, "_Streams", None)
@@ -189,7 +190,7 @@ class TestZitterPath:
         monkeypatch.undo()
         assert path.config == cfg
         assert estimate_drift(path) == expected
-        got = io.StringIO()
+        got = io.BytesIO()
         assert write_path_csv(path, got) is None
         assert got.getvalue() == want.getvalue()
 
@@ -425,9 +426,9 @@ class TestRunEnsemble:
 
 class TestPathCsv:
     def test_format(self):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         simulate_drift(SimConfig(beta=1.0, ticks=3, seed=1), buf)
-        lines = buf.getvalue().strip().splitlines()
+        lines = buf.getvalue().decode().strip().splitlines()
         assert lines[0] == "tick,direction,position"
         assert lines[1] == "0,+1,1.0"
         assert lines[2] == "1,+1,2.0"
@@ -435,9 +436,9 @@ class TestPathCsv:
 
     def test_directions_signed(self):
         # seed 41 draws [-1, -1, 1, -1]
-        buf = io.StringIO()
+        buf = io.BytesIO()
         simulate_drift(SimConfig(beta=0.0, ticks=4, seed=41), buf)
-        rows = buf.getvalue().strip().splitlines()[1:]
+        rows = buf.getvalue().decode().strip().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["-1", "-1", "+1", "-1"]
 
 
@@ -459,17 +460,18 @@ def _reference_csv(cfg: SimConfig) -> str:
 
 def _dump_to_devnull(cfg: SimConfig):
     """``simulate_drift`` of ``cfg`` with its path CSV written to the null device."""
-    with open(os.devnull, "w") as sink:
+    with open(os.devnull, "wb") as sink:
         return simulate_drift(cfg, sink)
 
 
-def _assert_same_text(got: str, want: str) -> None:
-    """Byte equality that reports the first differing line; pytest's full
-    diff of two large dumps would take minutes."""
+def _assert_same_text(got: bytes, want: str) -> None:
+    """Byte equality of ``got`` and ``want``'s ASCII that reports the first
+    differing line; pytest's full diff of two large dumps would take minutes."""
+    want = want.encode("ascii")
     for i, (g, w) in enumerate(zip(got.splitlines(), want.splitlines())):
         assert g == w, f"line {i}"
     identical = got == want
-    assert identical, f"{len(got)} chars written, {len(want)} expected"
+    assert identical, f"{len(got)} bytes written, {len(want)} expected"
 
 
 def _layout3_ticks(beta: float, ticks: int, seed: int) -> np.ndarray:
@@ -777,14 +779,14 @@ class TestBlockCsvWriter:
         ids=["unit-steps", "telegraph"],
     )
     def test_byte_identical_to_csv_writer(self, cfg):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         simulate_drift(cfg, buf)
         _assert_same_text(buf.getvalue(), _reference_csv(cfg))
 
     @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
     def test_streamed_dump_matches_path_dump(self, chunk):
         cfg = SimConfig(beta=0.1, ticks=10_000, seed=9)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         assert simulate._path_sum(cfg, cfg.seed, buf, chunk) == simulate._path_sum(cfg, cfg.seed)
         _assert_same_text(buf.getvalue(), _reference_csv(cfg))
 
@@ -799,4 +801,4 @@ class TestBlockCsvWriter:
                 directions = np.where(right, 1, -1)
                 positions = total + np.cumsum(directions, dtype=np.int64)
                 want = _reference_rows(tick, directions.tolist(), positions.tolist())
-                _assert_same_text(simulate._csv_rows(tick, total, right), want)
+                _assert_same_text(_format.path_csv(tick, total, right), want)
