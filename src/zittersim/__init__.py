@@ -19,6 +19,13 @@ __version__ = "0.1.0"
 # Read by the CLI's parser and the run manifests before a command is known.
 DYNAMICS = ("iid", "telegraph")
 LEVELS = {"fast": 10**5, "full": 10**6}  # verify's Monte Carlo ticks per check
+# Rest masses in kg of the named particles, CODATA 2018 recommended values
+# (physics.nist.gov/cuu/Constants).
+PARTICLES = {
+    "electron": 9.1093837015e-31,
+    "muon": 1.883531627e-28,
+    "proton": 1.67262192369e-27,
+}
 # Version of the order in which the samplers draw from the PCG64 stream;
 # 4 reads every iid tick and telegraph flip from a 16-bit digit of it.
 STREAM_LAYOUT = 4

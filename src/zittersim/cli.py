@@ -5,8 +5,10 @@ bulk series go to CSV.  Every result embeds a run manifest: the options as
 parsed (null where not given), the version, the constants and RNG provenance
 where the command read them, and under ``run`` what varies between runs, so
 a run can be replayed from its own output.  Each ``cmd_*`` returns its
-payload; ``main`` adds the manifest and writes the JSON.  Only the commands
-that sample or verify import the sampler or the verify suite.  An error exits
+payload; ``main`` adds the manifest and writes the JSON.  Each command
+imports only the modules it runs: the calculus for ``compose`` and
+``entropy``, the scales for ``scales`` and the constants block, the sampler
+and the verify suite for the commands that sample or verify.  An error exits
 with its ``ZitterError.exit_code``, a failed ``verify`` with 1.  The process
 entry, ``entry``, ends with ``os._exit`` once ``main`` has flushed the
 result, so a command pays no interpreter finalization.
@@ -14,24 +16,27 @@ result, so a command pays no interpreter finalization.
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    # No collection over the import heap: ``entry`` freezes it, then enables gc.
+    gc.disable()
+
 import argparse
 import json
 import math
 import os
+import signal
 import stat
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import BinaryIO, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from . import DYNAMICS, LEVELS, STREAM_LAYOUT, __version__
-from . import entropy as ent
-from . import kinematics as kin
+from . import DYNAMICS, LEVELS, PARTICLES, STREAM_LAYOUT, __version__
 from .errors import InvalidConfig, UnwritableOutput, ZitterError
-from .scales import HBAR, SPEED_OF_LIGHT, ParticleScale, named_particles, scale_for_particle
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -76,12 +81,17 @@ def _manifest(args: argparse.Namespace) -> dict:
         "parameters": {
             k: v for k, v in vars(args).items() if k not in ("command", "func", "reads")
         },
-        "constants": {"speed_of_light_m_per_s": SPEED_OF_LIGHT, "hbar_J_s": HBAR},
-        "version": __version__,
-        "rng": {"numpy": np.__version__, "bit_generator": "PCG64", "stream_layout": STREAM_LAYOUT},
-        "run": {"timestamp": datetime.now(timezone.utc).isoformat()},
     }
-    return {k: v for k, v in manifest.items() if k not in ("constants", "rng") or k in args.reads}
+    if "constants" in args.reads:
+        from .scales import HBAR, SPEED_OF_LIGHT
+        manifest["constants"] = {"speed_of_light_m_per_s": SPEED_OF_LIGHT, "hbar_J_s": HBAR}
+    manifest["version"] = __version__
+    if "rng" in args.reads:
+        manifest["rng"] = {
+            "numpy": np.__version__, "bit_generator": "PCG64", "stream_layout": STREAM_LAYOUT
+        }
+    manifest["run"] = {"timestamp": datetime.now(timezone.utc).isoformat()}
+    return manifest
 
 
 def _parse_grid(raw: str) -> tuple[float, float, int]:
@@ -96,7 +106,8 @@ def _parse_grid(raw: str) -> tuple[float, float, int]:
         raise malformed from None
     if not 1 <= count < 2**63:
         raise malformed
-    return kin._beta(start), kin._beta(stop), count
+    from .kinematics import _beta
+    return _beta(start), _beta(stop), count
 
 
 def _grid_slices(
@@ -122,6 +133,7 @@ def _grid_slices(
 def _entropy_columns(b: np.ndarray) -> tuple[np.ndarray, ...]:
     """The entropy table at velocities ``b``: beta, S in nats, S in bits,
     gamma and 1+z, the last two nan at light speed."""
+    from . import entropy as ent
     inside = np.abs(b) < 1.0
     gamma, one_plus_z = np.full((2, b.size), np.nan)
     gamma[inside] = ent.lorentz_gamma_array(b[inside])
@@ -130,6 +142,8 @@ def _entropy_columns(b: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def cmd_compose(args: argparse.Namespace) -> dict:
+    from . import entropy as ent
+    from . import kinematics as kin
     u, v = args.u, args.v
     w = kin.velocity_addition_array(u, v).item()
     payload = {"w": w}
@@ -150,6 +164,7 @@ def cmd_compose(args: argparse.Namespace) -> dict:
 
 
 def cmd_simulate(args: argparse.Namespace) -> dict:
+    from dataclasses import asdict
     from .simulate import SimConfig, _validate_replicates, run_ensemble, simulate_drift
     cfg = SimConfig(args.beta, args.ticks, args.seed, args.dynamics, args.flip_asymmetry)
     # A bad count is the error to report, whatever else the command asks for.
@@ -165,6 +180,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 
 
 def cmd_observe(args: argparse.Namespace) -> dict:
+    from dataclasses import asdict
     from .simulate import observe_from_moving_frame
     obs = asdict(observe_from_moving_frame(args.u, args.v, ticks=args.ticks, seed=args.seed))
     # The estimate's fields come first, then the frame's own.
@@ -183,7 +199,9 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
                 fh.write(repr_csv(np.column_stack(_entropy_columns(b))))
         return {"rows": count}
     # The --grid beta:beta:1 row, with JSON null where the row has nan.
-    b = np.array([kin._beta(args.beta)])
+    from . import entropy as ent
+    from .kinematics import _beta
+    b = np.array([_beta(args.beta)])
     row = [None if math.isnan(x) else x for x in np.concatenate(_entropy_columns(b)).tolist()]
     beta, s_nats, s_bits, gamma, one_plus_z = row
     s_relativistic = None if gamma is None else ent.entropy_relativistic_form_array(b).item()
@@ -198,6 +216,7 @@ def cmd_entropy(args: argparse.Namespace) -> dict:
 
 
 def cmd_scales(args: argparse.Namespace) -> dict:
+    from .scales import ParticleScale, scale_for_particle
     particle = args.particle
     scale = ParticleScale.from_mass(args.mass_kg) if particle is None else scale_for_particle(particle)
     return {
@@ -283,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scales", help="tick frequency and length for a mass")
     pick = p.add_mutually_exclusive_group(required=True)
-    pick.add_argument("--particle", help=f"named particle: {', '.join(named_particles())}")
+    pick.add_argument("--particle", help=f"named particle: {', '.join(PARTICLES)}")
     pick.add_argument("--mass-kg", type=float, help="mass in kilograms")
     p.set_defaults(func=cmd_scales, reads=("constants",))
 
@@ -321,6 +340,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.exit_code
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised where the process is, so that it unwinds as Ctrl-C does."""
+
+
+def _terminate(signum: int, frame: object) -> NoReturn:
+    raise _Terminated
+
+
 def entry() -> NoReturn:
     """The process entry of ``python -m zittersim.cli`` and the ``zittersim``
     script: ``main()``, or argparse's ``SystemExit`` after ``--help`` or a
@@ -328,16 +355,32 @@ def entry() -> NoReturn:
     interpreter finalization (atexit handlers, the shutdown flush of stdout and
     stderr and gc's collections over the imported heap); whatever stdout or
     stderr could not take is discarded, so a full disk does not change the
-    code.  Ctrl-C exits 130 (``main`` lets it pass); a traceback leaves as usual."""
+    code.  Ctrl-C exits 130 (``main`` lets it pass), and SIGTERM is raised
+    as an exception that unwinds the same way and exits 143, unless the
+    process inherited it ignored; a traceback leaves as usual.
+
+    ``main`` runs under normal collection, but never over the import heap:
+    this call freezes every object that exists, then enables gc.  Under
+    ``python -m zittersim.cli`` the module disables gc before its first
+    import, so importing numpy and this package runs no collection.  The
+    ``zittersim`` script imports this module before it calls ``entry``, so
+    there gc still collects during the imports."""
+    gc.freeze()
+    gc.enable()
+    if signal.getsignal(signal.SIGTERM) != signal.SIG_IGN:
+        signal.signal(signal.SIGTERM, _terminate)
+    stop = None
     try:
         code = main()
     except SystemExit as exc:
         code = exc.code
     except KeyboardInterrupt:
-        with suppress(OSError):
-            print("error: interrupted", file=sys.stderr)
-        code = 130  # 128 + SIGINT, as a shell reports it
+        code, stop = 130, "interrupted"  # 128 + SIGINT, as a shell reports it
+    except _Terminated:
+        code, stop = 143, "terminated"  # 128 + SIGTERM
     with suppress(OSError):
+        if stop:
+            print(f"error: {stop}", file=sys.stderr)
         sys.stderr.flush()
     os._exit(code)
 

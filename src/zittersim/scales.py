@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import PARTICLES
 from .errors import NonPositiveMass, UnknownParticle
 from .kinematics import _is_real
 
@@ -33,14 +34,6 @@ __all__ = [
 # Exact SI value of c and the 2018 CODATA reduced Planck constant.
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 HBAR = 1.054571817e-34  # J s
-
-# Rest masses in kg, CODATA 2018 recommended values
-# (physics.nist.gov/cuu/Constants).
-_PARTICLES = {
-    "electron": 9.1093837015e-31,
-    "muon": 1.883531627e-28,
-    "proton": 1.67262192369e-27,
-}
 
 
 @dataclass(frozen=True)
@@ -76,13 +69,13 @@ class ParticleScale:
 
 def named_particles() -> tuple[str, ...]:
     """Names available to :func:`particle_mass`."""
-    return tuple(_PARTICLES)
+    return tuple(PARTICLES)
 
 
 def particle_mass(name: str) -> float:
     """Rest mass in kg for a named particle (electron, muon, proton);
     raises UnknownParticle, a KeyError, for any other name."""
-    mass = _PARTICLES.get(name.lower()) if isinstance(name, str) else None
+    mass = PARTICLES.get(name.lower()) if isinstance(name, str) else None
     if mass is None:
         known = ", ".join(named_particles())
         raise UnknownParticle(f"unknown particle {name!r}; known: {known}")

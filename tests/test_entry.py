@@ -9,6 +9,7 @@ be written fails inside ``main``.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import signal
@@ -157,24 +158,95 @@ def test_entry_ends_without_finalization():
     assert json.loads(done.stdout)["w"] == 0.8
 
 
-def test_interrupt_exits_130_with_one_line_and_no_file(tmp_path):
-    # Ctrl-C mid-dump: the interrupt unwinds through the output file, which goes
-    target = tmp_path / "p.csv"
+def _signal_mid_dump(target: Path, signum: int) -> tuple[int, str, str]:
+    """Send ``signum`` to a child once its ``--path`` dump holds 1 MiB; return
+    its exit code, stdout and stderr."""
     argv = ["simulate", "--beta", "0", "--ticks", "1000000000", "--seed", "1", "--path"]
+
+    def default_handlers() -> None:
+        # a runner that ignores a signal would pass that on to the child
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
     with subprocess.Popen(
         [sys.executable, "-m", "zittersim.cli", *argv, str(target)], stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, env=_env(), text=True,
-        # a runner that ignores SIGINT would pass that on to the child
-        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        stderr=subprocess.PIPE, env=_env(), text=True, preexec_fn=default_handlers,
     ) as child:
         try:
             deadline = time.monotonic() + 60
             while not (target.exists() and target.stat().st_size > 1 << 20):
                 assert child.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
-            child.send_signal(signal.SIGINT)
+            child.send_signal(signum)
             out, err = child.communicate(timeout=60)
         finally:
             child.kill()
-    assert (child.returncode, out, err) == (130, "", "error: interrupted\n")
+    return child.returncode, out, err
+
+
+def test_interrupt_exits_130_with_one_line_and_no_file(tmp_path):
+    # Ctrl-C mid-dump: the interrupt unwinds through the output file, which goes
+    target = tmp_path / "p.csv"
+    assert _signal_mid_dump(target, signal.SIGINT) == (130, "", "error: interrupted\n")
     assert not target.exists()
+
+
+def test_terminate_exits_143_with_one_line_and_no_file(tmp_path):
+    # SIGTERM (timeout, kill) mid-dump unwinds as Ctrl-C does
+    target = tmp_path / "p.csv"
+    assert _signal_mid_dump(target, signal.SIGTERM) == (143, "", "error: terminated\n")
+    assert not target.exists()
+
+
+# Reports, at the entry's os._exit, whether gc is enabled and SIGTERM's handler.
+AT_EXIT = (
+    "import gc, os, signal, sys\n"
+    "exit = os._exit\n"
+    "def report(code):\n"
+    "    handler = signal.getsignal(signal.SIGTERM)\n"
+    "    name = handler.name if isinstance(handler, signal.Handlers) else handler.__name__\n"
+    "    os.write(2, f'{gc.isenabled()} {name}\\n'.encode())\n"
+    "    exit(code)\n"
+    "os._exit = report\n"
+)
+
+
+def test_no_collection_scans_the_import_heap():
+    # Run as python -m does: the module disables gc before it imports numpy,
+    # and the entry freezes the import heap, then enables gc for main.
+    code = AT_EXIT + (
+        "import runpy\n"
+        "def watch(phase, info):\n"
+        "    if phase == 'start' and 'numpy' in sys.modules and not gc.get_freeze_count():\n"
+        "        os.write(2, b'collection over the import heap\\n')\n"
+        "gc.callbacks.append(watch)\n"
+        "sys.argv = ['zittersim', 'compose', '--u', '0.5', '--v', '0.5']\n"
+        "runpy.run_module('zittersim.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    done = _run(["-c", code])
+    assert (done.returncode, done.stderr) == (0, "True _terminate\n")
+    assert json.loads(done.stdout)["w"] == 0.8
+
+
+def test_an_inherited_ignored_sigterm_stays_ignored():
+    code = AT_EXIT + (
+        "from zittersim import cli\n"
+        "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+        "sys.argv = ['zittersim', 'compose', '--u', '0.5', '--v', '0.5']\n"
+        "cli.entry()\n"
+    )
+    done = _run(["-c", code])
+    assert (done.returncode, done.stderr) == (0, "True SIG_IGN\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+def test_main_in_process_leaves_the_gc_state(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        for argv, code, _ in EXIT_CODES.values():
+            assert main(list(argv)) == code
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()

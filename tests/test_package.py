@@ -40,7 +40,7 @@ def test_every_exported_name_resolves():
 def test_shared_constants_are_assigned_once_in_the_package():
     # the parser and the manifests read them without importing their users
     for name, users in (("DYNAMICS", (cli, simulate)), ("STREAM_LAYOUT", (cli,)),
-                        ("LEVELS", (cli, verification))):
+                        ("LEVELS", (cli, verification)), ("PARTICLES", (cli, scales))):
         assert all(getattr(m, name) is getattr(zittersim, name) for m in users), name
         assigned = [p.name for p in sorted(SRC.glob("*.py"))
                     if re.search(rf"^{name}\s*=", p.read_text(), re.MULTILINE)]
