@@ -26,6 +26,9 @@ PARTICLES = {
     "muon": 1.883531627e-28,
     "proton": 1.67262192369e-27,
 }
+# Ticks of a path and points of an entropy --grid stay below this bound: the
+# path CSV's positions are int64 tick sums.
+MAX_TICKS = 2**63
 # Version of the order in which the samplers draw from the PCG64 stream;
 # 4 reads every iid tick and telegraph flip from a 16-bit digit of it.
 STREAM_LAYOUT = 4

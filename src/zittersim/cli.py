@@ -35,7 +35,7 @@ from typing import BinaryIO, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from . import DYNAMICS, LEVELS, PARTICLES, STREAM_LAYOUT, __version__
+from . import DYNAMICS, LEVELS, MAX_TICKS, PARTICLES, STREAM_LAYOUT, __version__
 from .errors import InvalidConfig, UnwritableOutput, ZitterError
 
 EXIT_OK = 0
@@ -97,30 +97,32 @@ def _manifest(args: argparse.Namespace) -> dict:
 def _parse_grid(raw: str) -> tuple[float, float, int]:
     """Parse and validate ``start:stop:count`` of an endpoint-inclusive grid."""
     malformed = InvalidConfig(
-        f"grid must be start:stop:count with integer count in [1, {2**63}), got {raw!r}"
+        f"grid must be start:stop:count with integer count in [1, {MAX_TICKS}), got {raw!r}"
     )
     try:
         start, stop, count = raw.split(":")
         start, stop, count = float(start), float(stop), int(count)
     except ValueError:
         raise malformed from None
-    if not 1 <= count < 2**63:
+    if not 1 <= count < MAX_TICKS:
         raise malformed
     from .kinematics import _beta
     return _beta(start), _beta(stop), count
 
 
-def _grid_slices(
-    start: float, stop: float, count: int, rows: int = 1 << 10
-) -> Iterator[np.ndarray]:
-    """``np.linspace(start, stop, count)`` bit for bit, in slices of ``rows``
-    points (few enough that formatting one slice's CSV keeps its arrays in
-    cache): index * step + start, the last point set to stop."""
+# Points per --grid slice: few enough that formatting one slice's CSV keeps
+# its arrays in cache.
+_GRID_ROWS = 1 << 10
+
+
+def _grid_slices(start: float, stop: float, count: int) -> Iterator[np.ndarray]:
+    """``np.linspace(start, stop, count)`` bit for bit, in slices of
+    ``_GRID_ROWS`` points: index * step + start, the last point set to stop."""
     div = count - 1
     delta = stop - start
     step = delta / div if div else 0.0
-    for lo in range(0, count, rows):
-        y = np.arange(lo, min(lo + rows, count), dtype=np.float64)
+    for lo in range(0, count, _GRID_ROWS):
+        y = np.arange(lo, min(lo + _GRID_ROWS, count), dtype=np.float64)
         # linspace scales by delta / div, or, for one point or a step that
         # underflows to 0, divides by div before multiplying by delta.
         y = y * step if step else y / max(div, 1) * delta

@@ -26,7 +26,6 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "HBAR",
     "ParticleScale",
-    "named_particles",
     "particle_mass",
     "scale_for_particle",
 ]
@@ -67,18 +66,12 @@ class ParticleScale:
         return 1.0 / self.omega_rad_per_s
 
 
-def named_particles() -> tuple[str, ...]:
-    """Names available to :func:`particle_mass`."""
-    return tuple(PARTICLES)
-
-
 def particle_mass(name: str) -> float:
     """Rest mass in kg for a named particle (electron, muon, proton);
     raises UnknownParticle, a KeyError, for any other name."""
     mass = PARTICLES.get(name.lower()) if isinstance(name, str) else None
     if mass is None:
-        known = ", ".join(named_particles())
-        raise UnknownParticle(f"unknown particle {name!r}; known: {known}")
+        raise UnknownParticle(f"unknown particle {name!r}; known: {', '.join(PARTICLES)}")
     return mass
 
 

@@ -55,7 +55,7 @@ from typing import IO, Iterator, Optional
 
 import numpy as np
 
-from . import DYNAMICS
+from . import DYNAMICS, MAX_TICKS
 from .errors import InvalidConfig, NoAcceptedTicks
 from .kinematics import _beta, _is_real, _reject_antipodal
 
@@ -87,9 +87,6 @@ _CHUNK = 1 << 16
 # 16k-row slices measured slower per row than these 4k ones.
 _CSV_ROWS = 1 << 12
 
-# Ticks per path stay below 2**63: the CSV positions are int64 tick sums.
-_MAX_TICKS = 2**63
-
 
 def _validate_int(name: str, value: object, low: int = 1, high: float = math.inf) -> int:
     """``value`` as a Python int in [low, high), as ``operator.index`` reads
@@ -104,9 +101,9 @@ def _validate_int(name: str, value: object, low: int = 1, high: float = math.inf
 
 def _validate_replicates(cfg: SimConfig, replicates: object) -> int:
     """``replicates`` as an int >= 1 whose pooled n, replicates * ticks, stays
-    below 2**63 like ``cfg.ticks``."""
+    below ``MAX_TICKS`` like ``cfg.ticks``."""
     replicates = _validate_int("replicates", replicates)
-    _validate_int("replicates * ticks", replicates * cfg.ticks, 1, _MAX_TICKS)
+    _validate_int("replicates * ticks", replicates * cfg.ticks, 1, MAX_TICKS)
     return replicates
 
 
@@ -138,7 +135,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", _beta(self.beta))
-        object.__setattr__(self, "ticks", _validate_int("ticks", self.ticks, 1, _MAX_TICKS))
+        object.__setattr__(self, "ticks", _validate_int("ticks", self.ticks, 1, MAX_TICKS))
         object.__setattr__(self, "seed", _validate_int("seed", self.seed, 0, _MAX_SEED))
         if not isinstance(self.dynamics, str) or self.dynamics not in DYNAMICS:
             raise InvalidConfig(f"dynamics must be one of {DYNAMICS}, got {self.dynamics!r}")
@@ -380,7 +377,7 @@ def observe_from_moving_frame(u: float, v: float, ticks: int, seed: int) -> Fram
     uf, vf = _beta(u), _beta(v)
     # No tick of an antipodal light-speed pair is ever retained.
     _reject_antipodal(uf, vf)
-    ticks = _validate_int("ticks", ticks, 1, _MAX_TICKS)
+    ticks = _validate_int("ticks", ticks, 1, MAX_TICKS)
     seed = _validate_int("seed", seed, 0, _MAX_SEED)
 
     # zip draws particle block j, then observer block j, from the same streams.

@@ -20,8 +20,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from zittersim import (
-    DYNAMICS, STREAM_LAYOUT, _format, cli, entropy_from_beta_array,
-    entropy_from_probabilities_array, kinematics, named_particles, simulate,
+    DYNAMICS, PARTICLES, STREAM_LAYOUT, _format, cli, entropy_from_beta_array,
+    entropy_from_probabilities_array, kinematics, simulate,
 )
 from zittersim.cli import main
 
@@ -407,18 +407,18 @@ class TestEntropy:
 
     @pytest.mark.parametrize("count", [1, 2, 4095, 4097, 10_000])
     @pytest.mark.parametrize("start,stop", [(-0.99, 0.99), (0.7, -0.2), (0.3, 0.3), (0.0, 1e-320)])
-    def test_grid_slices_are_linspace(self, count, start, stop):
+    def test_grid_slices_are_linspace(self, monkeypatch, count, start, stop):
         want = np.linspace(start, stop, count)
         for rows in (7, 4096):
-            slices = list(cli._grid_slices(start, stop, count, rows=rows))
+            monkeypatch.setattr(cli, "_GRID_ROWS", rows)
+            slices = list(cli._grid_slices(start, stop, count))
             assert max(len(s) for s in slices) <= rows
             assert np.concatenate(slices).tobytes() == want.tobytes()
 
     def test_grid_memory_does_not_grow_with_count(self, monkeypatch):
         # 256-row slices keep the traced formatting short; both grids span
         # many slices, as 2e4 and 2e5 rows do at the default slice size.
-        # The sweep goes through main, so the slicer is patched.
-        monkeypatch.setattr(cli, "_grid_slices", functools.partial(cli._grid_slices, rows=256))
+        monkeypatch.setattr(cli, "_GRID_ROWS", 256)
 
         def peak(count):
             tracemalloc.start()
@@ -489,14 +489,14 @@ class TestParser:
     def test_particle_names_resolve_through_one_route(self, capsys):
         # scales reads --particle through scale_for_particle
         run_json(capsys, "scales", "--particle", "Electron")
-        known = ", ".join(named_particles())
+        known = ", ".join(PARTICLES)
         for name in ("tau", ""):
             code, out, err = run_cli(capsys, "scales", "--particle", name)
             assert (code, out) == (2, "")
             assert err == f"error: unknown particle {name!r}; known: {known}\n"
         sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
         help_text = sub.choices["scales"].format_help()
-        assert all(name in help_text for name in named_particles())
+        assert all(name in help_text for name in PARTICLES)
 
     def test_dynamics_choices_are_the_simulator_dynamics(self):
         sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
@@ -862,7 +862,7 @@ _GRIDS = _mostly(
     st.sampled_from(["0:0.5", "::", "0:1:1e3", "0:1:0", "0:1:-1", f"0:1:{10**400}"]),
 )
 _OUTPUTS = _mostly(st.just("out.csv"), st.sampled_from(["missing/out.csv", ""]))
-_PARTICLES = _mostly(st.sampled_from(["electron", "muon", "proton"]), st.sampled_from(["tau", ""]))
+_PARTICLES = _mostly(st.sampled_from(list(PARTICLES)), st.sampled_from(["tau", ""]))
 
 # (required, optional) options of each subcommand and their values.
 _OPTIONS = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from zittersim import cli, entropy, errors, kinematics, scales, simulate, verifi
 MODULES = (errors, kinematics, entropy, simulate, scales, verification)
 README = Path(__file__).resolve().parent.parent / "README.md"
 PYPROJECT = README.with_name("pyproject.toml")
+BENCHMARK = README.with_name("BENCHMARK.json")
 SRC = Path(zittersim.__file__).resolve().parent
 
 
@@ -40,7 +42,8 @@ def test_every_exported_name_resolves():
 def test_shared_constants_are_assigned_once_in_the_package():
     # the parser and the manifests read them without importing their users
     for name, users in (("DYNAMICS", (cli, simulate)), ("STREAM_LAYOUT", (cli,)),
-                        ("LEVELS", (cli, verification)), ("PARTICLES", (cli, scales))):
+                        ("LEVELS", (cli, verification)), ("PARTICLES", (cli, scales)),
+                        ("MAX_TICKS", (cli, simulate))):
         assert all(getattr(m, name) is getattr(zittersim, name) for m in users), name
         assigned = [p.name for p in sorted(SRC.glob("*.py"))
                     if re.search(rf"^{name}\s*=", p.read_text(), re.MULTILINE)]
@@ -89,3 +92,24 @@ def test_readme_exit_codes_are_the_classes():
     for name in errors.__all__:
         code = documented.get(name, documented["ZitterError"])
         assert getattr(errors, name).exit_code == code, name
+
+
+def test_every_benchmark_record_names_its_tree_and_metrics():
+    # the committed BENCH_<pr>.json trajectory, read against BENCHMARK.json alone
+    spec = json.loads(BENCHMARK.read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    metrics = {m["name"] for m in spec["end_to_end"]}
+    records = sorted(BENCHMARK.parent.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert record["pr"] == int(path.stem.removeprefix("BENCH_")), path.name
+        results = record["results"]
+        assert set(results) == workloads, path.name
+        hashes = [r["provenance"]["source_sha256"] for r in results.values()]
+        commit = re.fullmatch("[0-9a-f]{40}", record.get("commit") or "")
+        parent = re.fullmatch("[0-9a-f]{40}", record.get("parent_commit") or "")
+        assert commit or (parent and all(re.fullmatch("[0-9a-f]{64}", h) for h in hashes)), path.name
+        assert isinstance(record["bytecode"]["pycache"], bool), path.name
+        for name, result in results.items():
+            assert metrics <= set(result["result"]["metrics"]), (path.name, name)

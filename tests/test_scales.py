@@ -9,12 +9,12 @@ from hypothesis import given, strategies as st
 
 from zittersim import (
     HBAR,
+    PARTICLES,
     SPEED_OF_LIGHT,
     NonPositiveMass,
     UnknownParticle,
     ZitterError,
     ParticleScale,
-    named_particles,
     particle_mass,
     scale_for_particle,
 )
@@ -108,7 +108,7 @@ class TestParticleScale:
 
 class TestNamedParticles:
     def test_table_contents(self):
-        assert set(named_particles()) == {"electron", "muon", "proton"}
+        assert set(PARTICLES) == {"electron", "muon", "proton"}
         assert particle_mass("electron") == ELECTRON_MASS
         assert particle_mass("muon") == 1.883531627e-28
         assert particle_mass("proton") == 1.67262192369e-27

@@ -570,8 +570,10 @@ class TestChunkedSampler:
     def test_iid_stream_independent_of_chunk_size(self, chunk):
         # 3e5 ticks hold ~5 ties per path, and chunks 1 and 7 carry digits
         # across most block edges; -1 + 2**-52 has head 0, so only tie words
-        # can draw right
-        ticks = 300_000
+        # can draw right.  Chunk 1 draws one block per tick, so it draws 6e4
+        # ticks: they hold beta 0.3's ties at ticks 49889 and 53270, and the
+        # second tie draws right.
+        ticks = 60_000 if chunk == 1 else 300_000
         for beta in (0.3, 1.0, -1.0, 0.0, -1.0 + 2.0**-52):
             cfg = SimConfig(beta=beta, ticks=ticks, seed=17)
             directions = _directions(cfg, chunk)

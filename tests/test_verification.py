@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import re
 
+import numpy as np
 import pytest
 
 import zittersim.verification as verification
-from zittersim import InvalidConfig, cli, simulate
+from zittersim import InvalidConfig, SimConfig, cli, simulate, simulate_drift
 from zittersim.cli import main
 
 CHECK_NAMES = [
@@ -111,3 +114,71 @@ def test_tampered_tolerance_fails(monkeypatch, capsys):
     assert not report.passed
     assert main(["verify", "--level", "fast"]) == 1
     capsys.readouterr()
+
+
+def _restarted_at_block_edges(blocks):
+    """``_direction_blocks`` that starts a new chain at each ``chunk`` edge."""
+    def restarted(streams, ticks, p_right, flips=None, chunk=simulate._CHUNK):
+        for start in range(0, ticks, chunk):
+            yield from blocks(streams, min(chunk, ticks - start), p_right, flips, chunk)
+    return restarted
+
+
+def _std_error_times_10(estimate):
+    def inflated(*args):
+        est = estimate(*args)
+        return dataclasses.replace(est, std_error=10.0 * est.std_error)
+    return inflated
+
+
+# verify's power: each broken sampler, as (private of simulate, its replacement
+# built from the original), with the verdict of run_verification("full") on it,
+# "passes" or the names of the checks that fail, and the reason.
+MUTANTS = {
+    "threshold-q-plus-1e-4": (
+        "_threshold", lambda threshold: lambda q: threshold(q + 1e-4), "passes",
+        "the 5-sigma mean checks at n = 1e6 see a Bernoulli bias above ~2.5e-3, 25x this one",
+    ),
+    "no-variance-inflation": (
+        "_variance_inflation", lambda inflation: lambda flips, n: 1.0, "passes",
+        "no check holds std_error against the spread of replicates",
+    ),
+    "tie-words-never-right": (
+        "_Streams.tie_words", lambda tie_words: lambda self, n: np.full(n, 2**64 - 1, np.uint64),
+        "passes",
+        "a tie defect biases a draw by less than 2**-16, below any affordable mean check, "
+        "and no check reads the stream against the layout's rule",
+    ),
+    "chain-restarted-at-block-edges": (
+        "_direction_blocks", _restarted_at_block_edges, "passes",
+        "a restarted chain keeps every marginal, and no check reads a law across a block edge",
+    ),
+    "std-error-times-10": (
+        "_estimate_from_sum", _std_error_times_10, "passes",
+        "no check holds std_error against the spread of replicates, and the two checks "
+        "that divide by it pass more easily",
+    ),
+}
+
+
+def _probe():
+    # seed 17's iid path at beta 0.3 draws its tick 53270 right from a tie
+    # word; the telegraph path crosses two block edges, and its CSV shows a
+    # restarted chain whose drift happens to be the same
+    iid = SimConfig(beta=0.3, ticks=60_000, seed=17)
+    telegraph = SimConfig(beta=0.3, ticks=2 * simulate._CHUNK + 1, seed=17, dynamics="telegraph")
+    csv = io.BytesIO()
+    return simulate_drift(iid), simulate_drift(telegraph, csv), csv.getvalue()
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_full_suite_verdict_on_each_mutant(monkeypatch, mutant):
+    target, mutate, verdict, _reason = MUTANTS[mutant]
+    owner, _, name = target.rpartition(".")
+    owner = getattr(simulate, owner) if owner else simulate
+    unbroken = _probe()
+    monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
+    assert _probe() != unbroken  # the mutant changes what the sampler reports
+    report = verification.run_verification("full")
+    failed = tuple(c.name for c in report.checks if not c.passed)
+    assert failed == (() if verdict == "passes" else verdict)
