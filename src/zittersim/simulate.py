@@ -35,8 +35,12 @@ iff they coincide.  Conditioning on agreement is exactly the normalized
 product law of the frame composition, so the retained-tick drift converges
 to (u + v)/(1 + u v) and the acceptance rate to (1 + u v)/2.
 
-All randomness flows from a single 64-bit seed through numpy's PCG64;
-replicate streams are derived with the published SplitMix64 mixer.
+All randomness flows from a single 64-bit seed through PCG64; replicate
+streams are derived with the published SplitMix64 mixer.  A large run draws
+from numpy's PCG64.  A small one (``_small``), in a process that has not
+imported numpy.random, draws the same words from ``_PCG64``, a pure-Python
+twin of numpy's seeding and generator, and so never pays for that import;
+tests pin the twin to numpy bit for bit, so either source gives one stream.
 ``STREAM_LAYOUT`` (recorded in run manifests) numbers the order of draws.
 Since layout 4 every draw is one exact Bernoulli(q) draw: the next 16-bit
 digit of the raw PCG64 stream, followed by a 64-bit word of a second stream
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterator, Optional
 
@@ -208,13 +213,114 @@ class EnsembleResult:
     pooled: DriftEstimate
 
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+# PCG64's LCG multiplier and the stride of its jumped(), as numpy's pcg64.h
+# and _pcg64.pyx define them.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+
+def _seed_state(seed: int) -> tuple[int, int, int, int]:
+    """numpy's ``SeedSequence(seed).generate_state(4, np.uint64)`` as ints:
+    O'Neill's seed_seq hash-mix of the seed's 32-bit words, least significant
+    first, into a pool of four, with the constants of numpy's bit_generator.pyx.
+    A seed below 2**64 has at most two words, so the pool takes them all."""
+    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (4 - len(entropy))
+    mult = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal mult
+        value ^= mult
+        mult = mult * 0x931E8875 & _MASK32
+        value = value * mult & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])) & _MASK32
+                pool[dst] = mixed ^ mixed >> 16
+    mult, state = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ mult
+        mult = mult * 0x58F38DED & _MASK32
+        value = value * mult & _MASK32
+        state.append(value ^ value >> 16)
+    return tuple(state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+
+
+class _PCG64:
+    """numpy's ``PCG64(seed)`` in Python ints: its raw words, and ``jumped()``.
+
+    PCG64 is a 128-bit LCG with the XSL-RR output (O'Neill, "PCG",
+    HMC-CS-2014-0905), seeded from ``_seed_state`` as numpy's
+    ``pcg64_set_seed`` does.  A run too short to pay for importing
+    ``numpy.random`` draws from it (``_small``); tests hold its words to
+    numpy's bit for bit.
+    """
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, seed: int) -> None:
+        s_high, s_low, i_high, i_low = _seed_state(seed)
+        self.inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
+        self.state = ((self.inc + (s_high << 64 | s_low)) * _PCG_MULT + self.inc) & _MASK128
+
+    def random_raw(self, n: int) -> np.ndarray:
+        """The next ``n`` 64-bit words, as numpy's ``random_raw(n)`` gives them."""
+        state, inc, words = self.state, self.inc, []
+        for _ in range(n):
+            state = (state * _PCG_MULT + inc) & _MASK128
+            xored, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+            words.append((xored >> rot | xored << (64 - rot)) & _MASK64)
+        self.state = state
+        return np.array(words, np.uint64)
+
+    def jumped(self) -> _PCG64:
+        """A copy advanced by ``_PCG_JUMP`` steps, by Brown's jump-ahead
+        (Trans. ANS 71, 1994): ``_PCG_JUMP``'s bits select powers of the step."""
+        mult, plus, acc_mult, acc_plus = _PCG_MULT, self.inc, 1, 0
+        delta = _PCG_JUMP
+        while delta:
+            if delta & 1:
+                acc_mult = acc_mult * mult & _MASK128
+                acc_plus = (acc_plus * mult + plus) & _MASK128
+            plus = (mult + 1) * plus & _MASK128
+            mult = mult * mult & _MASK128
+            delta >>= 1
+        jumped = object.__new__(type(self))
+        jumped.inc, jumped.state = self.inc, (acc_mult * self.state + acc_plus) & _MASK128
+        return jumped
+
+
+# A run reads ``_PCG64`` while its raw words, a seed's set-up counted as
+# ``_SEED_WORDS`` of them, stay within ``_SMALL_WORDS``.  Measured in children on
+# a 2-core Xeon: importing numpy.random costs ~10 ms, ``_PCG64`` ~0.45 us a word
+# and ~14 us a seed, so a run at the bound spends ~2 ms on its words.
+_SMALL_WORDS = 1 << 12
+_SEED_WORDS = 32
+
+
+def _small(draws: int, paths: int = 1) -> bool:
+    """Whether a run of ``paths`` paths of ``draws`` Bernoulli draws each reads
+    its words from ``_PCG64``: its words fit ``_SMALL_WORDS``, and numpy.random,
+    whose generator is faster per word, is not loaded yet."""
+    words = paths * (-(-draws // 4) + _SEED_WORDS)
+    return words <= _SMALL_WORDS and "numpy.random" not in sys.modules
+
+
 _NO_DIGITS = np.empty(0, np.uint16)
 
 
 class _Streams:
     """The random streams of one seed.
 
-    ``bits`` is numpy's PCG64 at ``seed``.  ``digits`` reads its raw words as
+    ``bits`` is PCG64 at ``seed``: numpy's, or with ``small`` its twin
+    ``_PCG64``, which gives the same words.  ``digits`` reads its raw words as
     four 16-bit digits each, least significant first on any platform; digits
     a draw leaves over go to the next one.  ``tie_words`` reads the 64-bit
     words of a second stream that starts at ``PCG64(seed).jumped()``; it is
@@ -222,13 +328,14 @@ class _Streams:
     path without a tie never pays for it.
     """
 
-    __slots__ = ("seed", "bits", "_carry", "_ties")
+    __slots__ = ("seed", "bits", "_carry", "_ties", "_source")
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self, seed: int, small: bool = False) -> None:
         self.seed = seed
-        self.bits = np.random.PCG64(seed)
+        self._source = _PCG64 if small else np.random.PCG64
+        self.bits = self._source(seed)
         self._carry = _NO_DIGITS
-        self._ties: Optional[np.random.PCG64] = None
+        self._ties = None
 
     def digits(self, k: int) -> np.ndarray:
         """The next ``k`` 16-bit digits of ``bits``."""
@@ -245,7 +352,7 @@ class _Streams:
     def tie_words(self, n: int) -> np.ndarray:
         """The next ``n`` 64-bit words of the tie stream."""
         if self._ties is None:
-            self._ties = np.random.PCG64(self.seed).jumped()
+            self._ties = self._source(self.seed).jumped()
         return self._ties.random_raw(n)
 
 
@@ -305,13 +412,20 @@ def _direction_blocks(
             yield right[:k]
 
 
+def _draws(cfg: SimConfig) -> int:
+    """Bernoulli draws of ``cfg``'s path: one a tick, or for a telegraph chain
+    its start and two flips a tick."""
+    return cfg.ticks if cfg.dynamics == "iid" else 1 + 2 * cfg.ticks
+
+
 def _path_sum(
-    cfg: SimConfig, seed: int, stream: Optional[IO[bytes]] = None, chunk: int = _CHUNK
+    cfg: SimConfig, seed: int, stream: Optional[IO[bytes]] = None, chunk: int = _CHUNK,
+    small: bool = False,
 ) -> int:
     """Direction sum of ``cfg``'s path from ``seed``, drawn in ``chunk``-tick
-    blocks; with the binary ``stream`` also its CSV."""
+    blocks from ``_Streams(seed, small)``; with the binary ``stream`` also its CSV."""
     blocks = _direction_blocks(
-        _Streams(seed), cfg.ticks, cfg.p_right, cfg.flip_probabilities, chunk
+        _Streams(seed, small), cfg.ticks, cfg.p_right, cfg.flip_probabilities, chunk
     )
     total = tick = 0
     if stream is not None:
@@ -359,7 +473,8 @@ def simulate_drift(cfg: SimConfig, stream: Optional[IO[bytes]] = None) -> DriftE
     ``stream``, written in the same pass as CSV rows ``tick,direction,position``:
     direction +1/-1, position the exact running direction sum, ``<ticks>.0``."""
     inflation = _variance_inflation(cfg.flip_probabilities, cfg.ticks)
-    return _estimate_from_sum(_path_sum(cfg, cfg.seed, stream), cfg.ticks, cfg.seed, inflation)
+    total = _path_sum(cfg, cfg.seed, stream, small=_small(_draws(cfg)))
+    return _estimate_from_sum(total, cfg.ticks, cfg.seed, inflation)
 
 
 def observe_from_moving_frame(u: float, v: float, ticks: int, seed: int) -> FrameObservation:
@@ -381,7 +496,7 @@ def observe_from_moving_frame(u: float, v: float, ticks: int, seed: int) -> Fram
     seed = _validate_int("seed", seed, 0, _MAX_SEED)
 
     # zip draws particle block j, then observer block j, from the same streams.
-    streams = _Streams(seed)
+    streams = _Streams(seed, _small(2 * ticks))
     particle = _direction_blocks(streams, ticks, 0.5 * (1.0 + vf))
     observer = _direction_blocks(streams, ticks, 0.5 * (1.0 + uf))
     n_retained = total = 0
@@ -413,7 +528,8 @@ def run_ensemble(cfg: SimConfig, replicates: int) -> EnsembleResult:
     replicates = _validate_replicates(cfg, replicates)
     inflation = _variance_inflation(cfg.flip_probabilities, cfg.ticks)
     seeds = [derive_seed(cfg.seed, r) for r in range(replicates)]
-    sums = [_path_sum(cfg, seed) for seed in seeds]
+    small = _small(_draws(cfg), replicates)
+    sums = [_path_sum(cfg, seed, small=small) for seed in seeds]
     estimates = tuple(
         _estimate_from_sum(total, cfg.ticks, seed, inflation) for total, seed in zip(sums, seeds)
     )

@@ -1,8 +1,9 @@
 """Which modules an entry imports, each case in a fresh interpreter.
 
 ``import zittersim`` loads no module, and a CLI command loads only the
-modules it runs: the sampler (``zittersim.simulate``, and with it
-``numpy.random``) only for ``simulate`` and ``observe``, the verify suite
+modules it runs: the sampler (``zittersim.simulate``) only for ``simulate``
+and ``observe``, and ``numpy.random`` only for a run too large for the
+sampler's pure-Python PCG64 (and for ``verify``), the verify suite
 only for ``verify``, the CSV formatter only for ``--grid`` and ``--path``,
 ``zittersim.entropy`` only for ``compose``, ``entropy`` and ``verify``, and
 ``zittersim.scales`` (and with it ``dataclasses``) only for ``scales`` and
@@ -21,7 +22,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-SAMPLER = ("zittersim.simulate", "numpy.random")
+SAMPLER = ("zittersim.simulate",)
+# numpy's generator, and the hashing modules its import pulls in
+NUMPY_RANDOM = ("numpy.random", "_hashlib")
 VERIFY = ("zittersim.verification",)
 FORMATTER = "zittersim._format"
 ENTROPY = "zittersim.entropy"
@@ -69,7 +72,7 @@ SCALES_PARTICLE = ("scales", "--particle", "muon")
 def test_calculus_commands_load_neither_sampler_nor_verify_suite(argv):
     loaded = _loaded_by(*argv)
     assert {"zittersim.cli", "zittersim.kinematics"} <= loaded
-    assert loaded.isdisjoint(SAMPLER + VERIFY)
+    assert loaded.isdisjoint(SAMPLER + NUMPY_RANDOM + VERIFY)
 
 
 @pytest.mark.parametrize(
@@ -101,7 +104,20 @@ def test_scales_loads_the_scales_but_not_the_entropy(argv):
 def test_sampling_commands_load_the_sampler_only(argv):
     loaded = _loaded_by(*argv)
     assert set(SAMPLER) <= loaded
-    assert loaded.isdisjoint(VERIFY + (ENTROPY, "zittersim.scales"))
+    assert loaded.isdisjoint(VERIFY + NUMPY_RANDOM + (ENTROPY, "zittersim.scales"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--beta", "0.2", "--ticks", "100000", "--seed", "1"),
+        ("simulate", "--beta", "0.3", "--ticks", "10", "--seed", "1", "--replicates", "1000"),
+        ("observe", "--u", "0.4", "--v", "0.5", "--ticks", "100000", "--seed", "2"),
+    ],
+    ids=["simulate", "simulate-ensemble", "observe"],
+)
+def test_large_sampling_runs_load_numpy_random(argv):
+    assert {*SAMPLER, "numpy.random"} <= _loaded_by(*argv)
 
 
 @pytest.mark.parametrize(
@@ -119,7 +135,9 @@ def test_only_the_csv_writers_load_the_formatter(argv, writes_csv):
 
 
 def test_verify_loads_the_verify_suite():
-    assert set(SAMPLER + VERIFY + SCALES + (ENTROPY,)) <= _loaded_by("verify", "--level", "fast")
+    assert set(SAMPLER + ("numpy.random",) + VERIFY + SCALES + (ENTROPY,)) <= _loaded_by(
+        "verify", "--level", "fast"
+    )
 
 
 def test_bare_import_loads_no_module():

@@ -5,7 +5,9 @@ from __future__ import annotations
 import io
 import math
 import os
+import random
 import statistics
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -804,3 +806,99 @@ class TestBlockCsvWriter:
                 positions = total + np.cumsum(directions, dtype=np.int64)
                 want = _reference_rows(tick, directions.tolist(), positions.tolist())
                 _assert_same_text(_format.path_csv(tick, total, right), want)
+
+
+# Seeds for the pure-Python PCG64 twin: 0, the one- and two-word edges of
+# numpy's seed hash, a seed whose high 32 bits are 0, one whose low 32 bits
+# are 0, 2**63, the largest seed and 50 random ones.
+TWIN_SEEDS = [0, 1, 2**32 - 1, 2**32, 0x9E3779B9, 5 << 32, 2**63, 2**64 - 1] + [
+    random.Random(39).getrandbits(64) for _ in range(50)
+]
+
+# A path over both sizes: 1000 ticks, and two block edges and then some.
+TWIN_TICKS = [1_000, 2 * simulate._CHUNK + 5]
+
+
+def _both_sources(monkeypatch, run) -> list:
+    """``run()`` twice in a process that has not loaded numpy.random, once
+    with its words from numpy's PCG64 and once from ``simulate._PCG64``, the
+    threshold set so that each run takes that source; each result comes with
+    the set of seeds that built a ``_PCG64``, the tie streams' among them."""
+    monkeypatch.delitem(sys.modules, "numpy.random", raising=False)
+    twin, made = simulate._PCG64, []
+    monkeypatch.setattr(simulate, "_PCG64", lambda seed: made.append(seed) or twin(seed))
+    results = []
+    for small_words in (0, 2**40):
+        monkeypatch.setattr(simulate, "_SMALL_WORDS", small_words)
+        made.clear()
+        results.append((run(), set(made)))
+    return results
+
+
+def _with_csv(cfg: SimConfig):
+    buf = io.BytesIO()
+    return simulate_drift(cfg, buf), buf.getvalue()
+
+
+class TestSmallRunWordSource:
+    """A small run draws PCG64's words from a pure-Python twin of numpy's."""
+
+    @pytest.mark.parametrize("seed", TWIN_SEEDS)
+    def test_twin_matches_numpy(self, seed):
+        twin, bits = simulate._PCG64(seed), np.random.PCG64(seed)
+        state = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        assert simulate._seed_state(seed) == tuple(state.tolist())
+        # the tie stream's origin, from the seed and from a drawn state
+        assert np.array_equal(twin.jumped().random_raw(8), bits.jumped().random_raw(8))
+        for n in (1, 1_000, 63, 0):
+            words = twin.random_raw(n)
+            assert words.dtype == np.uint64
+            assert np.array_equal(words, bits.random_raw(n))
+        assert np.array_equal(twin.jumped().random_raw(8), bits.jumped().random_raw(8))
+
+    def test_small_is_one_rule_on_the_run_size(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "numpy.random", raising=False)
+        # one path's draws fill 4 digits a word, and its seed costs _SEED_WORDS
+        draws = 4 * (simulate._SMALL_WORDS - simulate._SEED_WORDS)
+        assert simulate._small(draws)
+        assert not simulate._small(draws + 1)
+        assert simulate._small(draws // 2 - 4 * simulate._SEED_WORDS, 2)
+        assert not simulate._small(draws // 2, 2)
+        # a process that holds numpy's generator already draws from it
+        monkeypatch.setitem(sys.modules, "numpy.random", np.random)
+        assert not simulate._small(1)
+
+    @pytest.mark.parametrize("ticks", TWIN_TICKS)
+    @pytest.mark.parametrize(
+        "beta,seed,dynamics",
+        [(0.3, 127, "iid"), (0.3, 17, "iid"), (-0.6, 3, "iid"), (0.3, 78, "telegraph"),
+         (-0.5, 4, "telegraph")],
+        ids=["iid-tie", "iid-seed-17", "iid", "telegraph-tie", "telegraph"],
+    )
+    def test_path_csv_and_sum_from_both_sources(self, monkeypatch, beta, seed, dynamics, ticks):
+        # seeds 127 and 78 draw a tie in their first 1000 ticks, and seed 17
+        # at ticks 49889 and 53270
+        cfg = SimConfig(beta=beta, ticks=ticks, seed=seed, dynamics=dynamics)
+        (numpy_run, no_twin), (twin_run, twins) = _both_sources(monkeypatch, lambda: _with_csv(cfg))
+        assert (no_twin, twins) == (set(), {seed})
+        assert twin_run == numpy_run
+
+    @pytest.mark.parametrize("ticks", TWIN_TICKS)
+    @pytest.mark.parametrize("seed", [172, 2])
+    def test_observe_from_both_sources(self, monkeypatch, seed, ticks):
+        # seed 172 draws a tie in its first 1000 ticks
+        (numpy_run, no_twin), (twin_run, twins) = _both_sources(
+            monkeypatch, lambda: observe_from_moving_frame(0.4, 0.5, ticks, seed)
+        )
+        assert (no_twin, twins) == (set(), {seed})
+        assert twin_run == numpy_run
+
+    @pytest.mark.parametrize("dynamics,seed", [("telegraph", 136), ("iid", 2026)])
+    def test_ensemble_from_both_sources(self, monkeypatch, dynamics, seed):
+        # seed 136's three telegraph replicates draw a tie
+        cfg = SimConfig(beta=0.3, ticks=100, seed=seed, dynamics=dynamics)
+        (numpy_run, no_twin), (twin_run, twins) = _both_sources(
+            monkeypatch, lambda: run_ensemble(cfg, 3)
+        )
+        assert (no_twin, twins) == (set(), {derive_seed(seed, r) for r in range(3)})
+        assert twin_run == numpy_run

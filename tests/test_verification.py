@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -124,6 +125,23 @@ def _restarted_at_block_edges(blocks):
     return restarted
 
 
+def _swapped_flip_pair(blocks):
+    """``_direction_blocks`` that reads the right flip at b and the left at a."""
+    def swapped(streams, ticks, p_right, flips=None, chunk=simulate._CHUNK):
+        return blocks(streams, ticks, p_right, flips and flips[::-1], chunk)
+    return swapped
+
+
+def _observer_drawn_with_v(blocks):
+    """``_direction_blocks`` that draws every path of one ``_Streams`` at the
+    first path's p_right: ``observe`` draws its observer at (1+v)/2."""
+    first = {}
+
+    def drawn_with_v(streams, ticks, p_right, flips=None, chunk=simulate._CHUNK):
+        return blocks(streams, ticks, first.setdefault(streams, p_right), flips, chunk)
+    return drawn_with_v
+
+
 def _std_error_times_10(estimate):
     def inflated(*args):
         est = estimate(*args)
@@ -158,17 +176,37 @@ MUTANTS = {
         "no check holds std_error against the spread of replicates, and the two checks "
         "that divide by it pass more easily",
     ),
+    "swapped-flip-pair": (
+        "_direction_blocks", _swapped_flip_pair, ("telegraph_iid_drift_consistency",),
+        "swapped flips move the telegraph chain's stationary drift from beta to -beta",
+    ),
+    "observer-drawn-with-v": (
+        "_direction_blocks", _observer_drawn_with_v,
+        ("frame_transform_drift_within_5_sigma", "frame_transform_acceptance_rate_within_5_sigma"),
+        "the retained drift becomes 2v/(1+v^2) and the retained fraction (1+v^2)/2",
+    ),
+    "small-run-tie-stream-unjumped": (
+        "_PCG64.jumped", lambda jumped: lambda self: self, "passes",
+        "verify's Monte Carlo runs are too large for the pure-Python PCG64, so only "
+        "the test that pins it to numpy's sees its tie stream",
+    ),
 }
 
 
 def _probe():
     # seed 17's iid path at beta 0.3 draws its tick 53270 right from a tie
     # word; the telegraph path crosses two block edges, and its CSV shows a
-    # restarted chain whose drift happens to be the same
+    # restarted chain whose drift happens to be the same.  Seed 172's frame
+    # observation draws a tie in its 2000 draws that its stream's own next word
+    # settles the other way; it draws from the pure-Python PCG64, since
+    # numpy.random is out of sys.modules, as in a fresh process.
     iid = SimConfig(beta=0.3, ticks=60_000, seed=17)
     telegraph = SimConfig(beta=0.3, ticks=2 * simulate._CHUNK + 1, seed=17, dynamics="telegraph")
     csv = io.BytesIO()
-    return simulate_drift(iid), simulate_drift(telegraph, csv), csv.getvalue()
+    with pytest.MonkeyPatch.context() as fresh:
+        fresh.delitem(sys.modules, "numpy.random", raising=False)
+        observed = simulate.observe_from_moving_frame(0.4, 0.5, 1_000, 172)
+    return simulate_drift(iid), simulate_drift(telegraph, csv), csv.getvalue(), observed
 
 
 @pytest.mark.parametrize("mutant", MUTANTS)
