@@ -29,8 +29,9 @@ PARTICLES = {
 # Ticks of a path and points of an entropy --grid stay below this bound: the
 # path CSV's positions are int64 tick sums.
 MAX_TICKS = 2**63
-# Version of the order in which the samplers draw from the PCG64 stream;
-# 4 reads every iid tick and telegraph flip from a 16-bit digit of it.
+# Version of the order in which the samplers draw from the PCG64 stream; 4 reads
+# every iid tick and telegraph flip from a 16-bit digit of it, in blocks of
+# ``simulate._CHUNK`` ticks that order telegraph flips and observe's two paths.
 STREAM_LAYOUT = 4
 
 _MODULES = ("errors", "kinematics", "entropy", "scales", "simulate", "verification")  # import order

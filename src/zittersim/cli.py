@@ -23,6 +23,7 @@ if __name__ == "__main__":
     gc.disable()
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -46,8 +47,11 @@ EXIT_FAILURE = 1
 def _writing(target: str) -> Iterator[None]:
     """Re-raise the block's ``OSError`` as ``UnwritableOutput`` naming ``target``,
     ``--path 'p.csv'`` or ``stdout``; a ``BrokenPipeError`` on stdout, from a
-    reader that left early, passes to ``main``."""
+    reader that left early, passes to ``main``.  A process started with fd 1
+    closed has ``sys.stdout`` None, where ``print`` writes nothing: an error here."""
     try:
+        if target == "stdout" and sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         yield
     except OSError as exc:
         if target == "stdout" and isinstance(exc, BrokenPipeError):

@@ -23,7 +23,7 @@ characteristic length of ``scales``, so meters are that count times
 One private generator yields the directions as boolean blocks of ``_CHUNK``
 ticks, true where a tick is right; drift estimates, ensembles, frame
 observation and the CSV dump reduce the blocks as they arrive, so memory is
-O(chunk), not O(ticks), and no path is ever held whole.  The CSV dump writes
+O(block), not O(ticks), and no path is ever held whole.  The CSV dump writes
 each slice of ``_CSV_ROWS`` rows to a binary stream as ``_format.path_csv``.
 ``generate_path``, ``estimate_drift`` and ``write_path_csv`` are one-line
 handles on ``simulate_drift``, kept as module attributes for the benchmark
@@ -84,8 +84,11 @@ _MAX_SEED = 2**64
 # stationary law at p for any s in (0, 1]; s = 1 would degenerate to iid.
 _DEFAULT_FLIP_SCALE = 0.5
 
-# Ticks per sampled block: the samplers hold 5 (iid) to 14 (telegraph) bytes per
-# block tick at once.  64k-tick blocks also measured faster than 4k or 1M ones.
+# Ticks per sampled block, part of stream layout 4: an iid path is the same at
+# any size, but a telegraph block draws its right flips before its left ones and
+# ``observe`` its particle block before its observer block, so another size draws
+# other paths; it takes a new ``STREAM_LAYOUT``.  The samplers hold 5 (iid) to 14
+# (telegraph) bytes per block tick at once.
 _CHUNK = 1 << 16
 
 # CSV rows per write, formatted as one uint8 matrix of at most 43 bytes a row;
@@ -258,9 +261,9 @@ class _PCG64:
 
     PCG64 is a 128-bit LCG with the XSL-RR output (O'Neill, "PCG",
     HMC-CS-2014-0905), seeded from ``_seed_state`` as numpy's
-    ``pcg64_set_seed`` does.  A run too short to pay for importing
-    ``numpy.random`` draws from it (``_small``); tests hold its words to
-    numpy's bit for bit.
+    ``pcg64_set_seed`` does; ``jumped()`` is the LCG's closed-form jump.  A
+    run too short to pay for importing ``numpy.random`` draws from it
+    (``_small``); tests hold its words and jump to numpy's bit for bit.
     """
 
     __slots__ = ("state", "inc")
@@ -281,19 +284,13 @@ class _PCG64:
         return np.array(words, np.uint64)
 
     def jumped(self) -> _PCG64:
-        """A copy advanced by ``_PCG_JUMP`` steps, by Brown's jump-ahead
-        (Trans. ANS 71, 1994): ``_PCG_JUMP``'s bits select powers of the step."""
-        mult, plus, acc_mult, acc_plus = _PCG_MULT, self.inc, 1, 0
-        delta = _PCG_JUMP
-        while delta:
-            if delta & 1:
-                acc_mult = acc_mult * mult & _MASK128
-                acc_plus = (acc_plus * mult + plus) & _MASK128
-            plus = (mult + 1) * plus & _MASK128
-            mult = mult * mult & _MASK128
-            delta >>= 1
+        """A copy advanced by ``_PCG_JUMP`` steps, in the LCG's closed form:
+        n steps of x -> a x + c give a**n x + c (a**n - 1)/(a - 1), and a**n
+        taken modulo (a - 1) * 2**128 makes the division exact."""
+        power = pow(_PCG_MULT, _PCG_JUMP, (_PCG_MULT - 1) << 128)
+        plus = (power - 1) // (_PCG_MULT - 1) * self.inc
         jumped = object.__new__(type(self))
-        jumped.inc, jumped.state = self.inc, (acc_mult * self.state + acc_plus) & _MASK128
+        jumped.inc, jumped.state = self.inc, (power * self.state + plus) & _MASK128
         return jumped
 
 
@@ -317,7 +314,8 @@ _NO_DIGITS = np.empty(0, np.uint16)
 
 
 class _Streams:
-    """The random streams of one seed.
+    """The random streams of one seed, built by each sampler for each path or
+    replicate, or once for ``observe``'s two interleaved paths.
 
     ``bits`` is PCG64 at ``seed``: numpy's, or with ``small`` its twin
     ``_PCG64``, which gives the same words.  ``digits`` reads its raw words as
@@ -379,11 +377,10 @@ def _bernoulli(streams: _Streams, k: int, q: float) -> np.ndarray:
 
 
 def _direction_blocks(
-    streams: _Streams, ticks: int, p_right: float, flips: Optional[tuple] = None,
-    chunk: int = _CHUNK,
+    streams: _Streams, ticks: int, p_right: float, flips: Optional[tuple] = None
 ) -> Iterator[np.ndarray]:
-    """Yield ``ticks`` directions as boolean blocks of at most ``chunk``:
-    entry t is true iff tick t is right.
+    """Yield ``ticks`` directions of ``streams`` as boolean blocks of at most
+    ``_CHUNK``: entry t is true iff tick t is right.
 
     iid tick i is right iff the i-th ``_bernoulli`` draw of p_right is true,
     whatever the block size.  A telegraph chain with ``flips`` = (a, b) starts
@@ -394,7 +391,7 @@ def _direction_blocks(
     """
     if flips is not None:
         state = _bernoulli(streams, 1, p_right)
-    for k in (min(chunk, ticks - start) for start in range(0, ticks, chunk)):
+    for k in (min(_CHUNK, ticks - start) for start in range(0, ticks, _CHUNK)):
         if flips is None:
             yield _bernoulli(streams, k, p_right)
         else:
@@ -418,15 +415,10 @@ def _draws(cfg: SimConfig) -> int:
     return cfg.ticks if cfg.dynamics == "iid" else 1 + 2 * cfg.ticks
 
 
-def _path_sum(
-    cfg: SimConfig, seed: int, stream: Optional[IO[bytes]] = None, chunk: int = _CHUNK,
-    small: bool = False,
-) -> int:
-    """Direction sum of ``cfg``'s path from ``seed``, drawn in ``chunk``-tick
-    blocks from ``_Streams(seed, small)``; with the binary ``stream`` also its CSV."""
-    blocks = _direction_blocks(
-        _Streams(seed, small), cfg.ticks, cfg.p_right, cfg.flip_probabilities, chunk
-    )
+def _path_sum(cfg: SimConfig, streams: _Streams, stream: Optional[IO[bytes]] = None) -> int:
+    """Direction sum of ``cfg``'s path drawn from ``streams``, whose seed may be a
+    replicate's; with the binary ``stream`` also its CSV."""
+    blocks = _direction_blocks(streams, cfg.ticks, cfg.p_right, cfg.flip_probabilities)
     total = tick = 0
     if stream is not None:
         from ._format import path_csv
@@ -473,7 +465,7 @@ def simulate_drift(cfg: SimConfig, stream: Optional[IO[bytes]] = None) -> DriftE
     ``stream``, written in the same pass as CSV rows ``tick,direction,position``:
     direction +1/-1, position the exact running direction sum, ``<ticks>.0``."""
     inflation = _variance_inflation(cfg.flip_probabilities, cfg.ticks)
-    total = _path_sum(cfg, cfg.seed, stream, small=_small(_draws(cfg)))
+    total = _path_sum(cfg, _Streams(cfg.seed, _small(_draws(cfg))), stream)
     return _estimate_from_sum(total, cfg.ticks, cfg.seed, inflation)
 
 
@@ -529,7 +521,7 @@ def run_ensemble(cfg: SimConfig, replicates: int) -> EnsembleResult:
     inflation = _variance_inflation(cfg.flip_probabilities, cfg.ticks)
     seeds = [derive_seed(cfg.seed, r) for r in range(replicates)]
     small = _small(_draws(cfg), replicates)
-    sums = [_path_sum(cfg, seed, small=small) for seed in seeds]
+    sums = [_path_sum(cfg, _Streams(seed, small)) for seed in seeds]
     estimates = tuple(
         _estimate_from_sum(total, cfg.ticks, seed, inflation) for total, seed in zip(sums, seeds)
     )

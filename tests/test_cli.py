@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -225,8 +224,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
     def test_json_identical_with_and_without_path(self, capsys, tmp_path, monkeypatch, dynamics):
-        # the run goes through main, so the 1000-tick blocks are patched in
-        monkeypatch.setattr(simulate, "_path_sum", functools.partial(simulate._path_sum, chunk=1000))
+        # 1000-tick blocks, so the 5000-tick path crosses block edges
+        monkeypatch.setattr(simulate, "_CHUNK", 1000)
         argv = ("simulate", "--beta", "0.3", "--ticks", "5000", "--seed", "12",
                 "--dynamics", dynamics)
         plain = without_run(run_json(capsys, *argv))

@@ -122,6 +122,18 @@ def test_full_disk_exits_1_with_one_error_line(argv, env):
     assert done.stderr.startswith("error: stdout: [Errno 28]") and done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,env", STDOUTS)
+def test_closed_stdout_exits_1_with_one_error_line(argv, env):
+    # started with fd 1 closed, as the shell's >&- does: Python sets sys.stdout
+    # to None, and print to None writes nothing
+    done = subprocess.run(
+        [sys.executable, "-m", "zittersim.cli", *argv], stderr=subprocess.PIPE,
+        env=_env(**env), text=True, timeout=120, preexec_fn=lambda: os.close(1),
+    )
+    assert done.returncode == 1
+    assert done.stderr == "error: stdout: [Errno 9] Bad file descriptor\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv,code",

@@ -197,21 +197,20 @@ class TestZitterPath:
         assert got.getvalue() == want.getvalue()
 
 
-def _directions(cfg: SimConfig, chunk: int = simulate._CHUNK) -> np.ndarray:
-    """``cfg``'s whole path as +/-1 ticks: the ``chunk``-tick right-masks of
-    ``simulate._direction_blocks`` joined."""
+def _directions(cfg: SimConfig) -> np.ndarray:
+    """``cfg``'s whole path as +/-1 ticks: the ``simulate._CHUNK``-tick
+    right-masks of ``simulate._direction_blocks`` joined."""
     streams = simulate._Streams(cfg.seed)
-    blocks = simulate._direction_blocks(
-        streams, cfg.ticks, cfg.p_right, cfg.flip_probabilities, chunk
-    )
+    blocks = simulate._direction_blocks(streams, cfg.ticks, cfg.p_right, cfg.flip_probabilities)
     return np.where(np.concatenate(list(blocks)), 1, -1)
 
 
-def _right_counts(cfg: SimConfig, replicates: int, chunk: int) -> list[int]:
+def _right_counts(cfg: SimConfig, replicates: int) -> list[int]:
     """Right-tick counts of ``run_ensemble(cfg, replicates)``'s replicates,
-    each drawn in ``chunk``-tick blocks."""
+    each drawn in ``simulate._CHUNK``-tick blocks."""
     sums = (
-        simulate._path_sum(cfg, derive_seed(cfg.seed, r), chunk=chunk) for r in range(replicates)
+        simulate._path_sum(cfg, simulate._Streams(derive_seed(cfg.seed, r)))
+        for r in range(replicates)
     )
     return [(total + cfg.ticks) // 2 for total in sums]
 
@@ -558,18 +557,23 @@ def _right_counts_chi2(counts: list[int], pmf) -> tuple[float, int]:
 class TestChunkedSampler:
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
     @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
-    def test_blocks_are_right_masks(self, dynamics, chunk):
+    def test_blocks_are_right_masks(self, monkeypatch, dynamics, chunk):
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
         # two whole blocks and a partial one
         cfg = SimConfig(beta=0.3, ticks=2 * chunk + 5, seed=9, dynamics=dynamics)
         streams = simulate._Streams(cfg.seed)
         blocks = list(simulate._direction_blocks(
-            streams, cfg.ticks, cfg.p_right, cfg.flip_probabilities, chunk
+            streams, cfg.ticks, cfg.p_right, cfg.flip_probabilities
         ))
         assert all(b.dtype == np.bool_ and b.ndim == 1 and b.size <= chunk for b in blocks)
         assert sum(b.size for b in blocks) == cfg.ticks
 
     @pytest.mark.parametrize("chunk", [1, 7, 4096, simulate._CHUNK])
-    def test_iid_stream_independent_of_chunk_size(self, chunk):
+    def test_iid_stream_independent_of_chunk_size(self, monkeypatch, chunk):
+        # the sums behind simulate_drift and run_ensemble, drawn at the default block
+        small = SimConfig(beta=0.3, ticks=10_000, seed=17)
+        estimates = (simulate_drift(small), *run_ensemble(small, 3).replicates)
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
         # 3e5 ticks hold ~5 ties per path, and chunks 1 and 7 carry digits
         # across most block edges; -1 + 2**-52 has head 0, so only tie words
         # can draw right.  Chunk 1 draws one block per tick, so it draws 6e4
@@ -578,12 +582,11 @@ class TestChunkedSampler:
         ticks = 60_000 if chunk == 1 else 300_000
         for beta in (0.3, 1.0, -1.0, 0.0, -1.0 + 2.0**-52):
             cfg = SimConfig(beta=beta, ticks=ticks, seed=17)
-            directions = _directions(cfg, chunk)
+            directions = _directions(cfg)
             assert np.array_equal(directions, _layout3_ticks(beta, ticks, 17)), beta
-        # the sums behind simulate_drift and run_ensemble
-        small = SimConfig(beta=0.3, ticks=10_000, seed=17)
-        for est in (simulate_drift(small), *run_ensemble(small, 3).replicates):
-            assert simulate._path_sum(small, est.seed, chunk=chunk) == round(est.mean * small.ticks)
+        for est in estimates:
+            total = simulate._path_sum(small, simulate._Streams(est.seed))
+            assert total == round(est.mean * small.ticks)
 
     @given(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
     def test_threshold_is_p_in_80_bits(self, beta, q):
@@ -598,10 +601,11 @@ class TestChunkedSampler:
             assert head * 2**64 + tail == Fraction(exact) * 2**80
 
     @pytest.mark.parametrize("beta,seed", [(-0.6, 61), (0.3, 62)])
-    def test_iid_right_counts_are_binomial(self, beta, seed):
+    def test_iid_right_counts_are_binomial(self, monkeypatch, beta, seed):
         # 7-tick blocks carry digits across 7 of the 9 block edges
+        monkeypatch.setattr(simulate, "_CHUNK", 7)
         n = 64
-        counts = _right_counts(SimConfig(beta=beta, ticks=n, seed=seed), 5_000, chunk=7)
+        counts = _right_counts(SimConfig(beta=beta, ticks=n, seed=seed), 5_000)
         chi2, df = _right_counts_chi2(counts, _binomial_pmf(n, 0.5 * (1.0 + beta)))
         assert (chi2 - df) / math.sqrt(2.0 * df) < 5.0
 
@@ -609,11 +613,12 @@ class TestChunkedSampler:
         "beta,flips,seed", [(0.3, None, 63), (-0.4, (0.035, 0.015), 64)],
         ids=["default-flips", "slow-flips"],
     )
-    def test_telegraph_right_counts_follow_exact_law(self, beta, flips, seed):
+    def test_telegraph_right_counts_follow_exact_law(self, monkeypatch, beta, flips, seed):
         # 64 ticks in 7-tick blocks carry the chain's state across 9 block edges
+        monkeypatch.setattr(simulate, "_CHUNK", 7)
         n = 64
         cfg = SimConfig(beta=beta, ticks=n, seed=seed, dynamics="telegraph", flip_asymmetry=flips)
-        counts = _right_counts(cfg, 3_000, chunk=7)
+        counts = _right_counts(cfg, 3_000)
         pmf = _telegraph_pmf(n, cfg.p_right, *cfg.flip_probabilities)
         assert sum(pmf) == pytest.approx(1.0, abs=1e-12)
         chi2, df = _right_counts_chi2(counts, pmf)
@@ -626,11 +631,14 @@ class TestChunkedSampler:
         ids=["default-flips", "flips-0.4-0.1", "flips-0.9-0.9", "never-left-flip", "tie-words"],
     )
     @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
-    def test_telegraph_stream_matches_tick_by_tick_reference(self, beta, flips, chunk):
+    def test_telegraph_stream_matches_tick_by_tick_reference(
+        self, monkeypatch, beta, flips, chunk
+    ):
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
         # two whole blocks and a partial one
         cfg = SimConfig(beta=beta, ticks=2 * chunk + 8_000, seed=31, dynamics="telegraph",
                         flip_asymmetry=flips)
-        path = _directions(cfg, chunk)
+        path = _directions(cfg)
         assert path.tolist() == _layout4_ticks(cfg, chunk)
         if flips == (2.0**-20, 2.0**-20) and chunk > 8_000:
             # a 2**-20 flip is a 0 digit (odds 2**-16) and then a tie word
@@ -675,21 +683,23 @@ class TestChunkedSampler:
 
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
     @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
-    def test_simulate_drift_is_estimate_of_generated_path(self, dynamics, chunk):
+    def test_simulate_drift_is_estimate_of_generated_path(self, monkeypatch, dynamics, chunk):
         cfg = SimConfig(beta=-0.4, ticks=5_000, seed=8, dynamics=dynamics)
-        whole = int(np.sum(_directions(cfg, chunk), dtype=np.int64))
-        assert simulate._path_sum(cfg, cfg.seed, chunk=chunk) == whole
         assert simulate_drift(cfg) == _whole_path_estimate(cfg)
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        whole = int(np.sum(_directions(cfg), dtype=np.int64))
+        assert simulate._path_sum(cfg, simulate._Streams(cfg.seed)) == whole
 
     @pytest.mark.parametrize(
         "beta,flips,seed", [(0.3, None, 31), (-0.6, (0.4, 0.1), 32), (0.0, (0.9, 0.9), 33)]
     )
     @pytest.mark.parametrize("chunk", [64, simulate._CHUNK])
-    def test_telegraph_mean_and_lag1_correlation(self, beta, flips, seed, chunk):
+    def test_telegraph_mean_and_lag1_correlation(self, monkeypatch, beta, flips, seed, chunk):
         # small chunks put thousands of block edges inside the path
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
         n = 200_000
         cfg = SimConfig(beta=beta, ticks=n, seed=seed, dynamics="telegraph", flip_asymmetry=flips)
-        x = _directions(cfg, chunk)
+        x = _directions(cfg)
         a, b = cfg.flip_probabilities
         sigma_mean = math.sqrt(
             (1.0 - beta * beta) / n * simulate._variance_inflation((a, b), n)
@@ -705,11 +715,12 @@ class TestChunkedSampler:
         assert abs((1.0 - a_hat - b_hat) - (1.0 - a - b)) <= 5.0 * sigma_rho
 
     @pytest.mark.parametrize("beta,flips", [(1.0, None), (1.0, (0.0, 0.3)), (-1.0, (0.3, 0.0))])
-    def test_light_speed_telegraph_across_blocks(self, beta, flips):
+    def test_light_speed_telegraph_across_blocks(self, monkeypatch, beta, flips):
         cfg = SimConfig(beta=beta, ticks=100, seed=2, dynamics="telegraph", flip_asymmetry=flips)
-        assert np.all(_directions(cfg, 7) == int(beta))
-        assert simulate._path_sum(cfg, cfg.seed, chunk=7) == beta * cfg.ticks
         assert simulate_drift(cfg).mean == beta
+        monkeypatch.setattr(simulate, "_CHUNK", 7)
+        assert np.all(_directions(cfg) == int(beta))
+        assert simulate._path_sum(cfg, simulate._Streams(cfg.seed)) == beta * cfg.ticks
 
     @pytest.mark.parametrize("dynamics", ["iid", "telegraph"])
     def test_reported_std_error_matches_ensemble_spread(self, dynamics):
@@ -788,11 +799,13 @@ class TestBlockCsvWriter:
         _assert_same_text(buf.getvalue(), _reference_csv(cfg))
 
     @pytest.mark.parametrize("chunk", [7, simulate._CHUNK])
-    def test_streamed_dump_matches_path_dump(self, chunk):
+    def test_streamed_dump_matches_path_dump(self, monkeypatch, chunk):
         cfg = SimConfig(beta=0.1, ticks=10_000, seed=9)
+        whole, reference = simulate._path_sum(cfg, simulate._Streams(cfg.seed)), _reference_csv(cfg)
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
         buf = io.BytesIO()
-        assert simulate._path_sum(cfg, cfg.seed, buf, chunk) == simulate._path_sum(cfg, cfg.seed)
-        _assert_same_text(buf.getvalue(), _reference_csv(cfg))
+        assert simulate._path_sum(cfg, simulate._Streams(cfg.seed), buf) == whole
+        _assert_same_text(buf.getvalue(), reference)
 
     @pytest.mark.parametrize("size", [1, simulate._CSV_ROWS])
     @pytest.mark.parametrize("tick", [0, 5, 99_990, 10**15, 2**62, 2**63 - simulate._CSV_ROWS])

@@ -118,17 +118,18 @@ def test_tampered_tolerance_fails(monkeypatch, capsys):
 
 
 def _restarted_at_block_edges(blocks):
-    """``_direction_blocks`` that starts a new chain at each ``chunk`` edge."""
-    def restarted(streams, ticks, p_right, flips=None, chunk=simulate._CHUNK):
+    """``_direction_blocks`` that starts a new chain at each ``_CHUNK`` edge."""
+    def restarted(streams, ticks, p_right, flips=None):
+        chunk = simulate._CHUNK
         for start in range(0, ticks, chunk):
-            yield from blocks(streams, min(chunk, ticks - start), p_right, flips, chunk)
+            yield from blocks(streams, min(chunk, ticks - start), p_right, flips)
     return restarted
 
 
 def _swapped_flip_pair(blocks):
     """``_direction_blocks`` that reads the right flip at b and the left at a."""
-    def swapped(streams, ticks, p_right, flips=None, chunk=simulate._CHUNK):
-        return blocks(streams, ticks, p_right, flips and flips[::-1], chunk)
+    def swapped(streams, ticks, p_right, flips=None):
+        return blocks(streams, ticks, p_right, flips and flips[::-1])
     return swapped
 
 
@@ -137,8 +138,8 @@ def _observer_drawn_with_v(blocks):
     first path's p_right: ``observe`` draws its observer at (1+v)/2."""
     first = {}
 
-    def drawn_with_v(streams, ticks, p_right, flips=None, chunk=simulate._CHUNK):
-        return blocks(streams, ticks, first.setdefault(streams, p_right), flips, chunk)
+    def drawn_with_v(streams, ticks, p_right, flips=None):
+        return blocks(streams, ticks, first.setdefault(streams, p_right), flips)
     return drawn_with_v
 
 
